@@ -6,7 +6,6 @@ from .core import (
     PrincipalFactor,
     StructureReport,
     green_relations,
-    inverses_of,
     parse_cayley,
     format_cayley,
     principal_factors,

@@ -21,9 +21,11 @@ from .errors import (
     NotOrthodox,
     NotRegularPattern,
     ParameterOutOfRange,
+    ParseError,
 )
 from .matching import (
     Matching,
+    check_permutation,
     find_permutation_matching,
     quotient_pattern,
 )
@@ -75,13 +77,22 @@ def no_matching_band() -> ZeroRectBand:
     return band_from_rows([[0, 1, 1], [1, 0, 0]])
 
 
-def _require_regular_pattern(band: ZeroRectBand) -> None:
+def empty_line(band: ZeroRectBand) -> str | None:
+    """The first row or column without an idempotent ("row i" or "column
+    j"), or None when the band is regular."""
     for i, row in enumerate(band.pattern):
         if not any(row):
-            raise NotRegularPattern(f"row {i} has no idempotent")
+            return f"row {i}"
     for j in range(band.n):
-        if not any(band.pattern[i][j] for i in range(band.m)):
-            raise NotRegularPattern(f"column {j} has no idempotent")
+        if not any(row[j] for row in band.pattern):
+            return f"column {j}"
+    return None
+
+
+def _require_regular_pattern(band: ZeroRectBand) -> None:
+    line = empty_line(band)
+    if line is not None:
+        raise NotRegularPattern(f"{line} has no idempotent")
 
 
 def to_semigroup(band: ZeroRectBand) -> FiniteSemigroup:
@@ -111,10 +122,24 @@ def are_mutual_inverses(
     return band.pattern[k][j] and band.pattern[i][l]
 
 
+def verify_band_matching(band: ZeroRectBand, p) -> bool:
+    """``verify_permutation_matching(to_semigroup(band), p)`` read off the
+    pattern, except that a p moving 0 is rejected before the permutation
+    check: 0 is the only inverse of 0, and cells pair as in
+    :func:`are_mutual_inverses`."""
+    _require_regular_pattern(band)
+    if p[0] != 0:
+        return False
+    check_permutation(band.order, p)
+    return all(
+        are_mutual_inverses(band, band.cell_of(x), band.cell_of(p[x]))
+        for x in range(1, band.order)
+    )
+
+
 def h_quotient(factor: PrincipalFactor) -> ZeroRectBand:
     """H-class quotient of a completely 0-simple principal factor."""
-    m, n, pattern = quotient_pattern(factor)
-    return ZeroRectBand(m, n, pattern)
+    return ZeroRectBand(*quotient_pattern(factor))
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +343,6 @@ def random_band(m: int, n: int, density: float, seed: int) -> ZeroRectBand:
 
 
 def parse_band(text: str) -> ZeroRectBand:
-    from .errors import ParseError
-
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:

@@ -103,12 +103,11 @@ def cmd_analyze(args) -> int:
     sg = loaded["semigroup"]
     struct = core.structure_report(sg)
     rep = matching.equivalence_report(sg)
-    egg = core.green_relations(sg)
     payload = {
         "input": {"kind": loaded["kind"], "digest": loaded["digest"]},
         "order": sg.order,
         "structure": vars(struct),
-        "d_class_sizes": sorted(len(b.elements) for b in egg.d_classes),
+        "d_class_sizes": sorted(len(b.elements) for b in sg.egg_box.d_classes),
         "verdicts": {
             "has_matching": rep.has_matching,
             "hall_condition": rep.hall_ok,
@@ -195,9 +194,8 @@ def cmd_involution(args) -> int:
 def cmd_factors(args) -> int:
     loaded = _load_algebra(args.path)
     sg = loaded["semigroup"]
-    factors = core.principal_factors(sg)
     rows = []
-    for f in factors:
+    for f in sg.factors:
         band = bands.h_quotient(f)
         rows.append(
             {
@@ -417,9 +415,7 @@ def cmd_search_q4(args) -> int:
                     patterns.append(bands.random_band(m, n, density, seed))
         for band in patterns:
             counts["total"] += 1
-            if not all(any(r) for r in band.pattern) or not all(
-                any(band.pattern[i][j] for i in range(m)) for j in range(n)
-            ):
+            if bands.empty_line(band) is not None:
                 continue
             counts["regular"] += 1
             verdict = _q4_band_verdict(band, args.oracle and cells <= args.oracle_max)

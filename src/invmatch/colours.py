@@ -14,9 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bands import ZeroRectBand, to_semigroup
+from .bands import ZeroRectBand, verify_band_matching
 from .errors import (
-    BudgetExhausted,
     IndexOutOfRange,
     MalformedInstance,
     NotAMatching,
@@ -24,7 +23,7 @@ from .errors import (
     PlanInstanceMismatch,
     WellDefinednessViolation,
 )
-from .matching import Matching, verify_involution_matching, verify_permutation_matching
+from .matching import Matching
 
 Ball = tuple[int, int]  # (girl, colour)
 
@@ -78,8 +77,7 @@ class ExchangePlan:
 def instance_from_matching(band: ZeroRectBand, phi) -> ColourInstance:
     """One ball per cell: girl i's ball for column x has the colour of the
     second coordinate of the matching's image of (i, x)."""
-    sg = to_semigroup(band)
-    if phi[0] != 0 or not verify_permutation_matching(sg, phi):
+    if not verify_band_matching(band, phi):
         raise NotAMatching("phi is not a matching of the band fixing 0")
     balls = []
     provenance = []
@@ -117,13 +115,15 @@ def solve(instance: ColourInstance, budget: int | None = None) -> SolveResult:
     pairing = [-1] * total
     nodes = 0
 
-    def place(start: int) -> bool:
-        nonlocal nodes
-        i = start
-        while i < total and pairing[i] != -1:
-            i += 1
-        if i == total:
-            return True
+    def pair(i: int, j: int, on: bool) -> None:
+        pairing[i], pairing[j] = (j, i) if on else (-1, -1)
+        need[owner[i]][colour[j]] = not on
+        if i != j:
+            need[owner[j]][colour[i]] = not on
+
+    def partners(i: int):
+        """Admissible partners of ball i in index order, one per (owner,
+        colour); each is checked against the state when it is reached."""
         gi, ci = owner[i], colour[i]
         tried: set[tuple[int, int]] = set()
         for j in range(i, total):
@@ -140,32 +140,36 @@ def solve(instance: ColourInstance, budget: int | None = None) -> SolveResult:
                 ok = False
             else:
                 ok = need[gi][cj] and need[gj][ci]
-            if not ok:
-                continue
-            tried.add((gj, cj))
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise BudgetExhausted(f"no verdict within {budget} nodes")
-            pairing[i], pairing[j] = j, i
-            need[gi][cj] = False
-            if i != j:
-                need[gj][ci] = False
-            if place(i + 1):
-                return True
-            pairing[i] = pairing[j] = -1
-            need[gi][cj] = True
-            if i != j:
-                need[gj][ci] = True
-        return False
+            if ok:
+                tried.add((gj, cj))
+                yield j
 
-    try:
-        solved = place(0)
-    except BudgetExhausted:
-        return SolveResult("budget_exhausted", None, nodes)
-    if not solved:
-        return SolveResult("unsolvable", None, nodes)
-    plan = ExchangePlan(tuple(pairing))
-    return SolveResult("solved", plan, nodes)
+    # Depth-first search with an explicit stack of (ball, partner
+    # generator), one per open branch, so depth is not bounded by the
+    # recursion limit.
+    stack: list = []
+    i = 0
+    while True:
+        while i < total and pairing[i] != -1:
+            i += 1
+        if i == total:
+            return SolveResult("solved", ExchangePlan(tuple(pairing)), nodes)
+        stack.append((i, partners(i)))
+        while stack:
+            i, branch = stack[-1]
+            if pairing[i] != -1:  # undo this branch's previous partner
+                pair(i, pairing[i], False)
+            j = next(branch, None)
+            if j is not None:
+                break
+            stack.pop()
+        else:
+            return SolveResult("unsolvable", None, nodes)
+        nodes += 1
+        if budget is not None and nodes > budget:
+            return SolveResult("budget_exhausted", None, nodes)
+        pair(i, j, True)
+        i += 1
 
 
 def verify_plan(instance: ColourInstance, plan: ExchangePlan) -> bool:
@@ -191,8 +195,7 @@ def involution_from_plan(
     """
     if instance.provenance is None:
         raise PlanInstanceMismatch("instance carries no ball provenance")
-    sg = to_semigroup(band)
-    if phi[0] != 0 or not verify_permutation_matching(sg, phi):
+    if not verify_band_matching(band, phi):
         raise NotAMatching("phi is not a matching of the band fixing 0")
     total = band.m * band.n
     if len(instance.balls) != total or len(instance.provenance) != total:
@@ -223,7 +226,10 @@ def involution_from_plan(
     p = [0] * band.order
     for (i, j), (k, l) in assignment.items():
         p[band.cell_index(i, j)] = band.cell_index(k, l)
-    if not verify_involution_matching(sg, p):
+    if not (
+        verify_band_matching(band, p)
+        and all(p[p[a]] == a for a in range(band.order))
+    ):
         raise WellDefinednessViolation(
             "induced map is not an involution matching"
         )

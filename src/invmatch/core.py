@@ -1,5 +1,5 @@
-"""Finite semigroups as Cayley tables: Green's relations, principal
-factors, and structural predicates.
+"""Finite semigroups as Cayley tables: the inverse graph, Green's relations,
+principal factors, and structural predicates.
 
 Elements are 0-based indices into the table; labels are cosmetic.  All
 structures here are treated as immutable once built.
@@ -8,6 +8,7 @@ structures here are treated as immutable once built.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     EntryOutOfRange,
@@ -20,7 +21,13 @@ from .errors import (
 
 @dataclass(frozen=True)
 class FiniteSemigroup:
-    """A finite magma given by its Cayley table; see :func:`validate`."""
+    """A finite magma given by its Cayley table; see :func:`validate`.
+
+    The egg-box, the inverse graph and the principal factors are computed
+    on first use by :func:`green_relations`, :func:`inverse_graph_of` and
+    :func:`principal_factors`, and kept on the object: the table never
+    changes, so neither do they.
+    """
 
     table: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...] | None = None
@@ -28,6 +35,19 @@ class FiniteSemigroup:
     @property
     def order(self) -> int:
         return len(self.table)
+
+    @cached_property
+    def egg_box(self) -> EggBox:
+        return green_relations(self)
+
+    @cached_property
+    def inverse_graph(self) -> InverseGraph:
+        """Mutual-inverse relation, whether or not every degree is positive."""
+        return inverse_graph_of(self)
+
+    @cached_property
+    def factors(self) -> tuple[PrincipalFactor, ...]:
+        return principal_factors(self)
 
     def product(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -73,28 +93,58 @@ def idempotents(s: FiniteSemigroup) -> list[int]:
     return [e for e in range(s.order) if s.table[e][e] == e]
 
 
-def inverses_of(s: FiniteSemigroup, a: int) -> list[int]:
-    """V(a) = all b with aba = a and bab = b, ascending."""
+@dataclass
+class InverseGraph:
+    """Mutual-inverse relation of a semigroup.
+
+    ``neighbors[a]`` lists the b != a with b in V(a), ascending;
+    ``self_eligible`` holds the a with a = a^3, i.e. a in V(a).
+    """
+
+    n: int
+    neighbors: tuple[tuple[int, ...], ...]
+    self_eligible: frozenset[int]
+
+    def degree(self, a: int) -> int:
+        """|V(a)|: the number of inverses of a, counting a when eligible."""
+        return len(self.neighbors[a]) + (1 if a in self.self_eligible else 0)
+
+    def candidates(self, a: int) -> list[int]:
+        """V(a), ascending."""
+        out = list(self.neighbors[a])
+        if a in self.self_eligible:
+            out.append(a)
+            out.sort()
+        return out
+
+
+def inverse_graph_of(s: FiniteSemigroup) -> InverseGraph:
+    """One scan of the pairs a <= b for aba = a and bab = b.  Use the
+    cached ``s.inverse_graph``."""
     t = s.table
-    out = []
-    for b in range(s.order):
-        if t[t[a][b]][a] == a and t[t[b][a]][b] == b:
-            out.append(b)
-    return out
-
-
-def inverse_sets(s: FiniteSemigroup) -> list[list[int]]:
-    return [inverses_of(s, a) for a in range(s.order)]
+    n = s.order
+    neighbors: list[list[int]] = [[] for _ in range(n)]
+    eligible = set()
+    for a in range(n):
+        for b in range(a, n):
+            if t[t[a][b]][a] == a and t[t[b][a]][b] == b:
+                if a == b:
+                    eligible.add(a)
+                else:
+                    neighbors[a].append(b)
+                    neighbors[b].append(a)
+    return InverseGraph(
+        n=n,
+        neighbors=tuple(tuple(sorted(ns)) for ns in neighbors),
+        self_eligible=frozenset(eligible),
+    )
 
 
 def regularity_check(s: FiniteSemigroup) -> tuple[bool, int | None]:
-    """True when every element has an inverse; else a witness without one."""
-    t = s.table
-    n = s.order
-    for a in range(n):
-        if not any(t[t[a][b]][a] == a and t[t[b][a]][b] == b for b in range(n)):
-            return False, a
-    return True, None
+    """True when every element has an inverse; else the first without one."""
+    g = s.inverse_graph
+    witness = next((a for a in range(g.n) if not g.degree(a)), None)
+    return witness is None, witness
 
 
 def require_regular(s: FiniteSemigroup) -> None:
@@ -272,16 +322,13 @@ class PrincipalFactor:
         return 0 if self.zero_adjoined else None
 
 
-def principal_factors(
-    s: FiniteSemigroup, egg: EggBox | None = None
-) -> list[PrincipalFactor]:
-    """One factor per D-class, ordered as in the egg-box."""
+def principal_factors(s: FiniteSemigroup) -> tuple[PrincipalFactor, ...]:
+    """One factor per D-class, ordered as in the egg-box.  Use the cached
+    ``s.factors``."""
     require_regular(s)
-    if egg is None:
-        egg = green_relations(s)
     t = s.table
     factors = []
-    for d_idx, box in enumerate(egg.d_classes):
+    for d_idx, box in enumerate(s.egg_box.d_classes):
         members = box.elements
         member_set = set(members)
         closed = all(t[x][y] in member_set for x in members for y in members)
@@ -310,32 +357,21 @@ def principal_factors(
                 members=members,
             )
         )
-    return factors
+    return tuple(factors)
 
 
-def is_zero_simple_factor(f: PrincipalFactor) -> bool:
-    """Exactly one D-class besides the adjoined zero (if any)."""
-    egg = green_relations(f.semigroup)
+def require_zero_simple(f: PrincipalFactor) -> DClassBox:
+    """The factor's one D-class besides the adjoined zero (if any)."""
     nonzero = [
         box
-        for box in egg.d_classes
-        if not (f.zero_adjoined and box.elements == (0,))
-    ]
-    return len(nonzero) == 1
-
-
-def require_zero_simple(f: PrincipalFactor) -> EggBox:
-    egg = green_relations(f.semigroup)
-    nonzero = [
-        box
-        for box in egg.d_classes
+        for box in f.semigroup.egg_box.d_classes
         if not (f.zero_adjoined and box.elements == (0,))
     ]
     if len(nonzero) != 1:
         raise NotZeroSimple(
             f"factor has {len(nonzero)} nonzero D-classes, expected 1"
         )
-    return egg
+    return nonzero[0]
 
 
 # ---------------------------------------------------------------------------
@@ -385,16 +421,13 @@ def _is_union_of_groups_subset(s: FiniteSemigroup, subset) -> bool:
     return True
 
 
-def structure_report(
-    s: FiniteSemigroup, egg: EggBox | None = None
-) -> StructureReport:
+def structure_report(s: FiniteSemigroup) -> StructureReport:
     n = s.order
     t = s.table
-    if egg is None:
-        egg = green_relations(s)
-    vsets = inverse_sets(s)
-    regular = all(vsets[a] for a in range(n))
-    inverse = regular and all(len(vsets[a]) == 1 for a in range(n))
+    egg = s.egg_box
+    degrees = [s.inverse_graph.degree(a) for a in range(n)]
+    regular = all(degrees)
+    inverse = all(d == 1 for d in degrees)
     union_of_groups = all(
         egg.d_classes[egg.d_of[a]].group_h[egg.r_of[a]][egg.l_of[a]]
         for a in range(n)

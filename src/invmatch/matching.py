@@ -14,12 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import graphs
-from .core import (
-    EggBox,
+from .core import (  # noqa: F401  (green_relations stays matching.green_relations)
     FiniteSemigroup,
+    InverseGraph,
     PrincipalFactor,
     green_relations,
-    principal_factors,
     require_regular,
     require_zero_simple,
 )
@@ -35,49 +34,10 @@ from .errors import (
 Matching = tuple[int, ...]
 
 
-@dataclass
-class InverseGraph:
-    """Mutual-inverse relation of a semigroup.
-
-    ``neighbors[a]`` lists the b != a with b in V(a), ascending;
-    ``self_eligible`` holds the a with a = a^3, i.e. a in V(a).
-    """
-
-    n: int
-    neighbors: tuple[tuple[int, ...], ...]
-    self_eligible: frozenset[int]
-
-    def degree(self, a: int) -> int:
-        """Number of inverses of a, counting a itself when eligible."""
-        return len(self.neighbors[a]) + (1 if a in self.self_eligible else 0)
-
-    def candidates(self, a: int) -> list[int]:
-        out = list(self.neighbors[a])
-        if a in self.self_eligible:
-            out.append(a)
-            out.sort()
-        return out
-
-
 def build_inverse_graph(s: FiniteSemigroup) -> InverseGraph:
+    """The mutual-inverse graph of a regular semigroup."""
     require_regular(s)
-    t = s.table
-    n = s.order
-    neighbors: list[list[int]] = [[] for _ in range(n)]
-    eligible = set()
-    for a in range(n):
-        for b in range(a, n):
-            if t[t[a][b]][a] == a and t[t[b][a]][b] == b:
-                if a == b:
-                    eligible.add(a)
-                else:
-                    neighbors[a].append(b)
-                    neighbors[b].append(a)
-    return InverseGraph(
-        n=n,
-        neighbors=tuple(tuple(sorted(ns)) for ns in neighbors),
-        self_eligible=frozenset(eligible),
-    )
+    return s.inverse_graph
 
 
 @dataclass
@@ -92,23 +52,21 @@ class HallViolator:
 # Graph-level decisions (shared by semigroups, subgraphs and band patterns)
 
 
-def matching_on_graph(g: InverseGraph) -> Matching | None:
-    """Perfect matching of the two-copy bipartite graph, or None."""
-    adj = [g.candidates(a) for a in range(g.n)]
-    size, match_l, _ = graphs.hopcroft_karp(g.n, g.n, adj)
-    if size < g.n:
-        return None
-    return tuple(match_l)
-
-
-def violator_on_graph(g: InverseGraph) -> HallViolator | None:
+def _hall(g: InverseGraph) -> tuple[Matching | None, HallViolator | None]:
+    """One maximum matching of the two-copy bipartite graph, read as a
+    perfect matching or, when it is not perfect, as a Hall violator."""
     adj = [g.candidates(a) for a in range(g.n)]
     _, match_l, match_r = graphs.hopcroft_karp(g.n, g.n, adj)
     cert = graphs.deficiency_certificate(g.n, g.n, adj, match_l, match_r)
     if cert is None:
-        return None
+        return tuple(match_l), None
     violator, image = cert
-    return HallViolator(tuple(violator), tuple(image))
+    return None, HallViolator(tuple(violator), tuple(image))
+
+
+def matching_on_graph(g: InverseGraph) -> Matching | None:
+    """Perfect matching of the two-copy bipartite graph, or None."""
+    return _hall(g)[0]
 
 
 def involution_on_graph(g: InverseGraph) -> Matching | None:
@@ -146,14 +104,14 @@ def find_permutation_matching(s: FiniteSemigroup) -> Matching | None:
 
 
 def hall_violator(s: FiniteSemigroup) -> HallViolator | None:
-    return violator_on_graph(build_inverse_graph(s))
+    return _hall(build_inverse_graph(s))[1]
 
 
 def find_involution_matching(s: FiniteSemigroup) -> Matching | None:
     return involution_on_graph(build_inverse_graph(s))
 
 
-def _check_permutation(n: int, p) -> None:
+def check_permutation(n: int, p) -> None:
     if len(p) != n or sorted(p) != list(range(n)):
         raise NotAPermutation(f"not a permutation of [0, {n})")
 
@@ -161,7 +119,7 @@ def _check_permutation(n: int, p) -> None:
 def verify_permutation_matching(s: FiniteSemigroup, p) -> bool:
     """True iff p is a bijection with a * p[a] * a = a and
     p[a] * a * p[a] = p[a] for every a."""
-    _check_permutation(s.order, p)
+    check_permutation(s.order, p)
     t = s.table
     return all(
         t[t[a][p[a]]][a] == a and t[t[p[a]][a]][p[a]] == p[a]
@@ -175,10 +133,9 @@ def verify_involution_matching(s: FiniteSemigroup, p) -> bool:
     return all(p[p[a]] == a for a in range(s.order))
 
 
-def is_h_preserving(s: FiniteSemigroup, p, egg: EggBox | None = None) -> bool:
+def is_h_preserving(s: FiniteSemigroup, p) -> bool:
     """True iff a H b implies p[a] H p[b]."""
-    if egg is None:
-        egg = green_relations(s)
+    egg = s.egg_box
     keys: dict[tuple[int, int, int], tuple[int, int, int]] = {}
     for a in range(s.order):
         src = egg.h_key(a)
@@ -244,12 +201,7 @@ def quotient_pattern(
     index ``1 + r * n_cols + l`` in the quotient band semigroup, with the
     zero at index 0.
     """
-    egg = require_zero_simple(f)
-    box = next(
-        b
-        for b in egg.d_classes
-        if not (f.zero_adjoined and b.elements == (0,))
-    )
+    box = require_zero_simple(f)
     return len(box.r_classes), len(box.l_classes), box.group_h
 
 
@@ -288,18 +240,14 @@ def lift_h_matching(f: PrincipalFactor, q) -> Matching:
     result is an H-preserving matching, and an involution whenever ``q``
     is one.
     """
-    egg = require_zero_simple(f)
-    box = next(
-        b
-        for b in egg.d_classes
-        if not (f.zero_adjoined and b.elements == (0,))
-    )
+    box = require_zero_simple(f)
+    egg = f.semigroup.egg_box
+    g = f.semigroup.inverse_graph
     n_cols = len(box.l_classes)
     band_n = len(box.r_classes) * n_cols + 1
-    _check_permutation(band_n, q)
+    check_permutation(band_n, q)
     if q[0] != 0:
         raise NotAMatching("quotient matching must fix the zero")
-    t = f.semigroup.table
     out = [-1] * f.semigroup.order
     if f.zero_adjoined:
         out[0] = 0
@@ -307,11 +255,8 @@ def lift_h_matching(f: PrincipalFactor, q) -> Matching:
         cell_index = 1 + egg.r_of[x] * n_cols + egg.l_of[x]
         target = q[cell_index]
         tr, tl = divmod(target - 1, n_cols)
-        candidates = [
-            y
-            for y in box.grid[tr][tl]
-            if t[t[x][y]][x] == x and t[t[y][x]][y] == y
-        ]
+        inverses = g.candidates(x)
+        candidates = [y for y in box.grid[tr][tl] if y in inverses]
         if not candidates:
             raise NoInverseInTargetCell(x, (tr, tl))
         if len(candidates) > 1:
@@ -325,11 +270,11 @@ def lift_h_matching(f: PrincipalFactor, q) -> Matching:
 def assemble_global_matching(s: FiniteSemigroup, parts) -> Matching:
     """Union of per-principal-factor matchings into a matching of s.
 
-    ``parts`` aligns with ``principal_factors(s)``; each part permutes its
-    factor and fixes the adjoined zero.  The union is an involution
-    whenever all parts are.
+    ``parts`` aligns with ``s.factors``; each part permutes its factor and
+    fixes the adjoined zero.  The union is an involution whenever all
+    parts are.
     """
-    factors = principal_factors(s)
+    factors = s.factors
     parts = list(parts)
     if len(parts) != len(factors):
         raise DomainMismatch(
@@ -338,7 +283,7 @@ def assemble_global_matching(s: FiniteSemigroup, parts) -> Matching:
     out = [-1] * s.order
     for f, part in zip(factors, parts):
         try:
-            _check_permutation(f.semigroup.order, part)
+            check_permutation(f.semigroup.order, part)
         except NotAPermutation as exc:
             raise DomainMismatch(str(exc)) from exc
         if f.zero_adjoined and part[0] != 0:
@@ -437,12 +382,8 @@ def equivalence_report(s: FiniteSemigroup) -> EquivalenceReport:
     Raises EquivalenceViolation on any disagreement; that signals an
     implementation bug, never an input property.
     """
-    require_regular(s)
-    egg = green_relations(s)
-    g = build_inverse_graph(s)
-    matching = matching_on_graph(g)
-    violator = violator_on_graph(g)
-    factors = principal_factors(s, egg)
+    matching, violator = _hall(build_inverse_graph(s))
+    factors = s.factors
     factor_verdicts = []
     for f in factors:
         factor_verdicts.append(find_permutation_matching(f.semigroup) is not None)
@@ -476,7 +417,7 @@ def equivalence_report(s: FiniteSemigroup) -> EquivalenceReport:
     if h_preserving is not None:
         if not verify_permutation_matching(s, h_preserving):
             raise EquivalenceViolation("lifted matching failed verification")
-        if not is_h_preserving(s, h_preserving, egg):
+        if not is_h_preserving(s, h_preserving):
             raise EquivalenceViolation("lifted matching is not H-preserving")
     return EquivalenceReport(
         has_matching=direct,

@@ -14,10 +14,9 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 
-from .core import FiniteSemigroup, semigroup_from_rows
+from .core import FiniteSemigroup, generated_closure, semigroup_from_rows
 from .errors import NotPerfect, NotTn, TooLarge
-from .matching import InverseGraph, matching_on_graph
-from . import graphs
+from .matching import InverseGraph, build_inverse_graph, matching_on_graph
 
 FAMILIES = ("Tn", "PTn", "On", "OPn", "Pn")
 
@@ -27,10 +26,6 @@ Map = tuple[int, ...]
 def compose(f: Map, g: Map, n: int) -> Map:
     """Apply f, then g; the sentinel n absorbs."""
     return tuple(g[v] if v < n else n for v in f)
-
-
-def image_of(f: Map, n: int) -> tuple[int, ...]:
-    return tuple(sorted({v for v in f if v < n}))
 
 
 def rank_of(f: Map, n: int) -> int:
@@ -50,15 +45,7 @@ def kernel_of(f: Map) -> tuple[tuple[int, ...], ...]:
 
 def kernel_signature(f: Map, n: int) -> tuple[int, ...]:
     """Ascending kernel-class sizes; length equals the rank for total maps."""
-    sizes = sorted(len(cls) for v, cls in _kernel_items(f) if v < n)
-    return tuple(sizes)
-
-
-def _kernel_items(f: Map):
-    groups: dict[int, list[int]] = {}
-    for x, v in enumerate(f):
-        groups.setdefault(v, []).append(x)
-    return groups.items()
+    return tuple(sorted(len(cls) for cls in kernel_of(f) if f[cls[0]] < n))
 
 
 # ---------------------------------------------------------------------------
@@ -81,7 +68,15 @@ def family_size(family: str, n: int) -> int:
         return (n + 1) ** n
     if family == "On":
         return comb(2 * n - 1, n)
-    return len(family_maps(family, n))
+    # |OP_n| = n C(2n-1, n-1) - n(n-1) (Catarino & Higgins 1999).  P_n is
+    # OP_n with its mirror image, which has as many maps; the two share the
+    # n constants and 2 C(n,2)^2 maps of rank 2.
+    op_n = n * comb(2 * n - 1, n - 1) - n * (n - 1) if n else 0
+    if family == "OPn":
+        return op_n
+    if family == "Pn":
+        return 2 * op_n - n - 2 * comb(n, 2) ** 2
+    raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 
 def family_maps(family: str, n: int) -> list[Map]:
@@ -213,28 +208,17 @@ def signature_class_partition(
     ]
 
 
-def _class_adjacency(data: FamilyData, cls: SignatureClass):
-    """Within-class inverse candidates (self included when eligible)."""
-    n = data.n
-    local = {g: i for i, g in enumerate(cls.elements)}
-    adj: list[list[int]] = [[] for _ in cls.elements]
-    for i, ga in enumerate(cls.elements):
-        fa = data.maps[ga]
-        for gb in cls.elements[i:]:
-            if maps_mutually_inverse(fa, data.maps[gb], n):
-                j = local[gb]
-                adj[i].append(j)
-                if i != j:
-                    adj[j].append(i)
-    return [sorted(xs) for xs in adj]
+def _class_graph(data: FamilyData, cls: SignatureClass) -> InverseGraph:
+    """Within-class mutual-inverse graph, indexed by position in the class."""
+    return family_inverse_graph([data.maps[g] for g in cls.elements], data.n)
 
 
 def signature_class_degree(data: FamilyData, cls: SignatureClass) -> int | None:
     """Common within-class inverse count, or None if the two-copy graph is
     not regular (which would be a reportable finding, not an expected
     outcome)."""
-    adj = _class_adjacency(data, cls)
-    degrees = {len(xs) for xs in adj}
+    g = _class_graph(data, cls)
+    degrees = {g.degree(a) for a in range(g.n)}
     if len(degrees) != 1:
         return None
     return degrees.pop()
@@ -244,13 +228,10 @@ def class_perfect_matching(
     data: FamilyData, cls: SignatureClass
 ) -> dict[int, int] | None:
     """Perfect matching of the class's two-copy graph, lowest-index first."""
-    adj = _class_adjacency(data, cls)
-    size, match_l, _ = graphs.hopcroft_karp(len(adj), len(adj), adj)
-    if size < len(adj):
+    p = matching_on_graph(_class_graph(data, cls))
+    if p is None:
         return None
-    return {
-        cls.elements[i]: cls.elements[match_l[i]] for i in range(len(adj))
-    }
+    return {cls.elements[i]: cls.elements[j] for i, j in enumerate(p)}
 
 
 def permutation_from_perfect_matching(
@@ -334,9 +315,6 @@ def strong_inverse_pairs(
     subsemigroup generated by {a, b} is inverse (regular with commuting
     idempotents).  Matchings found on this subgraph map every element to
     a strong inverse."""
-    from .core import generated_closure
-    from .matching import build_inverse_graph
-
     if s.order > cap:
         raise TooLarge(f"|S| = {s.order} exceeds cap {cap}")
     g = build_inverse_graph(s)

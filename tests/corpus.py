@@ -13,6 +13,15 @@ from invmatch import bands
 from invmatch.core import FiniteSemigroup, semigroup_from_rows
 
 
+def inverses_of(s: FiniteSemigroup, a: int) -> list[int]:
+    """V(a) by its definition: every b with aba = a and bab = b, ascending.
+    The brute-force oracle for the inverse graph."""
+    t = s.table
+    return [
+        b for b in range(s.order) if t[t[a][b]][a] == a and t[t[b][a]][b] == b
+    ]
+
+
 def cyclic_group(k: int) -> FiniteSemigroup:
     rows = [[(i + j) % k for j in range(k)] for i in range(k)]
     return semigroup_from_rows(rows, [f"g{i}" for i in range(k)])

@@ -1,11 +1,14 @@
 """0-rectangular bands: patterns, Hall conditions, harem construction,
 the induced involution, and the orthodox similarity criterion."""
 
+import random
+
 import pytest
 
 import corpus
 from invmatch import bands, core, matching
 from invmatch.errors import (
+    NotAPermutation,
     NotDivisible,
     NotOrthodox,
     NotRegularPattern,
@@ -77,13 +80,36 @@ class TestMutualInverses:
             band = bands.random_band(2, 4, 0.5, seed)
             sg = bands.to_semigroup(band)
             for x in band.cells():
-                inv = core.inverses_of(sg, band.cell_index(*x))
+                inv = corpus.inverses_of(sg, band.cell_index(*x))
                 expected = {
                     band.cell_index(*y)
                     for y in band.cells()
                     if bands.are_mutual_inverses(band, x, y)
                 }
                 assert set(inv) == expected
+
+    def test_band_matching_check_agrees_with_the_table(self):
+        rng = random.Random(3)
+        verdicts = set()
+        for seed in range(40):
+            band = bands.random_band(rng.randint(1, 3), rng.randint(1, 4), 0.6, seed)
+            sg = bands.to_semigroup(band)
+            maps = [matching.find_permutation_matching(sg)]
+            for _ in range(20):
+                p = [0] + rng.sample(range(1, band.order), band.order - 1)
+                maps.append(p)
+            maps.append([1, 0] + list(range(2, band.order)))  # moves 0
+            for p in maps:
+                if p is None or len(p) < 2:
+                    continue
+                expected = p[0] == 0 and matching.verify_permutation_matching(sg, p)
+                assert bands.verify_band_matching(band, p) == expected
+                verdicts.add(expected)
+            with pytest.raises(NotAPermutation):
+                bands.verify_band_matching(band, [0] * band.order)
+        assert verdicts == {True, False}
+        with pytest.raises(NotRegularPattern):
+            bands.verify_band_matching(bands.band_from_rows([[1, 0]]), (0, 1, 2))
 
 
 class TestHaremCondition:

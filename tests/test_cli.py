@@ -126,7 +126,7 @@ class TestWitnessRoundTrips:
         sg = bands.to_semigroup(bands.parse_band(open(cex_file).read()))
         joint = set()
         for a in viol["elements"]:
-            joint.update(core.inverses_of(sg, a))
+            joint.update(corpus.inverses_of(sg, a))
         assert sorted(joint) == viol["image"]
         assert len(viol["elements"]) > len(viol["image"])
 

@@ -1,10 +1,17 @@
 """Ball-exchange alignment: instances, the exact solver, plan
 verification, and the induced involution matching."""
 
+import contextlib
+import io
+import json
+import random
+
 import pytest
 
 from invmatch import bands, colours, matching
+from invmatch.cli import main
 from invmatch.errors import (
+    BudgetExhausted,
     IndexOutOfRange,
     MalformedInstance,
     NotAMatching,
@@ -155,6 +162,87 @@ class TestSolve:
         assert solved > 10
 
 
+    def test_same_nodes_and_plans_as_recursive_search(self):
+        # reference: the solver's branching written as plain recursion
+        def recursive_solve(inst, budget):
+            total = inst.m * inst.n
+            owner = [g for g, _ in inst.balls]
+            colour = [c for _, c in inst.balls]
+            need = [[True] * inst.n for _ in range(inst.m)]
+            pairing = [-1] * total
+            nodes = 0
+
+            def place(i):
+                nonlocal nodes
+                while i < total and pairing[i] != -1:
+                    i += 1
+                if i == total:
+                    return True
+                gi, ci = owner[i], colour[i]
+                tried = set()
+                for j in range(i, total):
+                    gj, cj = owner[j], colour[j]
+                    if pairing[j] != -1 or (gj, cj) in tried:
+                        continue
+                    if i == j:
+                        ok = need[gi][cj]
+                    else:
+                        ok = not (gi == gj and ci == cj) and (
+                            need[gi][cj] and need[gj][ci]
+                        )
+                    if not ok:
+                        continue
+                    tried.add((gj, cj))
+                    nodes += 1
+                    if budget is not None and nodes > budget:
+                        raise BudgetExhausted
+                    pairing[i], pairing[j] = j, i
+                    need[gi][cj] = False
+                    need[gj][ci] = False
+                    if place(i + 1):
+                        return True
+                    pairing[i] = pairing[j] = -1
+                    need[gi][cj] = True
+                    need[gj][ci] = True
+                return False
+
+            try:
+                solved = place(0)
+            except BudgetExhausted:
+                return "budget_exhausted", None, nodes
+            if not solved:
+                return "unsolvable", None, nodes
+            return "solved", tuple(pairing), nodes
+
+        rng = random.Random(5)
+        instances = []
+        for _ in range(200):
+            m, n = rng.randint(1, 4), rng.randint(1, 4)
+            balls = [g for g in range(m) for _ in range(n)]
+            pool = [c for c in range(n) for _ in range(m)]
+            rng.shuffle(pool)
+            instances.append(colours.ColourInstance(m, n, tuple(zip(balls, pool))))
+        # random instances never backtrack; some band-derived ones do
+        for m, n in ((3, 6), (4, 8)):
+            for seed in range(30):
+                band = bands.random_band(m, n, 0.4, seed)
+                phi = matching.find_permutation_matching(bands.to_semigroup(band))
+                if phi is not None:
+                    instances.append(colours.instance_from_matching(band, phi))
+        statuses, backtracked = set(), 0
+        for inst in instances:
+            budget = rng.choice([None, None, 3, 15])
+            result = colours.solve(inst, budget)
+            plan = result.plan.pairing if result.plan else None
+            expected = recursive_solve(inst, budget)
+            assert (result.status, plan, result.nodes) == expected
+            statuses.add(result.status)
+            if plan is not None:
+                backtracked += result.nodes > sum(i <= j for i, j in enumerate(plan))
+        assert statuses == {"solved", "budget_exhausted"}
+        assert backtracked >= 2
+
+
 class TestVerifyPlan:
     def test_vacuous_plan_on_misaligned_instance_fails(self):
         inst = colours.ColourInstance(
@@ -281,6 +369,25 @@ class TestInvolutionFromPlan:
             assert p[0] == 0
             produced += 1
         assert produced > 10
+
+
+class TestReduceCommand:
+    def test_full_1x1500_band_yields_a_verified_involution(self, tmp_path):
+        # one search level per ball: 1500 levels, past the recursion limit
+        path = tmp_path / "full.band"
+        path.write_text(bands.format_band(full_band(1, 1500)))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["colour", "reduce", "--band", str(path),
+                         "--budget", "200000", "--json"])
+        assert code == 0
+        rep = json.loads(out.getvalue())
+        assert rep["verdicts"]["status"] == "solved"
+        assert rep["verdicts"]["involution_verified"] is True
+        sg = bands.to_semigroup(full_band(1, 1500))
+        assert matching.verify_involution_matching(
+            sg, rep["witnesses"]["involution"]
+        )
 
 
 class TestFormats:

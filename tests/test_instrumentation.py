@@ -1,0 +1,81 @@
+"""Call-count contracts.
+
+The benchmark's tracer (``bench/tracer.py``) wraps the functions it lists
+by rebinding their names in the ``invmatch`` modules.  These tests load it
+by path to check that every listed name still resolves, and count calls
+the same way to check that one ``analyze`` computes each structure once
+per semigroup.
+"""
+
+import contextlib
+import importlib
+import importlib.util
+import io
+import sys
+from collections import Counter
+from pathlib import Path
+
+from invmatch import cli, core, matching, transformations
+from invmatch.transformations import enumerate_family
+
+TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves():
+    for name in load_tracer().TRACED:
+        mod_name, attr = name.rsplit(".", 1)
+        module = importlib.import_module(f"invmatch.{mod_name}")
+        assert callable(getattr(module, attr, None)), name
+
+
+def test_traced_names_are_reachable_where_the_benchmark_looks():
+    assert matching.green_relations is core.green_relations
+    assert transformations.matching_on_graph is matching.matching_on_graph
+
+
+def count_calls(monkeypatch, paths):
+    """Rebind each function under every invmatch name bound to it; return
+    {path: [first argument of each call]}."""
+    seen = {path: [] for path in paths}
+    modules = [m for name, m in sys.modules.items()
+               if m is not None and name.startswith("invmatch")]
+    for path in paths:
+        mod_name, attr = path.rsplit(".", 1)
+        fn = getattr(importlib.import_module(f"invmatch.{mod_name}"), attr)
+
+        def counted(*args, _fn=fn, _log=seen[path]):
+            _log.append(args[0])
+            return _fn(*args)
+
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, key, counted)
+    return seen
+
+
+def test_analyze_computes_each_structure_once(tmp_path, monkeypatch):
+    path = tmp_path / "o4.cayley"
+    path.write_text(core.format_cayley(enumerate_family("On", 4).semigroup))
+    seen = count_calls(monkeypatch, [
+        "core.inverse_graph_of",
+        "core.green_relations",
+        "core.principal_factors",
+        "graphs.hopcroft_karp",
+    ])
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["analyze", str(path), "--json"]) == 0
+    # O_4 and its four principal factors
+    for name in ("core.inverse_graph_of", "core.green_relations"):
+        per_object = Counter(id(s) for s in seen[name])
+        assert len(per_object) == 5 and set(per_object.values()) == {1}, name
+    assert len(seen["core.principal_factors"]) == 1
+    # one run on O_4, then one per factor and one per quotient pattern
+    assert len(seen["graphs.hopcroft_karp"]) == 9

@@ -72,6 +72,20 @@ class TestEnumeration:
         with pytest.raises(TooLarge):
             tr.enumerate_family("Tn", 6)
 
+    @pytest.mark.parametrize("family", ["OPn", "Pn"])
+    def test_closed_form_sizes_match_the_enumerator(self, family):
+        for n in range(0, 8):
+            assert tr.family_size(family, n) == len(tr.family_maps(family, n))
+
+    @pytest.mark.parametrize("family, n", [("OPn", 9), ("Pn", 12)])
+    def test_cap_refuses_before_enumerating(self, family, n, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("family_maps called")
+
+        monkeypatch.setattr(tr, "family_maps", refuse)
+        with pytest.raises(TooLarge):
+            tr.enumerate_family(family, n)
+
     def test_composition_order_matches_kernel_r_classes(self):
         # with maps applied left to right, right ideals are determined by
         # kernels
@@ -166,7 +180,7 @@ class TestClassDegrees:
                 for a in cls.elements:
                     within = [
                         b
-                        for b in core.inverses_of(data.semigroup, a)
+                        for b in corpus.inverses_of(data.semigroup, a)
                         if b in members
                     ]
                     assert len(within) == degree
