@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import graphs
-from .core import FiniteSemigroup, PrincipalFactor, semigroup_from_rows
+from .core import FiniteSemigroup, InverseGraph, PrincipalFactor
+from .core import pattern_inverse_graph, semigroup_from_rows
 from .errors import (
     NotDivisible,
     NotOrthodox,
@@ -33,6 +35,10 @@ from .matching import (
 
 @dataclass(frozen=True)
 class ZeroRectBand:
+    """Indexed as its Cayley table :func:`to_semigroup`, with the same
+    ``order`` and ``inverse_graph``: the matching functions that read only
+    those take the band itself."""
+
     m: int
     n: int
     pattern: tuple[tuple[bool, ...], ...]
@@ -40,6 +46,13 @@ class ZeroRectBand:
     @property
     def order(self) -> int:
         return self.m * self.n + 1
+
+    @cached_property
+    def inverse_graph(self) -> InverseGraph:
+        """Read off the pattern; raises NotRegularPattern first, as
+        :func:`to_semigroup` does."""
+        require_regular_pattern(self)
+        return pattern_inverse_graph(self.pattern)
 
     @property
     def aspect_ratio(self) -> int:
@@ -89,16 +102,17 @@ def empty_line(band: ZeroRectBand) -> str | None:
     return None
 
 
-def _require_regular_pattern(band: ZeroRectBand) -> None:
+def require_regular_pattern(band: ZeroRectBand) -> None:
     line = empty_line(band)
     if line is not None:
         raise NotRegularPattern(f"{line} has no idempotent")
 
 
 def to_semigroup(band: ZeroRectBand) -> FiniteSemigroup:
-    """Cayley table of the band; cell (i, j) sits at index 1 + i*n + j and
-    is labelled "(i+1,j+1)" (grids are conventionally displayed 1-based)."""
-    _require_regular_pattern(band)
+    """Cayley table of the band, for the commands that read a table;
+    cell (i, j) sits at index 1 + i*n + j and is labelled "(i+1,j+1)"
+    (grids are conventionally displayed 1-based)."""
+    require_regular_pattern(band)
     m, n, pat = band.m, band.n, band.pattern
     size = band.order
     rows = [[0] * size for _ in range(size)]
@@ -127,13 +141,20 @@ def verify_band_matching(band: ZeroRectBand, p) -> bool:
     pattern, except that a p moving 0 is rejected before the permutation
     check: 0 is the only inverse of 0, and cells pair as in
     :func:`are_mutual_inverses`."""
-    _require_regular_pattern(band)
+    require_regular_pattern(band)
     if p[0] != 0:
         return False
     check_permutation(band.order, p)
     return all(
         are_mutual_inverses(band, band.cell_of(x), band.cell_of(p[x]))
         for x in range(1, band.order)
+    )
+
+
+def verify_band_involution(band: ZeroRectBand, p) -> bool:
+    """:func:`verify_band_matching` plus p[p[x]] = x for every x."""
+    return verify_band_matching(band, p) and all(
+        p[p[x]] == x for x in range(band.order)
     )
 
 
@@ -171,7 +192,7 @@ def check_harem_condition(
     meets fewer than a*|T| columns.  Exhaustive subset checking lives in
     :func:`check_harem_condition_exhaustive` as the small-m oracle.
     """
-    _require_regular_pattern(band)
+    require_regular_pattern(band)
     a, adj = _clone_graph(band)
     n_left = a * band.m
     size, match_l, match_r = graphs.hopcroft_karp(n_left, band.n, adj)
@@ -221,7 +242,7 @@ def harem_family(band: ZeroRectBand) -> HaremFamily | None:
     Each row's matched columns are assigned to slots in increasing column
     order, which makes the output deterministic.
     """
-    _require_regular_pattern(band)
+    require_regular_pattern(band)
     a, adj = _clone_graph(band)
     n_left = a * band.m
     size, match_l, _ = graphs.hopcroft_karp(n_left, band.n, adj)
@@ -298,7 +319,7 @@ class SimilarityReport:
 def similarity_check(band: ZeroRectBand) -> SimilarityReport:
     """Partition the idempotent cells into maximal all-true rectangles and
     compare their column/row ratios; requires an orthodox band."""
-    _require_regular_pattern(band)
+    require_regular_pattern(band)
     col_sets: dict[frozenset[int], list[int]] = {}
     for i in range(band.m):
         cols = frozenset(j for j in range(band.n) if band.pattern[i][j])
@@ -314,7 +335,7 @@ def similarity_check(band: ZeroRectBand) -> SimilarityReport:
     blocks = tuple((len(rows), len(cols)) for cols, rows in groups)
     r0, c0 = blocks[0]
     similar = all(c * r0 == c0 * r for r, c in blocks)
-    present = find_permutation_matching(to_semigroup(band)) is not None
+    present = find_permutation_matching(band) is not None
     return SimilarityReport(similar, present, blocks)
 
 

@@ -144,8 +144,7 @@ def cmd_analyze(args) -> int:
 def cmd_match(args) -> int:
     loaded = _load_algebra(args.path)
     sg = loaded["semigroup"]
-    p = matching.find_permutation_matching(sg)
-    viol = matching.hall_violator(sg) if p is None else None
+    p, viol = matching.hall_on_graph(matching.build_inverse_graph(sg))
     payload = {
         "input": {"kind": loaded["kind"], "digest": loaded["digest"]},
         "order": sg.order,
@@ -256,9 +255,8 @@ def cmd_band(args) -> int:
         )
     else:  # involution
         result = bands.involution_from_harem(band)
-        sg = bands.to_semigroup(band)
-        verified = result is not None and matching.verify_involution_matching(
-            sg, result.matching
+        verified = result is not None and bands.verify_band_involution(
+            band, result.matching
         )
         payload["verdicts"] = {
             "involution_exists": result is not None,
@@ -308,11 +306,11 @@ def cmd_colour(args) -> int:
     # reduce: derive the instance from a band matching and build the
     # induced involution
     band = bands.parse_band(_read(args.band))
-    sg = bands.to_semigroup(band)
+    bands.require_regular_pattern(band)
     if args.matching:
-        phi = matching.parse_matching(_read(args.matching), sg.order)
+        phi = matching.parse_matching(_read(args.matching), band.order)
     else:
-        phi = matching.find_permutation_matching(sg)
+        phi = matching.find_permutation_matching(band)
         if phi is None:
             print("band has no permutation matching", file=sys.stderr)
             return EXIT_PRECONDITION
@@ -334,7 +332,7 @@ def cmd_colour(args) -> int:
         inv = colours.involution_from_plan(band, phi, inst, result.plan)
         payload["witnesses"]["involution"] = list(inv)
         payload["verdicts"]["involution_verified"] = (
-            matching.verify_involution_matching(sg, inv)
+            bands.verify_band_involution(band, inv)
         )
         human.append(matching.format_matching(inv).rstrip())
     _emit(args, _report(args, "colour reduce", payload), human)
@@ -364,18 +362,17 @@ def cmd_gen(args) -> int:
 
 
 def _q4_band_verdict(band, use_oracle: bool):
-    sg = bands.to_semigroup(band)
-    p = matching.find_permutation_matching(sg)
+    p = matching.find_permutation_matching(band)
     if p is None:
         return {"matched": False}
-    inv = matching.find_involution_matching(sg)
+    inv = matching.find_involution_matching(band)
     out = {
         "matched": True,
         "involution": inv is not None,
         "separator": inv is None,
     }
     if use_oracle:
-        oracle = matching.involution_backtracking(sg)
+        oracle = matching.involution_backtracking(band)
         out["oracle_agrees"] = (oracle is not None) == (inv is not None)
         out["separator"] = out["separator"] or not out["oracle_agrees"]
     if out["separator"]:
@@ -396,23 +393,24 @@ def cmd_search_q4(args) -> int:
     )
     per_shape = []
     separators = []
-    for m, n in shapes:
+    for shape_index, (m, n) in enumerate(shapes):
         cells = m * n
         exhaustive = 2**cells <= args.exhaustive_limit
         counts = {"total": 0, "regular": 0, "matched": 0, "involution": 0}
-        patterns = []
+        # one band at a time: each keeps its inverse graph while it lives
         if exhaustive:
-            for bits in range(2**cells):
-                rows = [
-                    [bool(bits >> (i * n + j) & 1) for j in range(n)]
-                    for i in range(m)
-                ]
-                patterns.append(bands.band_from_rows(rows))
+            patterns = (
+                bands.band_from_rows([[bits >> (i * n + j) & 1 for j in range(n)]
+                                      for i in range(m)])
+                for bits in range(2**cells)
+            )
         else:
-            for di, density in enumerate(densities):
-                for k in range(args.samples):
-                    seed = args.seed + 7919 * len(per_shape) + 101 * di + k
-                    patterns.append(bands.random_band(m, n, density, seed))
+            seed = args.seed + 7919 * shape_index
+            patterns = (
+                bands.random_band(m, n, density, seed + 101 * di + k)
+                for di, density in enumerate(densities)
+                for k in range(args.samples)
+            )
         for band in patterns:
             counts["total"] += 1
             if bands.empty_line(band) is not None:

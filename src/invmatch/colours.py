@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bands import ZeroRectBand, verify_band_matching
+from .bands import ZeroRectBand, verify_band_involution, verify_band_matching
 from .errors import (
     IndexOutOfRange,
     MalformedInstance,
@@ -226,13 +226,8 @@ def involution_from_plan(
     p = [0] * band.order
     for (i, j), (k, l) in assignment.items():
         p[band.cell_index(i, j)] = band.cell_index(k, l)
-    if not (
-        verify_band_matching(band, p)
-        and all(p[p[a]] == a for a in range(band.order))
-    ):
-        raise WellDefinednessViolation(
-            "induced map is not an involution matching"
-        )
+    if not verify_band_involution(band, p):
+        raise WellDefinednessViolation("induced map is not an involution matching")
     return tuple(p)
 
 

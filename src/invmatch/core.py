@@ -7,6 +7,7 @@ structures here are treated as immutable once built.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -105,6 +106,24 @@ class InverseGraph:
     neighbors: tuple[tuple[int, ...], ...]
     self_eligible: frozenset[int]
 
+    @classmethod
+    def from_pairs(cls, n: int, pairs) -> InverseGraph:
+        """The graph on [0, n) of the mutual-inverse pairs (a, b), a <= b,
+        read once (a generator will do); (a, a) marks a as self-eligible."""
+        neighbors: list[list[int]] = [[] for _ in range(n)]
+        eligible = set()
+        for a, b in pairs:
+            if a == b:
+                eligible.add(a)
+            else:
+                neighbors[a].append(b)
+                neighbors[b].append(a)
+        return cls(
+            n=n,
+            neighbors=tuple(tuple(sorted(ns)) for ns in neighbors),
+            self_eligible=frozenset(eligible),
+        )
+
     def degree(self, a: int) -> int:
         """|V(a)|: the number of inverses of a, counting a when eligible."""
         return len(self.neighbors[a]) + (1 if a in self.self_eligible else 0)
@@ -123,21 +142,33 @@ def inverse_graph_of(s: FiniteSemigroup) -> InverseGraph:
     cached ``s.inverse_graph``."""
     t = s.table
     n = s.order
-    neighbors: list[list[int]] = [[] for _ in range(n)]
-    eligible = set()
-    for a in range(n):
-        for b in range(a, n):
-            if t[t[a][b]][a] == a and t[t[b][a]][b] == b:
-                if a == b:
-                    eligible.add(a)
-                else:
-                    neighbors[a].append(b)
-                    neighbors[b].append(a)
-    return InverseGraph(
-        n=n,
-        neighbors=tuple(tuple(sorted(ns)) for ns in neighbors),
-        self_eligible=frozenset(eligible),
+    return InverseGraph.from_pairs(n, (
+        (a, b)
+        for a in range(n)
+        for b in range(a, n)
+        if t[t[a][b]][a] == a and t[t[b][a]][b] == b
+    ))
+
+
+def pattern_inverse_graph(pattern) -> InverseGraph:
+    """Inverse graph of the 0-rectangular band with the given idempotent
+    pattern, read off the pattern in O(edges): the zero at 0 is its own
+    only inverse, and cells (i, j), (k, l) at 1 + i*n + j, 1 + k*n + l
+    are mutual inverses iff pattern[k][j] and pattern[i][l]."""
+    m = len(pattern)
+    n = len(pattern[0]) if m else 0
+    # looked up, not computed: all entries for a cell share one int object,
+    # which halves the peak memory of a 1 x 1500 band
+    index = [list(range(1 + i * n, 1 + (i + 1) * n)) for i in range(m)]
+    cols = [[j for j in range(n) if row[j]] for row in pattern]
+    rows = [[k for k in range(m) if pattern[k][j]] for j in range(n)]
+    pairs = (
+        (index[i][j], index[k][l])
+        for i in range(m) for j in range(n)
+        for k in rows[j] if k >= i
+        for l in cols[i] if k > i or l >= j
     )
+    return InverseGraph.from_pairs(m * n + 1, itertools.chain([(0, 0)], pairs))
 
 
 def regularity_check(s: FiniteSemigroup) -> tuple[bool, int | None]:

@@ -19,6 +19,7 @@ from .core import (  # noqa: F401  (green_relations stays matching.green_relatio
     InverseGraph,
     PrincipalFactor,
     green_relations,
+    pattern_inverse_graph,
     require_regular,
     require_zero_simple,
 )
@@ -35,7 +36,8 @@ Matching = tuple[int, ...]
 
 
 def build_inverse_graph(s: FiniteSemigroup) -> InverseGraph:
-    """The mutual-inverse graph of a regular semigroup."""
+    """The mutual-inverse graph of a regular semigroup, or of a band:
+    ``s`` needs only ``order`` and ``inverse_graph``."""
     require_regular(s)
     return s.inverse_graph
 
@@ -52,7 +54,7 @@ class HallViolator:
 # Graph-level decisions (shared by semigroups, subgraphs and band patterns)
 
 
-def _hall(g: InverseGraph) -> tuple[Matching | None, HallViolator | None]:
+def hall_on_graph(g: InverseGraph) -> tuple[Matching | None, HallViolator | None]:
     """One maximum matching of the two-copy bipartite graph, read as a
     perfect matching or, when it is not perfect, as a Hall violator."""
     adj = [g.candidates(a) for a in range(g.n)]
@@ -66,7 +68,7 @@ def _hall(g: InverseGraph) -> tuple[Matching | None, HallViolator | None]:
 
 def matching_on_graph(g: InverseGraph) -> Matching | None:
     """Perfect matching of the two-copy bipartite graph, or None."""
-    return _hall(g)[0]
+    return hall_on_graph(g)[0]
 
 
 def involution_on_graph(g: InverseGraph) -> Matching | None:
@@ -104,7 +106,7 @@ def find_permutation_matching(s: FiniteSemigroup) -> Matching | None:
 
 
 def hall_violator(s: FiniteSemigroup) -> HallViolator | None:
-    return _hall(build_inverse_graph(s))[1]
+    return hall_on_graph(build_inverse_graph(s))[1]
 
 
 def find_involution_matching(s: FiniteSemigroup) -> Matching | None:
@@ -205,30 +207,11 @@ def quotient_pattern(
     return len(box.r_classes), len(box.l_classes), box.group_h
 
 
-def pattern_matching(pattern) -> dict[tuple[int, int], tuple[int, int]] | None:
+def pattern_matching(pattern) -> Matching | None:
     """Permutation matching of the 0-rectangular band with the given
-    idempotent pattern, as a map on nonzero cells; None if there is none.
-
-    Cells (i, j) and (k, l) are mutual inverses iff pattern[k][j] and
-    pattern[i][l].
-    """
-    m = len(pattern)
-    n = len(pattern[0]) if m else 0
-    cells = [(i, j) for i in range(m) for j in range(n)]
-    index = {c: k for k, c in enumerate(cells)}
-    adj = []
-    for (i, j) in cells:
-        adj.append(
-            [
-                index[(k, l)]
-                for (k, l) in cells
-                if pattern[k][j] and pattern[i][l]
-            ]
-        )
-    size, match_l, _ = graphs.hopcroft_karp(len(cells), len(cells), adj)
-    if size < len(cells):
-        return None
-    return {cells[u]: cells[match_l[u]] for u in range(len(cells))}
+    idempotent pattern, indexed as :func:`lift_h_matching` takes it; None
+    if there is none."""
+    return matching_on_graph(pattern_inverse_graph(pattern))
 
 
 def lift_h_matching(f: PrincipalFactor, q) -> Matching:
@@ -382,27 +365,20 @@ def equivalence_report(s: FiniteSemigroup) -> EquivalenceReport:
     Raises EquivalenceViolation on any disagreement; that signals an
     implementation bug, never an input property.
     """
-    matching, violator = _hall(build_inverse_graph(s))
+    matching, violator = hall_on_graph(build_inverse_graph(s))
     factors = s.factors
-    factor_verdicts = []
-    for f in factors:
-        factor_verdicts.append(find_permutation_matching(f.semigroup) is not None)
-    quotient_verdicts = []
-    quotient_witnesses = []
-    for f in factors:
-        m, n_cols, pattern = quotient_pattern(f)
-        witness = pattern_matching(pattern)
-        quotient_verdicts.append(witness is not None)
-        quotient_witnesses.append((m, n_cols, witness))
+    factor_verdicts = [
+        find_permutation_matching(f.semigroup) is not None for f in factors
+    ]
+    quotient_witnesses = [
+        pattern_matching(quotient_pattern(f)[2]) for f in factors
+    ]
+    quotient_verdicts = [q is not None for q in quotient_witnesses]
     h_preserving = None
     if all(quotient_verdicts):
-        parts = []
-        for f, (m, n_cols, witness) in zip(factors, quotient_witnesses):
-            q = [0] * (m * n_cols + 1)
-            for (i, j), (k, l) in witness.items():
-                q[1 + i * n_cols + j] = 1 + k * n_cols + l
-            parts.append(lift_h_matching(f, tuple(q)))
-        h_preserving = assemble_global_matching(s, parts)
+        h_preserving = assemble_global_matching(
+            s, map(lift_h_matching, factors, quotient_witnesses)
+        )
 
     direct = matching is not None
     verdicts = {

@@ -156,27 +156,16 @@ def maps_mutually_inverse(a: Map, b: Map, n: int) -> bool:
 def family_inverse_graph(maps, n: int) -> InverseGraph:
     """Mutual-inverse graph over ``maps``; the rank grouping prunes the
     pair scan since mutual inverses share a rank."""
-    count = len(maps)
     by_rank: dict[int, list[int]] = {}
     for idx, f in enumerate(maps):
         by_rank.setdefault(rank_of(f, n), []).append(idx)
-    neighbors: list[list[int]] = [[] for _ in range(count)]
-    eligible = set()
-    for members in by_rank.values():
-        for pos, ia in enumerate(members):
-            fa = maps[ia]
-            for ib in members[pos:]:
-                if maps_mutually_inverse(fa, maps[ib], n):
-                    if ia == ib:
-                        eligible.add(ia)
-                    else:
-                        neighbors[ia].append(ib)
-                        neighbors[ib].append(ia)
-    return InverseGraph(
-        n=count,
-        neighbors=tuple(tuple(sorted(xs)) for xs in neighbors),
-        self_eligible=frozenset(eligible),
-    )
+    return InverseGraph.from_pairs(len(maps), (
+        (ia, ib)
+        for members in by_rank.values()
+        for pos, ia in enumerate(members)
+        for ib in members[pos:]
+        if maps_mutually_inverse(maps[ia], maps[ib], n)
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -318,24 +307,13 @@ def strong_inverse_pairs(
     if s.order > cap:
         raise TooLarge(f"|S| = {s.order} exceeds cap {cap}")
     g = build_inverse_graph(s)
-    neighbors: list[list[int]] = [[] for _ in range(g.n)]
-    for a in range(g.n):
-        for b in g.neighbors[a]:
-            if b < a:
-                continue
-            if _is_inverse_subsemigroup(s, generated_closure(s, (a, b))):
-                neighbors[a].append(b)
-                neighbors[b].append(a)
-    eligible = {
-        a
-        for a in g.self_eligible
-        if _is_inverse_subsemigroup(s, generated_closure(s, (a,)))
-    }
-    return InverseGraph(
-        n=g.n,
-        neighbors=tuple(tuple(sorted(xs)) for xs in neighbors),
-        self_eligible=frozenset(eligible),
-    )
+    return InverseGraph.from_pairs(g.n, (
+        (a, b)
+        for a in range(g.n)
+        for b in g.candidates(a)
+        if b >= a
+        and _is_inverse_subsemigroup(s, generated_closure(s, (a, b)))
+    ))
 
 
 def strong_inverse_matching(s: FiniteSemigroup, cap: int = 512):

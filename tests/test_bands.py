@@ -112,6 +112,70 @@ class TestMutualInverses:
             bands.verify_band_matching(bands.band_from_rows([[1, 0]]), (0, 1, 2))
 
 
+
+def all_regular_patterns(m_max, n_max):
+    for m in range(1, m_max + 1):
+        for n in range(1, n_max + 1):
+            for bits in range(2 ** (m * n)):
+                band = bands.band_from_rows(
+                    [[bits >> (i * n + j) & 1 for j in range(n)] for i in range(m)]
+                )
+                if bands.empty_line(band) is None:
+                    yield band
+
+
+class TestPatternInverseGraph:
+    def test_matches_the_table_on_every_small_pattern(self):
+        count = 0
+        for band in all_regular_patterns(3, 4):
+            count += 1
+            table = core.inverse_graph_of(bands.to_semigroup(band))
+            assert core.pattern_inverse_graph(band.pattern) == table
+        assert count == 2568
+
+    def test_matches_the_table_on_random_bands(self):
+        rng = random.Random(5)
+        for seed in range(25):
+            m, n = rng.randint(1, 6), rng.randint(1, 12)
+            band = bands.random_band(m, n, rng.choice([0.4, 0.6, 0.9]), seed)
+            table = core.inverse_graph_of(bands.to_semigroup(band))
+            assert band.inverse_graph == table
+        full = full_band(6, 12)
+        assert full.inverse_graph == core.inverse_graph_of(bands.to_semigroup(full))
+
+    def test_irregular_pattern_raises_before_any_graph(self):
+        band = bands.band_from_rows([[1, 1], [0, 0]])
+        with pytest.raises(NotRegularPattern, match="row 1 has no idempotent"):
+            band.inverse_graph
+
+    def test_band_stands_in_for_its_table(self):
+        for band in [bands.no_matching_band(), *all_regular_patterns(2, 3)]:
+            sg = bands.to_semigroup(band)
+            for decide in (
+                matching.find_permutation_matching,
+                matching.find_involution_matching,
+                matching.involution_backtracking,
+                matching.hall_violator,
+            ):
+                assert decide(band) == decide(sg)
+
+    def test_band_involution_check_agrees_with_the_table(self):
+        rng = random.Random(9)
+        verdicts = set()
+        for band in all_regular_patterns(2, 3):
+            sg = bands.to_semigroup(band)
+            candidates = [matching.find_involution_matching(band)]
+            candidates += [
+                [0] + rng.sample(range(1, band.order), band.order - 1)
+                for _ in range(5)
+            ]
+            for p in filter(None, candidates):
+                expected = matching.verify_involution_matching(sg, p)
+                assert bands.verify_band_involution(band, p) == expected
+                verdicts.add(expected)
+        assert verdicts == {True, False}
+
+
 class TestHaremCondition:
     def test_full_2x4_holds(self):
         assert bands.check_harem_condition(full_band(2, 4)) == (True, None)

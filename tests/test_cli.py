@@ -244,6 +244,22 @@ class TestColour:
         code, _, err = run(capsys, ["colour", "reduce", "--band", cex_file])
         assert code == 4
 
+    @pytest.mark.parametrize("with_matching", [False, True])
+    def test_reduce_irregular_band_fails_precondition(
+        self, tmp_path, capsys, with_matching
+    ):
+        path = tmp_path / "irregular.band"
+        path.write_text("2 2\n11\n00\n")
+        argv = ["colour", "reduce", "--band", str(path)]
+        if with_matching:
+            phi_path = tmp_path / "phi"
+            phi_path.write_text("0 1 2 3 4\n")
+            argv += ["--matching", str(phi_path)]
+        code, out, err = run(capsys, argv)
+        assert code == 4
+        assert out == ""
+        assert err == "precondition failed: row 1 has no idempotent\n"
+
 
 class TestSearches:
     def test_q4_zero_separators_and_determinism(self, capsys):

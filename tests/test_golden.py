@@ -29,6 +29,16 @@ CASES = {
     "involution_oracle_o3.json": ["involution", "{}/o3.cayley", "--oracle"],
     "search_q4_oracle.json": ["search-q4", "--oracle"],
     "colour_reduce_2x4.json": ["colour", "reduce", "--band", "{}/band2x4.band"],
+    "colour_reduce_2x4_matching.json": [
+        "colour", "reduce", "--band", "{}/band2x4.band",
+        "--matching", "{}/band2x4.matching",
+    ],
+    "band_involution_2x4.json": ["band", "involution", "{}/band2x4.band"],
+    # shapes 2x5 and 2x6 are sampled, so this pins the seeded patterns
+    "search_q4_sampled.json": [
+        "search-q4", "--m-max", "2", "--n-max", "6",
+        "--exhaustive-limit", "256", "--samples", "4", "--oracle",
+    ],
 }
 
 

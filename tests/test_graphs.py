@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from invmatch import graphs
 
 
@@ -125,3 +127,52 @@ def test_blossom_handles_odd_cycles():
     adj5 = [[1, 4], [0, 2], [1, 3], [2, 4], [3, 0]]
     mate5 = graphs.max_matching_general(5, adj5)
     assert sum(1 for v in mate5 if v != -1) == 4
+
+
+
+# Regression cross-checks against an independent implementation; networkx
+# is a test-only oracle, the package itself stays standard-library only.
+
+
+def test_hopcroft_karp_and_certificate_agree_with_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(41)
+    deficient = 0
+    for trial in range(300):
+        nl = rng.randint(1, 10)
+        nr = rng.randint(1, 10)
+        adj = random_bipartite(rng, nl, nr, rng.choice([0.1, 0.25, 0.5]))
+        g = nx.Graph()
+        g.add_nodes_from(("l", u) for u in range(nl))
+        g.add_nodes_from(("r", v) for v in range(nr))
+        g.add_edges_from(
+            (("l", u), ("r", v)) for u in range(nl) for v in adj[u]
+        )
+        top = [("l", u) for u in range(nl)]
+        expected = len(nx.bipartite.hopcroft_karp_matching(g, top)) // 2
+        size, match_l, match_r = graphs.hopcroft_karp(nl, nr, adj)
+        assert size == expected
+        cert = graphs.deficiency_certificate(nl, nr, adj, match_l, match_r)
+        if size == nl:
+            assert cert is None
+            continue
+        deficient += 1
+        violator, _image = cert
+        neighbourhood = {v for u in violator for v in adj[u]}
+        assert len(neighbourhood) < len(violator)
+        # Koenig: the certificate's deficiency is the matching's
+        assert len(violator) - len(neighbourhood) == nl - size
+    assert deficient > 50
+
+
+def test_blossom_agrees_with_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(43)
+    for trial in range(300):
+        n = rng.randint(1, 12)
+        g = nx.gnp_random_graph(
+            n, rng.choice([0.15, 0.3, 0.5]), seed=rng.randrange(2**32)
+        )
+        mate = graphs.max_matching_general(n, [sorted(g[a]) for a in range(n)])
+        size = sum(1 for v in mate if v != -1) // 2
+        assert size == len(nx.max_weight_matching(g, maxcardinality=True))

@@ -4,7 +4,8 @@ The benchmark's tracer (``bench/tracer.py``) wraps the functions it lists
 by rebinding their names in the ``invmatch`` modules.  These tests load it
 by path to check that every listed name still resolves, and count calls
 the same way to check that one ``analyze`` computes each structure once
-per semigroup.
+per semigroup, that ``match`` runs Hopcroft-Karp once, and that the band
+commands build no Cayley table.
 """
 
 import contextlib
@@ -79,3 +80,31 @@ def test_analyze_computes_each_structure_once(tmp_path, monkeypatch):
     assert len(seen["core.principal_factors"]) == 1
     # one run on O_4, then one per factor and one per quotient pattern
     assert len(seen["graphs.hopcroft_karp"]) == 9
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def run_quietly(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv + ["--json"]) == 0
+
+
+def test_match_runs_hopcroft_karp_once(monkeypatch):
+    seen = count_calls(monkeypatch, ["graphs.hopcroft_karp"])
+    run_quietly(["match", str(GOLDEN / "counterexample.band")])
+    assert len(seen["graphs.hopcroft_karp"]) == 1
+
+
+def test_band_paths_build_no_cayley_table(monkeypatch):
+    band = str(GOLDEN / "band2x4.band")
+    seen = count_calls(monkeypatch, ["bands.to_semigroup"])
+    run_quietly(["colour", "reduce", "--band", band])
+    run_quietly(["colour", "reduce", "--band", band,
+                 "--matching", str(GOLDEN / "band2x4.matching")])
+    run_quietly(["search-q4", "--m-max", "2", "--n-max", "3", "--oracle"])
+    run_quietly(["band", "involution", band])
+    assert seen["bands.to_semigroup"] == []
+    # the table commands still read a band file through its table, once
+    run_quietly(["analyze", str(GOLDEN / "counterexample.band")])
+    assert len(seen["bands.to_semigroup"]) == 1

@@ -218,12 +218,8 @@ class TestLift:
         s = corpus.brandt_b2()
         factors = core.principal_factors(s)
         f = next(g for g in factors if len(g.members) > 1)
-        m, n_cols, pattern = matching.quotient_pattern(f)
-        witness = matching.pattern_matching(pattern)
-        q = [0] * (m * n_cols + 1)
-        for (i, j), (k, l) in witness.items():
-            q[1 + i * n_cols + j] = 1 + k * n_cols + l
-        lifted = matching.lift_h_matching(f, tuple(q))
+        _m, _n_cols, pattern = matching.quotient_pattern(f)
+        lifted = matching.lift_h_matching(f, matching.pattern_matching(pattern))
         for x in range(f.semigroup.order):
             assert corpus.inverses_of(f.semigroup, x) == [lifted[x]]
 

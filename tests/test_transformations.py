@@ -272,6 +272,15 @@ class TestFamilyInverseGraph:
             assert fast.neighbors == slow.neighbors
             assert fast.self_eligible == slow.self_eligible
 
+    @pytest.mark.parametrize("family, n", [
+        *(("On", n) for n in range(1, 6)),
+        ("Tn", 3), ("PTn", 2), ("OPn", 4), ("Pn", 4),
+    ])
+    def test_equals_the_pair_scan_of_the_table(self, family, n):
+        maps = tr.family_maps(family, n)
+        table = tr.enumerate_family(family, n).semigroup
+        assert tr.family_inverse_graph(maps, n) == core.inverse_graph_of(table)
+
 
 class TestSignatureProperties:
     def test_kernel_signature_shape(self):
