@@ -55,13 +55,14 @@ def _load_algebra(path: str):
     )
     if len(first.split()) == 2:
         band = bands.parse_band(text)
+        # associative and in range by construction
         sg = bands.to_semigroup(band)
         kind = "band"
     else:
         band = None
         sg = core.parse_cayley(text)
+        core.validate(sg)
         kind = "cayley"
-    core.validate(sg)
     return {"kind": kind, "band": band, "semigroup": sg, "digest": _digest(text)}
 
 
@@ -385,7 +386,10 @@ def _q4_band_verdict(band, use_oracle: bool):
 
 
 def cmd_search_q4(args) -> int:
-    densities = [float(d) for d in args.densities.split(",") if d]
+    try:
+        densities = [float(d) for d in args.densities.split(",") if d]
+    except ValueError as exc:
+        raise ParseError(f"bad --densities: {args.densities!r}") from exc
     shapes = sorted(
         (m, n)
         for m in range(1, args.m_max + 1)

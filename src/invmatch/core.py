@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import (
     EntryOutOfRange,
@@ -66,7 +67,14 @@ def semigroup_from_rows(rows, labels=None) -> FiniteSemigroup:
 
 
 def validate(s: FiniteSemigroup) -> None:
-    """Entry-range and associativity check, O(n^3).
+    """Entry-range and associativity check.
+
+    Associativity is decided by Light's test: (xg)y = x(gy) for all x, y
+    and each g of a generating set, tested as soon as g is picked, O(n^2)
+    products per generator.  The g for which the law holds form a
+    submagma, so a pass proves the table associative.  On a failure the
+    plain scan over all n^3 triples names the first bad one; it stops at
+    or before the triple the test found.
 
     Raises EntryOutOfRange or NotAssociative with the first failure in
     lexicographic scan order.
@@ -75,19 +83,57 @@ def validate(s: FiniteSemigroup) -> None:
     t = s.table
     if any(len(row) != n for row in t):
         raise ParseError("table is not square")
-    for a in range(n):
-        for b in range(n):
-            v = t[a][b]
-            if not 0 <= v < n:
-                raise EntryOutOfRange(a, b, v, n)
-    for a in range(n):
-        ta = t[a]
-        for b in range(n):
-            tab = t[ta[b]]
-            tb = t[b]
-            for c in range(n):
-                if tab[c] != ta[tb[c]]:
-                    raise NotAssociative(a, b, c)
+    for a, row in enumerate(t):
+        if min(row) < 0 or max(row) >= n:
+            b = next(b for b, v in enumerate(row) if not 0 <= v < n)
+            raise EntryOutOfRange(a, b, row[b], n)
+    # the one in-range table of order 1 is associative, and an itemgetter
+    # of one index returns an entry, not a row
+    if n > 1 and any(_first_bad_triple(t, [g]) for g in _generators(t)):
+        raise NotAssociative(*_first_bad_triple(t, range(n)))
+
+
+def _generators(t):
+    """Yield a generating set of the magma ``t``, picked greedily: the
+    elements with the most distinct products in their row first
+    (idempotents first among equals), each only if the closure of those
+    before it misses it."""
+    inside: set[int] = set()
+    for g in sorted(range(len(t)), key=lambda a: (len(set(t[a])), t[a][a] == a),
+                    reverse=True):
+        if g not in inside:
+            yield g
+            _close(t, inside, g)
+
+
+def _close(t, inside: set[int], g: int) -> None:
+    """Add ``g`` to the closed set ``inside`` and close it again under the
+    product of ``t``.  Each new element is multiplied by the members on
+    both sides once, so growing a closure one element at a time costs
+    O(n^2) products in all."""
+    inside.add(g)
+    fresh = [g]
+    while fresh and len(inside) < len(t):
+        u = fresh.pop()
+        tu = t[u]
+        new = set(map(tu.__getitem__, inside))
+        new.update([t[v][u] for v in inside])
+        new -= inside
+        inside |= new
+        fresh.extend(new)
+
+
+def _first_bad_triple(t, middles) -> tuple[int, int, int] | None:
+    """First (a, b, c) in lexicographic order with b in the ascending
+    ``middles`` and (ab)c != a(bc), or None.  Row (ab)· is compared with
+    a(b·), read off row a, at once."""
+    times = [(b, itemgetter(*t[b])) for b in middles]
+    for a, ta in enumerate(t):
+        for b, times_b in times:
+            left, right = t[ta[b]], times_b(ta)
+            if left != right:
+                return a, b, next(c for c, v in enumerate(left) if v != right[c])
+    return None
 
 
 def idempotents(s: FiniteSemigroup) -> list[int]:
@@ -423,20 +469,12 @@ class StructureReport:
 
 
 def generated_closure(s: FiniteSemigroup, seed) -> list[int]:
-    """Subsemigroup generated by ``seed``, by closure to a fixed point."""
-    t = s.table
-    out = set(seed)
-    frontier = list(out)
-    while frontier:
-        fresh = []
-        for a in list(out):
-            for b in frontier:
-                for c in (t[a][b], t[b][a]):
-                    if c not in out:
-                        out.add(c)
-                        fresh.append(c)
-        frontier = fresh
-    return sorted(out)
+    """Subsemigroup generated by ``seed``."""
+    inside: set[int] = set()
+    for g in seed:
+        if g not in inside:
+            _close(s.table, inside, g)
+    return sorted(inside)
 
 
 def _is_union_of_groups_subset(s: FiniteSemigroup, subset) -> bool:

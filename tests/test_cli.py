@@ -72,6 +72,19 @@ class TestExitCodes:
         code, _, _ = run(capsys, ["analyze", "/nonexistent/file"])
         assert code == 2
 
+    def test_q4_non_numeric_density_is_a_parse_error(self, capsys):
+        code, out, err = run(capsys, ["search-q4", "--densities", "0.5,abc"])
+        assert (code, out) == (2, "")
+        assert err == "parse error: bad --densities: '0.5,abc'\n"
+
+    def test_q4_out_of_range_density_fails_precondition(self, capsys):
+        code, out, err = run(capsys, [
+            "search-q4", "--densities", "1.5", "--m-max", "1", "--n-max", "2",
+            "--exhaustive-limit", "1",
+        ])
+        assert (code, out) == (4, "")
+        assert err == "precondition failed: density must lie in (0, 1]\n"
+
 
 class TestCounterexampleReports:
     def test_match_report(self, cex_file, capsys):

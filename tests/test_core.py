@@ -1,6 +1,9 @@
 """Semigroup core: validation, inverses, Green's relations, factors,
 structure predicates."""
 
+import random
+from pathlib import Path
+
 import pytest
 
 import corpus
@@ -47,6 +50,112 @@ class TestValidate:
     def test_corpus_validates(self):
         for seed in range(40):
             core.validate(corpus.corpus_semigroup(seed))
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def scan_verdict(table):
+    """What validate must report, by the plain scans: the first entry out of
+    range, else the first non-associative triple, else (None, None)."""
+    n = len(table)
+    for a, row in enumerate(table):
+        for b, v in enumerate(row):
+            if not 0 <= v < n:
+                return EntryOutOfRange, (a, b, v)
+    triple = first_violating_triple(table)
+    return (None, None) if triple is None else (NotAssociative, triple)
+
+
+def validate_verdict(table):
+    try:
+        core.validate(core.semigroup_from_rows(table))
+    except EntryOutOfRange as err:
+        return EntryOutOfRange, (err.a, err.b, err.value)
+    except NotAssociative as err:
+        return NotAssociative, err.triple
+    return None, None
+
+
+def oracle_tables():
+    """Name -> table: the corpus, the golden tables, small transformation
+    monoids and band tables."""
+    tables = {f"corpus {seed}": corpus.corpus_semigroup(seed).table
+              for seed in range(40)}
+    for name in ("o3", "o5", "t3", "rees"):
+        text = (GOLDEN / f"{name}.cayley").read_text(encoding="utf-8")
+        tables[name] = core.parse_cayley(text).table
+    for family, k in (("Tn", 3), ("On", 4), ("OPn", 3), ("PTn", 2)):
+        tables[f"{family} {k}"] = enumerate_family(family, k).semigroup.table
+    for name in ("counterexample", "band2x4"):
+        text = (GOLDEN / f"{name}.band").read_text(encoding="utf-8")
+        tables[name] = bands.to_semigroup(bands.parse_band(text)).table
+    return tables
+
+
+def corrupted(table, rng):
+    """``table`` with one entry changed to another value in [-1, n]."""
+    n = len(table)
+    a, b = rng.randrange(n), rng.randrange(n)
+    rows = [list(row) for row in table]
+    rows[a][b] = rng.choice([v for v in range(-1, n + 1) if v != rows[a][b]])
+    return rows
+
+
+class TestLightTest:
+    """validate decides associativity on a generating set; the plain scan
+    ``first_violating_triple`` is its oracle."""
+
+    def test_same_verdict_as_the_scan(self):
+        for name, table in oracle_tables().items():
+            assert validate_verdict(table) == scan_verdict(table) == (None, None), name
+
+    def test_same_error_and_triple_on_corrupted_tables(self):
+        classes = set()
+        for name, table in oracle_tables().items():
+            rng = random.Random(name)
+            for _ in range(4):
+                rows = corrupted(table, rng)
+                expected = scan_verdict(rows)
+                assert validate_verdict(rows) == expected, name
+                classes.add(expected[0])
+        assert classes == {EntryOutOfRange, NotAssociative, None}
+
+    def test_reports_a_triple_the_generators_miss(self):
+        # the first bad triple of this table has a middle outside the
+        # generating set, so it must come from the scan
+        text = (GOLDEN / "o5_corrupted.cayley").read_text(encoding="utf-8")
+        table = core.parse_cayley(text).table
+        assert scan_verdict(table) == (NotAssociative, (1, 104, 31))
+        assert 104 not in set(core._generators(table))
+        assert validate_verdict(table) == (NotAssociative, (1, 104, 31))
+
+    @pytest.mark.parametrize("k", [1, 2, 7, 30])
+    def test_every_element_a_generator(self, k):
+        null = corpus.null_semigroup(k).table
+        right_zero = corpus.rectangular_band(1, k).table
+        for table in (null, right_zero):
+            assert sorted(core._generators(table)) == list(range(k))
+            assert validate_verdict(table) == (None, None)
+            rng = random.Random(k)
+            for _ in range(10):
+                rows = corrupted(table, rng)
+                assert validate_verdict(rows) == scan_verdict(rows)
+
+    def test_random_tables(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        tables = st.integers(1, 4).flatmap(lambda n: st.lists(
+            st.lists(st.integers(0, n - 1), min_size=n, max_size=n),
+            min_size=n, max_size=n))
+
+        @hypothesis.settings(max_examples=1000, deadline=None,
+                             derandomize=True, database=None)
+        @hypothesis.given(tables)
+        def check(rows):
+            assert validate_verdict(rows) == scan_verdict(rows)
+
+        check()
 
 
 class TestInverses:

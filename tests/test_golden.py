@@ -2,13 +2,15 @@
 
 Each case runs one command on an input under ``tests/golden/`` and compares
 its ``--json`` report byte for byte with the committed file.  A refactor
-must leave every report unchanged.  When a report changes on purpose,
-rewrite the files with ``python3 tests/test_golden.py`` (with ``src`` on
-``PYTHONPATH``) and say why in the change log.
+must leave every report unchanged.  The failure cases pin the exit code
+and the stderr of a command that refuses its input instead.  When a report
+changes on purpose, rewrite the files with ``python3 tests/test_golden.py``
+(with ``src`` on ``PYTHONPATH``) and say why in the change log.
 """
 
 import contextlib
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -41,6 +43,14 @@ CASES = {
     ],
 }
 
+# failure report file -> argv; the input is O_5 with table[73][31] changed
+# from 3 to 1, whose first bad triple (1, 104, 31) comes before any triple
+# with a generator in the middle, and O_3 with table[6][2] = 10
+FAILURES = {
+    "analyze_o5_corrupted.json": ["analyze", "{}/o5_corrupted.cayley"],
+    "analyze_o3_out_of_range.json": ["analyze", "{}/o3_out_of_range.cayley"],
+}
+
 
 def report(argv) -> str:
     out = io.StringIO()
@@ -50,12 +60,27 @@ def report(argv) -> str:
     return out.getvalue()
 
 
+def failure(argv) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([a.format(GOLDEN) for a in argv] + ["--json"])
+    assert code != 0 and out.getvalue() == ""
+    return json.dumps({"exit_code": code, "stderr": err.getvalue()},
+                      sort_keys=True, indent=2) + "\n"
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_golden(name):
     assert report(CASES[name]) == (GOLDEN / name).read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("name", sorted(FAILURES))
+def test_failure_matches_golden(name):
+    assert failure(FAILURES[name]) == (GOLDEN / name).read_text(encoding="utf-8")
+
+
 if __name__ == "__main__":
-    for name, argv in CASES.items():
-        (GOLDEN / name).write_text(report(argv), encoding="utf-8")
-        print(f"wrote {name}", file=sys.stderr)
+    for cases, render in ((CASES, report), (FAILURES, failure)):
+        for name, argv in cases.items():
+            (GOLDEN / name).write_text(render(argv), encoding="utf-8")
+            print(f"wrote {name}", file=sys.stderr)

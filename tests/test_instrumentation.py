@@ -4,8 +4,9 @@ The benchmark's tracer (``bench/tracer.py``) wraps the functions it lists
 by rebinding their names in the ``invmatch`` modules.  These tests load it
 by path to check that every listed name still resolves, and count calls
 the same way to check that one ``analyze`` computes each structure once
-per semigroup, that ``match`` runs Hopcroft-Karp once, and that the band
-commands build no Cayley table.
+per semigroup, that ``match`` runs Hopcroft-Karp once, that the band
+commands build no Cayley table, and that only parsed Cayley tables are
+validated.
 """
 
 import contextlib
@@ -108,3 +109,13 @@ def test_band_paths_build_no_cayley_table(monkeypatch):
     # the table commands still read a band file through its table, once
     run_quietly(["analyze", str(GOLDEN / "counterexample.band")])
     assert len(seen["bands.to_semigroup"]) == 1
+
+
+def test_only_parsed_tables_are_validated(monkeypatch):
+    seen = count_calls(monkeypatch, ["core.validate"])
+    # a band file's table is associative and in range by construction
+    run_quietly(["match", str(GOLDEN / "counterexample.band")])
+    run_quietly(["analyze", str(GOLDEN / "counterexample.band")])
+    assert seen["core.validate"] == []
+    run_quietly(["analyze", str(GOLDEN / "t3.cayley")])
+    assert len(seen["core.validate"]) == 1
