@@ -555,7 +555,7 @@ def parse_cayley(text: str) -> FiniteSemigroup:
     rows = []
     for ln in lines[1:]:
         try:
-            row = [int(v) for v in ln.split()]
+            row = tuple(map(int, ln.split()))
         except ValueError as exc:
             raise ParseError(f"bad row: {ln!r}") from exc
         if len(row) != n:
@@ -563,7 +563,9 @@ def parse_cayley(text: str) -> FiniteSemigroup:
         rows.append(row)
     if labels is not None and len(labels) != n:
         raise ParseError(f"expected {n} labels, found {len(labels)}")
-    return semigroup_from_rows(rows, labels)
+    return FiniteSemigroup(
+        tuple(rows), tuple(labels) if labels is not None else None
+    )
 
 
 def format_cayley(s: FiniteSemigroup) -> str:

@@ -13,8 +13,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
+from operator import itemgetter
 
-from .core import FiniteSemigroup, generated_closure, semigroup_from_rows
+from .core import FiniteSemigroup, generated_closure
 from .errors import NotPerfect, NotTn, TooLarge
 from .matching import InverseGraph, build_inverse_graph, matching_on_graph
 
@@ -123,18 +124,20 @@ class FamilyData:
 
 
 def enumerate_family(family: str, n: int, cap: int = 10_000) -> FamilyData:
-    """Enumerate the family and build its Cayley table by composition."""
+    """Enumerate the family and build its Cayley table by composition.
+    With the maps extended by the sentinel n as a fixed point, fg is
+    ``itemgetter(*f)(g)``: a tuple, as f has n + 1 >= 2 entries."""
     size = family_size(family, n)
     if size > cap:
         raise TooLarge(f"|{family}({n})| = {size} exceeds cap {cap}")
     maps = family_maps(family, n)
-    pos = {f: i for i, f in enumerate(maps)}
-    rows = [
-        [pos[compose(f, g, n)] for g in maps] for f in maps
-    ]
-    labels = [_map_label(f, n) for f in maps]
-    sg = semigroup_from_rows(rows, labels)
-    return FamilyData(family, n, sg, tuple(maps))
+    ext = [f + (n,) for f in maps]
+    pos = {f: i for i, f in enumerate(ext)}.__getitem__
+    table = tuple(
+        tuple(map(pos, map(itemgetter(*f), ext))) for f in ext
+    )
+    labels = tuple(_map_label(f, n) for f in maps)
+    return FamilyData(family, n, FiniteSemigroup(table, labels), tuple(maps))
 
 
 # ---------------------------------------------------------------------------
@@ -142,30 +145,61 @@ def enumerate_family(family: str, n: int, cap: int = 10_000) -> FamilyData:
 
 
 def maps_mutually_inverse(a: Map, b: Map, n: int) -> bool:
-    """b in V(a), i.e. aba = a and bab = b under left-to-right products."""
-    if any(v >= n for v in a) or any(v >= n for v in b):
-        aba = compose(compose(a, b, n), a, n)
-        bab = compose(compose(b, a, n), b, n)
-        return aba == a and bab == b
-    # total maps: b sections a on im(a), a sections b on im(b)
+    """b in V(a), i.e. aba = a and bab = b under left-to-right products:
+    b sections a on im(a) and a sections b on im(b), with both maps
+    extended by the sentinel n as a fixed point."""
+    a, b = a + (n,), b + (n,)
     return all(a[b[y]] == y for y in set(a)) and all(
         b[a[z]] == z for z in set(b)
     )
 
 
 def family_inverse_graph(maps, n: int) -> InverseGraph:
-    """Mutual-inverse graph over ``maps``; the rank grouping prunes the
-    pair scan since mutual inverses share a rank."""
-    by_rank: dict[int, list[int]] = {}
-    for idx, f in enumerate(maps):
-        by_rank.setdefault(rank_of(f, n), []).append(idx)
-    return InverseGraph.from_pairs(len(maps), (
-        (ia, ib)
-        for members in by_rank.values()
-        for pos, ia in enumerate(members)
-        for ib in members[pos:]
-        if maps_mutually_inverse(maps[ia], maps[ib], n)
-    ))
+    """Mutual-inverse graph over ``maps``, each inverse found directly.
+
+    Every map is extended by the sentinel n as a fixed point, so a partial
+    map is a total map on n + 1 points and both kinds take one path; R is
+    then the kernel and L the image.  By the Miller-Clifford theorem, a has
+    an inverse of kernel K and image I iff I is a transversal of ker(a)
+    and im(a) is a transversal of K, and that inverse b is unique: on
+    im(a), b sends y to the x in I with xa = y, and b is constant on the
+    classes of K.  So each a builds one b per admissible (K, I) among the
+    kernels and images of ``maps``; a b outside ``maps`` means that cell
+    holds no inverse within the set.
+    """
+    pos = {f: i for i, f in enumerate(maps)}
+    kernels, images = {}, {}
+    kernel_of, image_of = [], []  # per map, indices into kernels, images
+    for f in maps:
+        first: dict[int, int] = {}
+        kernel = tuple(first.setdefault(v, len(first)) for v in f + (n,))
+        kernel_of.append(kernels.setdefault(kernel, len(kernels)))
+        image_of.append(images.setdefault(tuple(sorted(first)), len(images)))
+    # transversals[k]: the images that are transversals of kernel k;
+    # sections[i]: per kernel K with image i a transversal of K, the getter
+    # that reads b off its values on i (z -> the y in i with K[y] = K[z])
+    transversals = [[] for _ in kernels]
+    sections = [[] for _ in images]
+    for kernel, k in kernels.items():
+        classes = max(kernel) + 1  # labels run 0, 1, ... by first occurrence
+        for image, i in images.items():
+            if len(image) == classes:
+                rep = {kernel[y]: y for y in image}
+                if len(rep) == classes:
+                    transversals[k].append(image)
+                    sections[i].append(itemgetter(*map(rep.__getitem__, kernel)))
+
+    def pairs():
+        # b fixes the sentinel, so its first n values are the map itself
+        for ia, (a, k, i) in enumerate(zip(maps, kernel_of, image_of)):
+            a += (n,)
+            for image in transversals[k]:
+                values = dict(zip(map(a.__getitem__, image), image))
+                for ib in map(pos.get, [get(values)[:n] for get in sections[i]]):
+                    if ib is not None and ib >= ia:
+                        yield ia, ib
+
+    return InverseGraph.from_pairs(len(maps), pairs())
 
 
 # ---------------------------------------------------------------------------

@@ -471,3 +471,20 @@ class TestCayleyFormat:
     def test_parse_errors(self, text):
         with pytest.raises(ParseError):
             core.parse_cayley(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty input"),
+        ("2\n0 1\n", "expected 2 rows, found 1"),
+        ("0\n", "order must be positive"),
+        ("x\n0\n", "bad order line: 'x'"),
+        ("1\n0\n# foo\n", "unrecognized trailer: '# foo'"),
+        # rows are read in order; a row's entries are read before it is
+        # counted, and the labels are counted last
+        ("2\n0 x 1\n0\n# labels: a\n", "bad row: '0 x 1'"),
+        ("2\n0 1 1\n0 x\n", "row has 3 entries, expected 2"),
+        ("2\n0 1\n1 0\n# labels: a\n", "expected 2 labels, found 1"),
+    ])
+    def test_parse_error_messages(self, text, message):
+        with pytest.raises(ParseError) as err:
+            core.parse_cayley(text)
+        assert str(err.value) == message

@@ -3,7 +3,8 @@
 Each case runs one command on an input under ``tests/golden/`` and compares
 its ``--json`` report byte for byte with the committed file.  A refactor
 must leave every report unchanged.  The failure cases pin the exit code
-and the stderr of a command that refuses its input instead.  When a report
+and the stderr of a command that refuses its input instead, and the
+``gen`` cases pin the Cayley text it prints and the map file it writes.  When a report
 changes on purpose, rewrite the files with ``python3 tests/test_golden.py``
 (with ``src`` on ``PYTHONPATH``) and say why in the change log.
 """
@@ -41,6 +42,7 @@ CASES = {
         "search-q4", "--m-max", "2", "--n-max", "6",
         "--exhaustive-limit", "256", "--samples", "4", "--oracle",
     ],
+    "search_on_oracle_6.json": ["search-on", "--n-max", "6", "--oracle"],
 }
 
 # failure report file -> argv; the input is O_5 with table[73][31] changed
@@ -50,6 +52,18 @@ FAILURES = {
     "analyze_o5_corrupted.json": ["analyze", "{}/o5_corrupted.cayley"],
     "analyze_o3_out_of_range.json": ["analyze", "{}/o3_out_of_range.cayley"],
 }
+
+
+# Cayley text file -> argv of a ``gen`` call, which prints the table
+GEN = {
+    "gen_on_4.cayley": ["gen", "On", "4"],
+    "gen_tn_3.cayley": ["gen", "Tn", "3"],
+    "gen_ptn_2.cayley": ["gen", "PTn", "2"],
+    "gen_opn_3.cayley": ["gen", "OPn", "3"],
+    "gen_pn_3.cayley": ["gen", "Pn", "3"],
+}
+# the map file that ``gen PTn 2 --dict`` writes
+GEN_DICT = "gen_ptn_2_dict.json"
 
 
 def report(argv) -> str:
@@ -69,6 +83,19 @@ def failure(argv) -> str:
                       sort_keys=True, indent=2) + "\n"
 
 
+def printed(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code == 0
+    return out.getvalue()
+
+
+def written_dict(path) -> str:
+    printed(["gen", "PTn", "2", "--dict", str(path)])
+    return Path(path).read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_golden(name):
     assert report(CASES[name]) == (GOLDEN / name).read_text(encoding="utf-8")
@@ -79,8 +106,20 @@ def test_failure_matches_golden(name):
     assert failure(FAILURES[name]) == (GOLDEN / name).read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("name", sorted(GEN))
+def test_gen_matches_golden(name):
+    assert printed(GEN[name]) == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def test_gen_dict_matches_golden(tmp_path):
+    assert written_dict(tmp_path / GEN_DICT) == (
+        (GOLDEN / GEN_DICT).read_text(encoding="utf-8"))
+
+
 if __name__ == "__main__":
-    for cases, render in ((CASES, report), (FAILURES, failure)):
+    for cases, render in ((CASES, report), (FAILURES, failure), (GEN, printed)):
         for name, argv in cases.items():
             (GOLDEN / name).write_text(render(argv), encoding="utf-8")
             print(f"wrote {name}", file=sys.stderr)
+    written_dict(GOLDEN / GEN_DICT)
+    print(f"wrote {GEN_DICT}", file=sys.stderr)

@@ -5,8 +5,9 @@ by rebinding their names in the ``invmatch`` modules.  These tests load it
 by path to check that every listed name still resolves, and count calls
 the same way to check that one ``analyze`` computes each structure once
 per semigroup, that ``match`` runs Hopcroft-Karp once, that the band
-commands build no Cayley table, and that only parsed Cayley tables are
-validated.
+commands build no Cayley table, that only parsed Cayley tables are
+validated, and that ``search-on`` tests maps pairwise only to verify its
+matchings.
 """
 
 import contextlib
@@ -119,3 +120,11 @@ def test_only_parsed_tables_are_validated(monkeypatch):
     assert seen["core.validate"] == []
     run_quietly(["analyze", str(GOLDEN / "t3.cayley")])
     assert len(seen["core.validate"]) == 1
+
+
+def test_search_on_tests_pairs_only_to_verify(monkeypatch):
+    seen = count_calls(monkeypatch, ["transformations.maps_mutually_inverse"])
+    run_quietly(["search-on", "--n-max", "3"])
+    # one check per map of O_1, O_2 and O_3; the inverse graph is built
+    # without testing pairs
+    assert len(seen["transformations.maps_mutually_inverse"]) == 1 + 3 + 10

@@ -54,6 +54,12 @@ class TestEnumeration:
             assert opn <= pn
             assert {tuple(reversed(f)) for f in opn} <= pn
 
+    @pytest.mark.parametrize("family", tr.FAMILIES)
+    def test_table_equals_the_composed_table(self, family):
+        for n in range(1, 5):
+            data = tr.enumerate_family(family, n)
+            assert data.semigroup.table == composed_table(data), n
+
     def test_tables_validate(self):
         for family in tr.FAMILIES:
             data = tr.enumerate_family(family, 2)
@@ -263,7 +269,77 @@ class TestStrongInverses:
             tr.strong_inverse_pairs(corpus.cyclic_group(5), cap=3)
 
 
+def pair_scan(maps, n):
+    """The inverse graph by testing every same-rank pair of maps: the
+    oracle for the kernel-and-image construction."""
+    by_rank = {}
+    for idx, f in enumerate(maps):
+        by_rank.setdefault(tr.rank_of(f, n), []).append(idx)
+    return core.InverseGraph.from_pairs(len(maps), (
+        (ia, ib)
+        for members in by_rank.values()
+        for pos, ia in enumerate(members)
+        for ib in members[pos:]
+        if tr.maps_mutually_inverse(maps[ia], maps[ib], n)
+    ))
+
+
+def composed_table(data):
+    """The Cayley table of ``data`` by ``compose``, one pair at a time."""
+    pos = {f: i for i, f in enumerate(data.maps)}
+    return tuple(
+        tuple(pos[tr.compose(f, g, data.n)] for g in data.maps)
+        for f in data.maps
+    )
+
+
 class TestFamilyInverseGraph:
+    @pytest.mark.parametrize("family, n", [
+        *(("On", n) for n in range(1, 8)),
+        *(("Tn", n) for n in range(1, 5)),
+        *(("PTn", n) for n in range(1, 5)),
+        *(("OPn", n) for n in range(1, 6)),
+        *(("Pn", n) for n in range(1, 6)),
+    ])
+    def test_equals_the_pair_scan(self, family, n):
+        maps = tr.family_maps(family, n)
+        assert tr.family_inverse_graph(maps, n) == pair_scan(maps, n)
+
+    def test_equals_the_pair_scan_on_every_signature_class_of_t4(self):
+        data = tr.enumerate_family("Tn", 4)
+        classes = [cls for rank in range(1, 5)
+                   for cls in tr.signature_class_partition(data, rank)]
+        assert len(classes) == 5
+        for cls in classes:
+            maps = [data.maps[g] for g in cls.elements]
+            assert tr.family_inverse_graph(maps, 4) == pair_scan(maps, 4)
+
+    def test_equals_the_pair_scan_on_random_subsets(self):
+        # PT_3 holds T_3, so a subset may mix total and partial maps; a
+        # cell whose inverse is left out must give no edge
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        universe = tr.family_maps("PTn", 3)
+
+        @hypothesis.settings(max_examples=300, deadline=None,
+                             derandomize=True, database=None)
+        @hypothesis.given(st.lists(st.sampled_from(universe), unique=True))
+        def check(maps):
+            assert tr.family_inverse_graph(maps, 3) == pair_scan(maps, 3)
+
+        check()
+
+    @pytest.mark.parametrize("family, n", [("Tn", 3), ("PTn", 2), ("PTn", 3)])
+    def test_pair_test_agrees_with_the_table(self, family, n):
+        # anchors the oracle: maps_mutually_inverse against aba = a, bab = b
+        data = tr.enumerate_family(family, n)
+        graph = core.inverse_graph_of(data.semigroup)
+        for a, f in enumerate(data.maps):
+            assert graph.candidates(a) == [
+                b for b, g in enumerate(data.maps)
+                if tr.maps_mutually_inverse(f, g, n)
+            ]
+
     def test_matches_table_based_graph(self):
         for family, n in [("Tn", 3), ("On", 3), ("PTn", 2), ("OPn", 3)]:
             data = tr.enumerate_family(family, n)
