@@ -17,7 +17,7 @@ from functools import cached_property
 
 from . import graphs
 from .core import FiniteSemigroup, InverseGraph, PrincipalFactor
-from .core import pattern_inverse_graph, semigroup_from_rows
+from .core import pattern_inverse_graph
 from .errors import (
     NotDivisible,
     NotOrthodox,
@@ -123,8 +123,8 @@ def to_semigroup(band: ZeroRectBand) -> FiniteSemigroup:
                 for l in range(n):
                     if pat[k][j]:
                         rows[x][band.cell_index(k, l)] = band.cell_index(i, l)
-    labels = ["0"] + [f"({i + 1},{j + 1})" for i, j in band.cells()]
-    return semigroup_from_rows(rows, labels)
+    labels = ("0",) + tuple(f"({i + 1},{j + 1})" for i, j in band.cells())
+    return FiniteSemigroup(tuple(map(tuple, rows)), labels)
 
 
 def are_mutual_inverses(

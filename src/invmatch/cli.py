@@ -104,6 +104,14 @@ def cmd_analyze(args) -> int:
     sg = loaded["semigroup"]
     struct = core.structure_report(sg)
     rep = matching.equivalence_report(sg)
+    # an involution matching is a permutation matching: without one there
+    # is nothing to search
+    has_involution = rep.has_matching and (
+        matching.involution_on_graph(
+            matching.build_inverse_graph(sg), matching=rep.matching
+        )
+        is not None
+    )
     payload = {
         "input": {"kind": loaded["kind"], "digest": loaded["digest"]},
         "order": sg.order,
@@ -114,8 +122,7 @@ def cmd_analyze(args) -> int:
             "hall_condition": rep.hall_ok,
             "factor_verdicts": list(rep.factor_verdicts),
             "quotient_verdicts": list(rep.quotient_verdicts),
-            "has_involution_matching": matching.find_involution_matching(sg)
-            is not None,
+            "has_involution_matching": has_involution,
         },
         "witnesses": {
             "matching": list(rep.matching) if rep.matching else None,
@@ -128,8 +135,7 @@ def cmd_analyze(args) -> int:
         "structure: "
         + ", ".join(k for k, v in vars(struct).items() if v is True),
         f"permutation matching: {'present' if rep.has_matching else 'absent'}",
-        f"involution matching: "
-        f"{'present' if payload['verdicts']['has_involution_matching'] else 'absent'}",
+        f"involution matching: {'present' if has_involution else 'absent'}",
     ]
     if rep.violator is not None:
         human.append(
@@ -345,6 +351,8 @@ def cmd_colour(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    if args.n < 1:
+        raise ParseError(f"n must be positive, got {args.n}")
     data = transformations.enumerate_family(args.family, args.n, cap=args.cap)
     sys.stdout.write(core.format_cayley(data.semigroup))
     if args.dict:
@@ -363,10 +371,11 @@ def cmd_gen(args) -> int:
 
 
 def _q4_band_verdict(band, use_oracle: bool):
-    p = matching.find_permutation_matching(band)
+    g = matching.build_inverse_graph(band)
+    p = matching.matching_on_graph(g)
     if p is None:
         return {"matched": False}
-    inv = matching.find_involution_matching(band)
+    inv = matching.involution_on_graph(g, matching=p)
     out = {
         "matched": True,
         "involution": inv is not None,

@@ -62,6 +62,8 @@ class FiniteSemigroup:
 
 
 def semigroup_from_rows(rows, labels=None) -> FiniteSemigroup:
+    """Semigroup of rows of int-like entries, each converted with int().
+    Code whose rows already hold ints builds FiniteSemigroup directly."""
     table = tuple(tuple(int(v) for v in row) for row in rows)
     return FiniteSemigroup(table, tuple(labels) if labels is not None else None)
 
@@ -420,15 +422,15 @@ def principal_factors(s: FiniteSemigroup) -> tuple[PrincipalFactor, ...]:
                 for j, y in enumerate(members):
                     z = t[x][y]
                     rows[i + 1][j + 1] = pos[z] + 1 if z in member_set else 0
-            labels = ["0"] + [s.label(x) for x in members]
+            labels = ("0",) + tuple(s.label(x) for x in members)
         else:
             rows = [
                 [pos[t[x][y]] for y in members] for x in members
             ]
-            labels = [s.label(x) for x in members]
+            labels = tuple(s.label(x) for x in members)
         factors.append(
             PrincipalFactor(
-                semigroup=semigroup_from_rows(rows, labels),
+                semigroup=FiniteSemigroup(tuple(map(tuple, rows)), labels),
                 source_d_class=d_idx,
                 zero_adjoined=zero_adjoined,
                 members=members,

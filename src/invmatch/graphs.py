@@ -131,54 +131,73 @@ def deficiency_certificate(
     return violator, image
 
 
-def max_matching_general(n: int, adj: Sequence[Sequence[int]]) -> list[int]:
+def max_matching_general(
+    n: int, adj: Sequence[Sequence[int]], mate: Sequence[int] | None = None
+) -> list[int]:
     """Maximum matching of an arbitrary undirected graph.
 
-    Augmenting-path search with blossom contraction.  A greedy pass seeds
-    the matching so the contraction phase only runs for the few remaining
-    exposed vertices.  Returns the mate array (``-1`` = unmatched).
+    Augmenting-path search with blossom contraction (Edmonds).  ``mate``,
+    when given, is a starting matching (symmetric, on edges of the graph);
+    otherwise a greedy pass builds one.  Only the vertices the start leaves
+    exposed are searched; by Berge's theorem augmenting from any matching
+    reaches a maximum one.  Returns the mate array (``-1`` = unmatched).
+
+    Each search resets and relabels only the vertices of its own tree, in
+    index order, so it costs the size of that tree, not n, and gives the
+    mate array of a search that resets all n.
     """
-    match = [-1] * n
-    for v in range(n):
-        if match[v] == -1:
-            for to in adj[v]:
-                if to != v and match[to] == -1:
-                    match[v] = to
-                    match[to] = v
-                    break
+    if mate is None:
+        match = [-1] * n
+        for v in range(n):
+            if match[v] == -1:
+                for to in adj[v]:
+                    if to != v and match[to] == -1:
+                        match[v] = to
+                        match[to] = v
+                        break
+    else:
+        match = list(mate)
+        if len(match) != n or any(
+            m != -1 and not (0 <= m < n and m != v and match[m] == v)
+            for v, m in enumerate(match)
+        ):
+            raise ValueError("starting mate array is not a matching")
 
     p = [-1] * n
     base = list(range(n))
     used = [False] * n
+    tree: list[int] = []  # vertices labelled by the current search
 
     def lca(a: int, b: int) -> int:
-        on_path = [False] * n
+        on_path = set()
         while True:
             a = base[a]
-            on_path[a] = True
+            on_path.add(a)
             if match[a] == -1:
                 break
             a = p[match[a]]
         while True:
             b = base[b]
-            if on_path[b]:
+            if b in on_path:
                 return b
             b = p[match[b]]
 
-    def mark_path(v: int, b: int, child: int, blossom: list[bool]) -> None:
+    def mark_path(v: int, b: int, child: int, blossom: set[int]) -> None:
         while base[v] != b:
-            blossom[base[v]] = True
-            blossom[base[match[v]]] = True
+            blossom.add(base[v])
+            blossom.add(base[match[v]])
             p[v] = child
             child = match[v]
             v = p[match[v]]
 
     def find_path(root: int) -> int:
-        for i in range(n):
+        for i in tree:
             used[i] = False
             p[i] = -1
             base[i] = i
+        tree.clear()
         used[root] = True
+        tree.append(root)
         queue: deque[int] = deque([root])
         while queue:
             v = queue.popleft()
@@ -186,22 +205,27 @@ def max_matching_general(n: int, adj: Sequence[Sequence[int]]) -> list[int]:
                 if base[v] == base[to] or match[v] == to:
                     continue
                 if to == root or (match[to] != -1 and p[match[to]] != -1):
-                    # odd cycle: contract the blossom to its base
+                    # odd cycle: contract the blossom to its base.  Every
+                    # vertex whose base is in it lies in the tree, which is
+                    # sorted but for the vertices added since the last sort
                     cur_base = lca(v, to)
-                    blossom = [False] * n
+                    blossom: set[int] = set()
                     mark_path(v, cur_base, to, blossom)
                     mark_path(to, cur_base, v, blossom)
-                    for i in range(n):
-                        if blossom[base[i]]:
+                    tree.sort()
+                    for i in tree:
+                        if base[i] in blossom:
                             base[i] = cur_base
                             if not used[i]:
                                 used[i] = True
                                 queue.append(i)
                 elif p[to] == -1:
                     p[to] = v
+                    tree.append(to)
                     if match[to] == -1:
                         return to
                     used[match[to]] = True
+                    tree.append(match[to])
                     queue.append(match[to])
         return -1
 

@@ -71,14 +71,65 @@ def matching_on_graph(g: InverseGraph) -> Matching | None:
     return hall_on_graph(g)[0]
 
 
-def involution_on_graph(g: InverseGraph) -> Matching | None:
+def split_cycles(g: InverseGraph, p) -> list[int]:
+    """Split the cycles of a permutation matching p of g into an involution.
+
+    Even cycles split into mutually inverse pairs.  An odd cycle fixes its
+    least self-eligible member and pairs the rest; an odd cycle with no
+    self-eligible member is left at ``-1``, a verdict about this p only.
+    """
+    n = g.n
+    out = [-1] * n
+    seen = [False] * n
+    for start in range(n):
+        if seen[start]:
+            continue
+        cycle = [start]
+        seen[start] = True
+        x = p[start]
+        while x != start:
+            cycle.append(x)
+            seen[x] = True
+            x = p[x]
+        if len(cycle) % 2:
+            fixable = [x for x in cycle if x in g.self_eligible]
+            if not fixable:
+                continue
+            fixed = min(fixable)
+            out[fixed] = fixed
+            pivot = cycle.index(fixed)
+            cycle = cycle[pivot + 1:] + cycle[:pivot]
+        for i in range(0, len(cycle), 2):
+            a, b = cycle[i], cycle[i + 1]
+            out[a], out[b] = b, a
+    return out
+
+
+def involution_on_graph(g: InverseGraph, matching=None) -> Matching | None:
     """Involution assignment via the two-copy gadget.
 
     Copies A and B of the graph are joined by a cross edge at every
     self-eligible vertex; a perfect matching of the gadget restricted to
     copy A pairs the rest, and cross-matched vertices become fixed points.
+
+    ``matching``, a permutation matching of g, seeds the gadget search with
+    its cycle splitting: pairs mirrored in both copies, fixed points on
+    their cross edges.  The search then only augments the vertices of the
+    odd cycles that splitting left open; when there are none, the split is
+    the answer and no gadget is built.
     """
     n = g.n
+    seed = None
+    if matching is not None:
+        split = split_cycles(g, matching)
+        if -1 not in split:
+            return tuple(split)
+        seed = [-1] * (2 * n)
+        for a, b in enumerate(split):
+            if b == a:
+                seed[a], seed[a + n] = a + n, a
+            elif b != -1:
+                seed[a], seed[a + n] = b, b + n
     adj: list[list[int]] = [[] for _ in range(2 * n)]
     for a in range(n):
         adj[a].extend(g.neighbors[a])
@@ -87,7 +138,7 @@ def involution_on_graph(g: InverseGraph) -> Matching | None:
         adj[a].append(a + n)
         adj[a + n].append(a)
     adj = [sorted(xs) for xs in adj]
-    mate = graphs.max_matching_general(2 * n, adj)
+    mate = graphs.max_matching_general(2 * n, adj, seed)
     if any(m == -1 for m in mate):
         return None
     p = [0] * n
@@ -152,41 +203,11 @@ def is_h_preserving(s: FiniteSemigroup, p) -> bool:
 
 
 def involution_from_cycles(s: FiniteSemigroup, p) -> Matching | None:
-    """Split the cycles of a verified matching into an involution.
-
-    Even cycles split into mutually inverse pairs.  An odd cycle needs a
-    member with a = a^3 to serve as a fixed point; if some odd cycle has
-    none, returns None -- a verdict about this p only, not about s.
-    """
-    t = s.table
-    n = s.order
-    out = [-1] * n
-    seen = [False] * n
-    for start in range(n):
-        if seen[start]:
-            continue
-        cycle = [start]
-        seen[start] = True
-        x = p[start]
-        while x != start:
-            cycle.append(x)
-            seen[x] = True
-            x = p[x]
-        if len(cycle) % 2 == 0:
-            for i in range(0, len(cycle), 2):
-                a, b = cycle[i], cycle[i + 1]
-                out[a], out[b] = b, a
-        else:
-            fixable = [x for x in cycle if t[t[x][x]][x] == x]
-            if not fixable:
-                return None
-            pivot = cycle.index(min(fixable))
-            cycle = cycle[pivot:] + cycle[:pivot]
-            out[cycle[0]] = cycle[0]
-            for i in range(1, len(cycle), 2):
-                a, b = cycle[i], cycle[i + 1]
-                out[a], out[b] = b, a
-    return tuple(out)
+    """Split the cycles of a verified matching into an involution
+    (:func:`split_cycles`); None if some odd cycle has no member with
+    a = a^3 -- a verdict about this p only, not about s."""
+    out = split_cycles(s.inverse_graph, p)
+    return None if -1 in out else tuple(out)
 
 
 # ---------------------------------------------------------------------------

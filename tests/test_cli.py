@@ -10,6 +10,7 @@ import pytest
 import corpus
 from invmatch import bands, colours, core, matching
 from invmatch.cli import main
+from invmatch.transformations import FAMILIES
 
 
 def run(capsys, argv):
@@ -187,6 +188,14 @@ class TestGen:
     def test_gen_cap(self, capsys):
         code, _, _ = run(capsys, ["gen", "Tn", "6"])
         assert code == 4
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_gen_rejects_non_positive_n(self, capsys, family):
+        for n in ("0", "-1"):
+            code, out, err = run(capsys, ["gen", family, n])
+            assert code == 2
+            assert out == ""
+            assert err == f"parse error: n must be positive, got {n}\n"
 
     def test_gen_pipes_into_analyze(self, capsys, monkeypatch):
         code, out, _ = run(capsys, ["gen", "Tn", "3"])

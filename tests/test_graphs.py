@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from invmatch import graphs
+import blossom_oracle
+from invmatch import graphs, matching, transformations
 
 
 def brute_bipartite_max(n_left, n_right, adj):
@@ -109,6 +110,7 @@ def test_blossom_against_oracle():
                     adj[a].append(b)
                     adj[b].append(a)
         mate = graphs.max_matching_general(n, adj)
+        assert mate == blossom_oracle.max_matching_general(n, adj)
         size = sum(1 for v in mate if v != -1) // 2
         assert size == brute_general_max(n, adj)
         for a, b in enumerate(mate):
@@ -173,6 +175,65 @@ def test_blossom_agrees_with_networkx():
         g = nx.gnp_random_graph(
             n, rng.choice([0.15, 0.3, 0.5]), seed=rng.randrange(2**32)
         )
-        mate = graphs.max_matching_general(n, [sorted(g[a]) for a in range(n)])
+        adj = [sorted(g[a]) for a in range(n)]
+        mate = graphs.max_matching_general(n, adj)
+        assert mate == blossom_oracle.max_matching_general(n, adj)
         size = sum(1 for v in mate if v != -1) // 2
         assert size == len(nx.max_weight_matching(g, maxcardinality=True))
+
+
+def random_partial_matching(rng, n, adj):
+    """A valid mate array built from edges taken in random order, each kept
+    with probability 1/2 when both ends are still free."""
+    mate = [-1] * n
+    edges = [(a, b) for a in range(n) for b in adj[a] if a < b]
+    rng.shuffle(edges)
+    for a, b in edges:
+        if mate[a] == -1 and mate[b] == -1 and rng.random() < 0.5:
+            mate[a], mate[b] = b, a
+    return mate
+
+
+def test_seeded_blossom_agrees_with_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(47)
+    for trial in range(300):
+        n = rng.randint(1, 14)
+        g = nx.gnp_random_graph(
+            n, rng.choice([0.15, 0.3, 0.5]), seed=rng.randrange(2**32)
+        )
+        adj = [sorted(g[a]) for a in range(n)]
+        seed = random_partial_matching(rng, n, adj)
+        mate = graphs.max_matching_general(n, adj, seed)
+        size = sum(1 for v in mate if v != -1) // 2
+        assert size == len(nx.max_weight_matching(g, maxcardinality=True))
+        for a, b in enumerate(mate):
+            if b != -1:
+                assert mate[b] == a
+                assert b in adj[a]
+
+
+def test_seed_must_be_a_matching():
+    adj = [[1, 2], [0, 2], [0, 1]]
+    for seed in ([1, -1, -1], [1, 2, 0], [0, -1, -1], [3, -1, -1], [-1, -1]):
+        with pytest.raises(ValueError):
+            graphs.max_matching_general(3, adj, seed)
+
+
+@pytest.mark.parametrize("family,n", [("Tn", 3), ("Tn", 4), ("On", 5), ("On", 6)])
+def test_blossom_matches_oracle_on_involution_gadgets(monkeypatch, family, n):
+    maps = transformations.family_maps(family, n)
+    g = transformations.family_inverse_graph(maps, n)
+    calls = []
+    real = graphs.max_matching_general
+
+    def recording(size, adj, mate=None):
+        out = real(size, adj, mate)
+        calls.append((size, adj, out))
+        return out
+
+    monkeypatch.setattr(graphs, "max_matching_general", recording)
+    assert matching.involution_on_graph(g) is not None
+    [(size, adj, mate)] = calls
+    assert size == 2 * len(maps)
+    assert mate == blossom_oracle.max_matching_general(size, adj)

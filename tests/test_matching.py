@@ -272,6 +272,17 @@ class TestAssemble:
         assert matching.verify_involution_matching(sg, p)
 
 
+def three_cycle_band():
+    """Off-diagonal 3x3 pattern with p cycling the three diagonal cells:
+    they are pairwise mutual inverses but none is self-eligible, so cycle
+    splitting leaves them open though an involution exists."""
+    band = bands.band_from_rows([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    p = list(range(band.order))
+    d0, d1, d2 = (band.cell_index(i, i) for i in range(3))
+    p[d0], p[d1], p[d2] = d1, d2, d0
+    return band, (d0, d1, d2), tuple(p)
+
+
 class TestInvolutionFromCycles:
     def test_two_cycles_returned_unchanged(self):
         s = corpus.brandt_b2()
@@ -293,19 +304,10 @@ class TestInvolutionFromCycles:
         assert out[d0] in (d0, d1, d2)
 
     def test_idempotent_free_odd_cycle_blocks_this_p_only(self):
-        # off-diagonal pattern: the three diagonal cells are pairwise
-        # mutual inverses but none is self-eligible
-        band = bands.band_from_rows(
-            [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
-        )
+        band, _, p = three_cycle_band()
         sg = bands.to_semigroup(band)
-        p = list(range(sg.order))
-        d0 = band.cell_index(0, 0)
-        d1 = band.cell_index(1, 1)
-        d2 = band.cell_index(2, 2)
-        p[d0], p[d1], p[d2] = d1, d2, d0
-        assert matching.verify_permutation_matching(sg, tuple(p))
-        assert matching.involution_from_cycles(sg, tuple(p)) is None
+        assert matching.verify_permutation_matching(sg, p)
+        assert matching.involution_from_cycles(sg, p) is None
         # ... but the semigroup still has an involution matching
         inv = matching.find_involution_matching(sg)
         assert inv is not None
@@ -346,6 +348,76 @@ class TestFindInvolutionMatching:
             s = corpus.corpus_semigroup(seed)
             if matching.find_involution_matching(s) is not None:
                 assert matching.find_permutation_matching(s) is not None
+
+
+class TestSeededInvolution:
+    def test_agrees_with_unseeded_on_corpus(self):
+        for seed in range(150):
+            s = corpus.corpus_semigroup(seed)
+            g = matching.build_inverse_graph(s)
+            p = matching.matching_on_graph(g)
+            if p is None:
+                continue
+            seeded = matching.involution_on_graph(g, matching=p)
+            unseeded = matching.involution_on_graph(g)
+            assert (seeded is None) == (unseeded is None), f"seed {seed}"
+            if seeded is not None:
+                assert matching.verify_involution_matching(s, seeded)
+
+    def test_agrees_with_unseeded_on_bands_up_to_3x4(self):
+        checked = 0
+        for m in range(1, 4):
+            for n in range(1, 5):
+                for bits in range(2 ** (m * n)):
+                    band = bands.band_from_rows(
+                        [[bits >> (i * n + j) & 1 for j in range(n)]
+                         for i in range(m)]
+                    )
+                    if bands.empty_line(band) is not None:
+                        continue
+                    g = matching.build_inverse_graph(band)
+                    p = matching.matching_on_graph(g)
+                    if p is None:
+                        continue
+                    seeded = matching.involution_on_graph(g, matching=p)
+                    unseeded = matching.involution_on_graph(g)
+                    assert (seeded is None) == (unseeded is None), band
+                    if seeded is not None:
+                        assert bands.verify_band_involution(band, seeded)
+                    checked += 1
+        assert checked > 1000
+
+    def test_split_without_open_cycles_builds_no_gadget(self, monkeypatch):
+        s = corpus.rectangular_band(3, 3)
+        p = list(range(s.order))
+        p[0], p[4], p[8] = 4, 8, 0
+        monkeypatch.setattr(matching.graphs, "max_matching_general", None)
+        out = matching.involution_on_graph(s.inverse_graph, matching=tuple(p))
+        assert out == matching.involution_from_cycles(s, tuple(p))
+        assert matching.verify_involution_matching(s, out)
+
+    def test_search_augments_an_unsplittable_odd_cycle(self, monkeypatch):
+        band, diagonal, p = three_cycle_band()
+        sg = bands.to_semigroup(band)
+        assert matching.verify_permutation_matching(sg, p)
+        assert matching.involution_from_cycles(sg, p) is None
+        calls = []
+        real = matching.graphs.max_matching_general
+
+        def recording(size, adj, mate=None):
+            out = real(size, adj, mate)
+            calls.append((mate, out))
+            return out
+
+        monkeypatch.setattr(matching.graphs, "max_matching_general", recording)
+        inv = matching.involution_on_graph(sg.inverse_graph, matching=p)
+        [(seed, mate)] = calls
+        n = sg.order
+        exposed = sorted(v for v in range(2 * n) if seed[v] == -1)
+        assert exposed == sorted(diagonal + tuple(d + n for d in diagonal))
+        assert -1 not in mate
+        assert inv is not None
+        assert matching.verify_involution_matching(sg, inv)
 
 
 class TestEquivalenceReport:
