@@ -375,6 +375,8 @@ def parse_band(text: str) -> ZeroRectBand:
         m, n = int(head[0]), int(head[1])
     except ValueError as exc:
         raise ParseError(f"bad band header: {lines[0]!r}") from exc
+    if m < 1 or n < 1:
+        raise ParseError("band dimensions must be positive")
     if len(lines) != m + 1:
         raise ParseError(f"expected {m} pattern rows, found {len(lines) - 1}")
     rows = []

@@ -51,9 +51,6 @@ class FiniteSemigroup:
     def factors(self) -> tuple[PrincipalFactor, ...]:
         return principal_factors(self)
 
-    def product(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
     def label(self, a: int) -> str:
         return self.labels[a] if self.labels is not None else str(a)
 
@@ -257,32 +254,6 @@ class EggBox:
     def h_key(self, a: int) -> tuple[int, int, int]:
         return self.d_of[a], self.r_of[a], self.l_of[a]
 
-    def cell_of(self, a: int) -> tuple[int, ...]:
-        box = self.d_classes[self.d_of[a]]
-        return box.grid[self.r_of[a]][self.l_of[a]]
-
-
-def right_ideal(s: FiniteSemigroup, a: int) -> frozenset[int]:
-    """a S^1 with the identity adjoined only virtually."""
-    row = s.table[a]
-    return frozenset(row) | {a}
-
-
-def left_ideal(s: FiniteSemigroup, a: int) -> frozenset[int]:
-    t = s.table
-    return frozenset(t[x][a] for x in range(s.order)) | {a}
-
-
-def two_sided_ideal(s: FiniteSemigroup, a: int) -> frozenset[int]:
-    t = s.table
-    n = s.order
-    out = set(t[a]) | {a}
-    out.update(t[x][a] for x in range(n))
-    for x in range(n):
-        xa = t[x][a]
-        out.update(t[xa])
-    return frozenset(out)
-
 
 def _partition_by(n: int, key) -> list[list[int]]:
     groups: dict = {}
@@ -291,45 +262,68 @@ def _partition_by(n: int, key) -> list[list[int]]:
     return sorted(groups.values(), key=lambda g: g[0])
 
 
+def _components(n: int, succ) -> list[int]:
+    """Strongly connected components of the graph on [0, n) with the edges
+    v -> w for w in ``succ(v)``: each vertex's component index, the
+    components numbered in order of their least vertex.
+
+    Iterative Tarjan.  A vertex that has been visited but is not yet in a
+    component is on Tarjan's stack, so no on-stack array is kept.
+    """
+    index = [-1] * n
+    low = [0] * n
+    comp = [-1] * n  # the root of the vertex's component, once it has one
+    stack: list[int] = []
+    tick = itertools.count().__next__
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        index[root] = low[root] = tick()
+        stack.append(root)
+        work = [(root, iter(succ(root)))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if index[w] == -1:
+                    index[w] = low[w] = tick()
+                    stack.append(w)
+                    work.append((w, iter(succ(w))))
+                    break
+                if comp[w] == -1:
+                    low[v] = min(low[v], index[w])
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    while comp[v] == -1:
+                        comp[stack.pop()] = v
+    first: dict[int, int] = {}
+    return [first.setdefault(c, len(first)) for c in comp]
+
+
 def green_relations(s: FiniteSemigroup) -> EggBox:
-    """Egg-box decomposition: R by right ideals, L by left ideals,
-    H = R intersect L, D = join of R and L (= J on finite semigroups)."""
+    """Egg-box decomposition.  On a generating set, the R-classes are the
+    strongly connected components of the right Cayley graph (a -> ag), the
+    L-classes those of the left one (a -> ga), and the D-classes (= J on
+    finite semigroups) those of both together; H = R intersect L."""
     n = s.order
-    r_ideals = [right_ideal(s, a) for a in range(n)]
-    l_ideals = [left_ideal(s, a) for a in range(n)]
-    r_classes = _partition_by(n, lambda a: r_ideals[a])
-    l_classes = _partition_by(n, lambda a: l_ideals[a])
-    r_id = [0] * n
-    for i, cls in enumerate(r_classes):
-        for a in cls:
-            r_id[a] = i
-    l_id = [0] * n
-    for i, cls in enumerate(l_classes):
-        for a in cls:
-            l_id[a] = i
+    t = s.table
+    gens = list(_generators(t))
 
-    # D = smallest equivalence containing R and L: union-find
-    parent = list(range(n))
+    def right(a):
+        return [t[a][g] for g in gens]
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    def left(a):
+        return [t[g][a] for g in gens]
 
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    for cls in r_classes:
-        for a in cls[1:]:
-            union(cls[0], a)
-    for cls in l_classes:
-        for a in cls[1:]:
-            union(cls[0], a)
-
-    d_classes_raw = _partition_by(n, find)
+    r_id = _components(n, right)
+    l_id = _components(n, left)
+    d_id = _components(n, lambda a: [*right(a), *left(a)])
+    r_classes = _partition_by(n, r_id.__getitem__)
+    l_classes = _partition_by(n, l_id.__getitem__)
+    d_classes_raw = _partition_by(n, d_id.__getitem__)
     d_of = [0] * n
     r_of = [0] * n
     l_of = [0] * n
@@ -373,9 +367,9 @@ def green_relations(s: FiniteSemigroup) -> EggBox:
 class PrincipalFactor:
     """D-class with products leaving the class sent to an adjoined zero.
 
-    The minimal-ideal class is emitted zero-free exactly when it is closed
-    under the product.  Factor indices: zero at 0 when adjoined, then the
-    class members ascending.
+    Every class but the minimal ideal gets the zero; the minimal ideal is
+    closed under the product and is emitted zero-free.  Factor indices:
+    zero at 0 when adjoined, then the class members ascending.
     """
 
     semigroup: FiniteSemigroup
@@ -396,10 +390,6 @@ class PrincipalFactor:
             return None if i == 0 else self.members[i - 1]
         return self.members[i]
 
-    @property
-    def zero_index(self) -> int | None:
-        return 0 if self.zero_adjoined else None
-
 
 def principal_factors(s: FiniteSemigroup) -> tuple[PrincipalFactor, ...]:
     """One factor per D-class, ordered as in the egg-box.  Use the cached
@@ -410,9 +400,9 @@ def principal_factors(s: FiniteSemigroup) -> tuple[PrincipalFactor, ...]:
     for d_idx, box in enumerate(s.egg_box.d_classes):
         members = box.elements
         member_set = set(members)
-        closed = all(t[x][y] in member_set for x in members for y in members)
-        minimal = two_sided_ideal(s, members[0]) == frozenset(member_set)
-        zero_adjoined = not (minimal and closed)
+        # xS meets the minimal ideal K for any x, so xS lies in the class
+        # of x exactly when that class is K
+        zero_adjoined = not member_set.issuperset(t[members[0]])
         k = len(members)
         pos = {x: i for i, x in enumerate(members)}
         if zero_adjoined:

@@ -336,24 +336,25 @@ def involution_backtracking(s: FiniteSemigroup) -> Matching | None:
     n = g.n
     out = [-1] * n
 
-    def place() -> bool:
-        a = next((x for x in range(n) if out[x] == -1), None)
+    def place(lo: int) -> bool:
+        # every element below lo is placed
+        a = next((x for x in range(lo, n) if out[x] == -1), None)
         if a is None:
             return True
         if a in g.self_eligible:
             out[a] = a
-            if place():
+            if place(a + 1):
                 return True
             out[a] = -1
         for b in g.neighbors[a]:
             if b > a and out[b] == -1:
                 out[a], out[b] = b, a
-                if place():
+                if place(a + 1):
                     return True
                 out[a] = out[b] = -1
         return False
 
-    return tuple(out) if place() else None
+    return tuple(out) if place(0) else None
 
 
 # ---------------------------------------------------------------------------

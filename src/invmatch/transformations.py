@@ -260,12 +260,9 @@ def class_perfect_matching(
 def permutation_from_perfect_matching(
     data: FamilyData, cls: SignatureClass, pm: dict[int, int]
 ) -> dict[int, int]:
-    """Cycle-chase a perfect matching into a permutation matching.
-
-    Starting anywhere, alternately dropping into the unprimed copy yields
-    a cycle of successive mutual inverses; disjointness of the matching
-    edges means no early revisit, so the cycles tile the class.
-    """
+    """The permutation matching of a class given by a perfect matching of
+    its two-copy graph: ``pm`` maps each member to a distinct mutual
+    inverse, so it already is one.  Raises NotPerfect when it is not."""
     members = set(cls.elements)
     if set(pm) != members or set(pm.values()) - members:
         raise NotPerfect("matching does not cover the class")
@@ -274,21 +271,7 @@ def permutation_from_perfect_matching(
     for a, b in pm.items():
         if not maps_mutually_inverse(data.maps[a], data.maps[b], data.n):
             raise NotPerfect(f"pair ({a}, {b}) is not mutually inverse")
-    phi: dict[int, int] = {}
-    seen: set[int] = set()
-    for start in cls.elements:
-        if start in seen:
-            continue
-        cycle = [start]
-        seen.add(start)
-        x = pm[start]
-        while x != start:
-            cycle.append(x)
-            seen.add(x)
-            x = pm[x]
-        for i, a in enumerate(cycle):
-            phi[a] = cycle[(i + 1) % len(cycle)]
-    return phi
+    return dict(pm)
 
 
 def tn_matching_via_classes(

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 
 from invmatch import bands
-from invmatch.core import FiniteSemigroup, semigroup_from_rows
+from invmatch.core import DClassBox, EggBox, FiniteSemigroup, semigroup_from_rows
 
 
 def inverses_of(s: FiniteSemigroup, a: int) -> list[int]:
@@ -20,6 +20,138 @@ def inverses_of(s: FiniteSemigroup, a: int) -> list[int]:
     return [
         b for b in range(s.order) if t[t[a][b]][a] == a and t[t[b][a]][b] == b
     ]
+
+
+# ---------------------------------------------------------------------------
+# Green's relations by their definitions: the oracle for core.green_relations
+# and core.principal_factors
+
+
+def right_ideal(s: FiniteSemigroup, a: int) -> frozenset[int]:
+    """a S^1 with the identity adjoined only virtually."""
+    row = s.table[a]
+    return frozenset(row) | {a}
+
+
+def left_ideal(s: FiniteSemigroup, a: int) -> frozenset[int]:
+    t = s.table
+    return frozenset(t[x][a] for x in range(s.order)) | {a}
+
+
+def two_sided_ideal(s: FiniteSemigroup, a: int) -> frozenset[int]:
+    t = s.table
+    n = s.order
+    out = set(t[a]) | {a}
+    out.update(t[x][a] for x in range(n))
+    for x in range(n):
+        xa = t[x][a]
+        out.update(t[xa])
+    return frozenset(out)
+
+
+def _partition_by(n: int, key) -> list[list[int]]:
+    groups: dict = {}
+    for a in range(n):
+        groups.setdefault(key(a), []).append(a)
+    return sorted(groups.values(), key=lambda g: g[0])
+
+
+def ideal_egg_box(s: FiniteSemigroup) -> EggBox:
+    """Egg-box decomposition: R by right ideals, L by left ideals,
+    H = R intersect L, D = join of R and L (= J on finite semigroups)."""
+    n = s.order
+    r_ideals = [right_ideal(s, a) for a in range(n)]
+    l_ideals = [left_ideal(s, a) for a in range(n)]
+    r_classes = _partition_by(n, lambda a: r_ideals[a])
+    l_classes = _partition_by(n, lambda a: l_ideals[a])
+    r_id = [0] * n
+    for i, cls in enumerate(r_classes):
+        for a in cls:
+            r_id[a] = i
+    l_id = [0] * n
+    for i, cls in enumerate(l_classes):
+        for a in cls:
+            l_id[a] = i
+
+    # D = smallest equivalence containing R and L: union-find
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x: int, y: int) -> None:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
+
+    for cls in r_classes:
+        for a in cls[1:]:
+            union(cls[0], a)
+    for cls in l_classes:
+        for a in cls[1:]:
+            union(cls[0], a)
+
+    d_classes_raw = _partition_by(n, find)
+    d_of = [0] * n
+    r_of = [0] * n
+    l_of = [0] * n
+    boxes = []
+    for d_idx, members in enumerate(d_classes_raw):
+        local_r = sorted({r_id[a] for a in members})
+        local_l = sorted({l_id[a] for a in members})
+        r_pos = {g: i for i, g in enumerate(local_r)}
+        l_pos = {g: i for i, g in enumerate(local_l)}
+        cells: list[list[list[int]]] = [
+            [[] for _ in local_l] for _ in local_r
+        ]
+        for a in members:
+            i, j = r_pos[r_id[a]], l_pos[l_id[a]]
+            cells[i][j].append(a)
+            d_of[a] = d_idx
+            r_of[a] = i
+            l_of[a] = j
+        grid = tuple(tuple(tuple(cell) for cell in row) for row in cells)
+        group = tuple(
+            tuple(any(s.table[e][e] == e for e in cell) for cell in row)
+            for row in grid
+        )
+        boxes.append(
+            DClassBox(
+                elements=tuple(members),
+                r_classes=tuple(tuple(r_classes[g]) for g in local_r),
+                l_classes=tuple(tuple(l_classes[g]) for g in local_l),
+                grid=grid,
+                group_h=group,
+            )
+        )
+    return EggBox(tuple(boxes), tuple(d_of), tuple(r_of), tuple(l_of))
+
+
+def ideal_zero_adjoined(s: FiniteSemigroup, members) -> bool:
+    """Whether the principal factor of the D-class ``members`` gets a zero:
+    unless the class is closed under the product and is the two-sided
+    ideal of its members, i.e. the minimal ideal."""
+    t = s.table
+    member_set = set(members)
+    closed = all(t[x][y] in member_set for x in members for y in members)
+    minimal = two_sided_ideal(s, members[0]) == frozenset(member_set)
+    return not (minimal and closed)
+
+
+def factor_table(s: FiniteSemigroup, members, zero_adjoined: bool):
+    """Cayley table of the principal factor on ``members``: the zero at 0
+    when adjoined, then the members ascending; products leaving the class
+    go to the zero."""
+    t = s.table
+    off = 1 if zero_adjoined else 0
+    pos = {x: i + off for i, x in enumerate(members)}
+    rows = [tuple(pos.get(t[x][y], 0) for y in members) for x in members]
+    if zero_adjoined:
+        rows = [(0,) * (len(members) + 1)] + [(0,) + row for row in rows]
+    return tuple(rows)
 
 
 def cyclic_group(k: int) -> FiniteSemigroup:

@@ -86,6 +86,21 @@ class TestExitCodes:
         assert (code, out) == (4, "")
         assert err == "precondition failed: density must lie in (0, 1]\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["band", "check"], ["band", "harem"], ["band", "involution"],
+        ["match"], ["analyze"], ["involution"], ["factors"],
+        ["colour", "reduce", "--band"],
+    ])
+    @pytest.mark.parametrize("header", ["0 3", "0 0"])
+    def test_band_with_an_empty_dimension_is_a_parse_error(
+        self, tmp_path, capsys, argv, header
+    ):
+        path = tmp_path / "empty.band"
+        path.write_text(header + "\n")
+        code, out, err = run(capsys, argv + [str(path)])
+        assert (code, out) == (2, "")
+        assert err == "parse error: band dimensions must be positive\n"
+
 
 class TestCounterexampleReports:
     def test_match_report(self, cex_file, capsys):

@@ -250,14 +250,14 @@ class TestGreenRelations:
         assert (len(box.r_classes), len(box.l_classes)) == (2, 3)
 
     def test_against_ideal_oracle(self):
-        # D from the union-find join must agree with J (two-sided ideal
-        # comparison) and with the R-then-L composition
+        # D from the strongly connected components must agree with J
+        # (two-sided ideal comparison) and with the R-then-L composition
         for seed in range(60):
             s = corpus.corpus_semigroup(seed)
             egg = core.green_relations(s)
-            j_key = {a: core.two_sided_ideal(s, a) for a in range(s.order)}
-            r_key = {a: core.right_ideal(s, a) for a in range(s.order)}
-            l_key = {a: core.left_ideal(s, a) for a in range(s.order)}
+            j_key = {a: corpus.two_sided_ideal(s, a) for a in range(s.order)}
+            r_key = {a: corpus.right_ideal(s, a) for a in range(s.order)}
+            l_key = {a: corpus.left_ideal(s, a) for a in range(s.order)}
             for a in range(s.order):
                 for b in range(s.order):
                     same_d = egg.d_of[a] == egg.d_of[b]
@@ -267,6 +267,31 @@ class TestGreenRelations:
                         for c in range(s.order)
                     )
                     assert same_d == composed
+
+    def test_egg_box_and_factors_equal_the_ideal_oracle(self):
+        # every field of the egg-box, and each factor's zero, members and
+        # table, as the ideal-based construction and the minimal-ideal rule
+        # by definition (closed, and the two-sided ideal of a member) give
+        # them
+        families = [("Tn", 4), ("On", 6), ("OPn", 5), ("Pn", 5), ("PTn", 3)]
+        inputs = [corpus.corpus_semigroup(seed) for seed in range(400)]
+        inputs += [enumerate_family(f, n).semigroup
+                   for f, top in families for n in range(1, top + 1)]
+        for k in (1, 2, 5, 9):
+            inputs += [corpus.null_semigroup(k), corpus.rectangular_band(k, 1),
+                       corpus.rectangular_band(1, k)]
+        for s in inputs:
+            oracle = corpus.ideal_egg_box(s)
+            assert core.green_relations(s) == oracle
+            if not core.regularity_check(s)[0]:
+                continue
+            factors = core.principal_factors(s)
+            assert len(factors) == len(oracle.d_classes)
+            for f, box in zip(factors, oracle.d_classes):
+                zero = corpus.ideal_zero_adjoined(s, box.elements)
+                assert (f.zero_adjoined, f.members) == (zero, box.elements)
+                assert f.semigroup.table == corpus.factor_table(
+                    s, box.elements, zero)
 
     def test_h_cells_tile_evenly_and_group_cells_have_one_idempotent(self):
         for seed in range(40):

@@ -1,5 +1,5 @@
-"""Transformation families, signature classes, the perfect-matching
-cycle chase, and strong inverses."""
+"""Transformation families, signature classes, permutation matchings
+from perfect matchings, and strong inverses."""
 
 import itertools
 from math import comb
