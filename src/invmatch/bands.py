@@ -19,6 +19,7 @@ from . import graphs
 from .core import FiniteSemigroup, InverseGraph, PrincipalFactor
 from .core import pattern_inverse_graph
 from .errors import (
+    BudgetExhausted,
     NotDivisible,
     NotOrthodox,
     NotRegularPattern,
@@ -345,15 +346,24 @@ def similarity_check(band: ZeroRectBand) -> SimilarityReport:
 #   line 1: "m n"; then m rows of n characters '0'/'1'.
 
 
+# Draws random_band makes before it gives up.  A 1x20 pattern at density
+# 0.3 covers its row with p = 0.3**20, so without a cap the sampler would
+# not end.  The cap sits above the 941,857 draws that
+# random_band(1, 12, 0.35, 1010) needs, the most of any seeded call in the
+# tests, so every pattern they and the goldens pin is unchanged.
+RANDOM_BAND_MAX_DRAWS = 1_000_000
+
+
 def random_band(m: int, n: int, density: float, seed: int) -> ZeroRectBand:
     """Seeded pattern, rejection-sampled until every row and column holds
-    an idempotent; identical arguments give identical patterns."""
+    an idempotent; identical arguments give identical patterns.  Raises
+    BudgetExhausted after RANDOM_BAND_MAX_DRAWS uncovered draws."""
     if m < 1 or n < 1:
         raise ParameterOutOfRange("band dimensions must be positive")
     if not 0 < density <= 1:
         raise ParameterOutOfRange("density must lie in (0, 1]")
     rng = random.Random(seed)
-    while True:
+    for _ in range(RANDOM_BAND_MAX_DRAWS):
         rows = [
             [rng.random() < density for _ in range(n)] for _ in range(m)
         ]
@@ -361,6 +371,10 @@ def random_band(m: int, n: int, density: float, seed: int) -> ZeroRectBand:
             any(rows[i][j] for i in range(m)) for j in range(n)
         ):
             return band_from_rows(rows)
+    raise BudgetExhausted(
+        f"no {m}x{n} pattern at density {density} covered every row and "
+        f"column in {RANDOM_BAND_MAX_DRAWS} draws (seed {seed})"
+    )
 
 
 def parse_band(text: str) -> ZeroRectBand:

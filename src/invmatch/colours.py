@@ -99,11 +99,26 @@ class SolveResult:
 
 
 def solve(instance: ColourInstance, budget: int | None = None) -> SolveResult:
-    """Exact backtracking over ball pairings.
+    """Exact backtracking over ball pairings, remembering failed states.
 
     Branches on the lowest unpaired ball, trying partners in index order
-    and skipping partners equivalent under (owner, colour).  ``budget``
-    caps the number of pairings tried; exceeding it yields the explicit
+    and skipping partners equivalent under (owner, colour).
+
+    The search state is one int: bit k is set when ball k is paired, and
+    bit ``total + g*n + c`` when girl g has received colour c.  Everything
+    below a node depends on that state alone: the branch ball is the
+    lowest unpaired one, and which partners are admissible depends only
+    on which balls are paired and which colours each girl still needs,
+    not on who was paired with whom.  So a state whose partners all
+    failed has no solution below it wherever it recurs, and the search
+    skips it ("nogood learning").  Skipping never changes the order in
+    which the remaining nodes are visited, so status and plan are those
+    of the plain search whenever it finishes within the budget.  The set
+    holds at most one state per pairing tried, so the budget also bounds
+    its memory.
+
+    ``nodes`` counts the pairings actually tried; a skipped state adds
+    none.  ``budget`` caps that count; exceeding it yields the explicit
     "budget_exhausted" status, which is not a solvability verdict.
     """
     instance.validate()
@@ -114,12 +129,17 @@ def solve(instance: ColourInstance, budget: int | None = None) -> SolveResult:
     need = [[True] * instance.n for _ in range(instance.m)]
     pairing = [-1] * total
     nodes = 0
+    state = 0
+    failed: set[int] = set()
 
     def pair(i: int, j: int, on: bool) -> None:
+        nonlocal state
         pairing[i], pairing[j] = (j, i) if on else (-1, -1)
         need[owner[i]][colour[j]] = not on
+        state ^= 1 << i | 1 << (total + owner[i] * instance.n + colour[j])
         if i != j:
             need[owner[j]][colour[i]] = not on
+            state ^= 1 << j | 1 << (total + owner[j] * instance.n + colour[i])
 
     def partners(i: int):
         """Admissible partners of ball i in index order, one per (owner,
@@ -146,7 +166,9 @@ def solve(instance: ColourInstance, budget: int | None = None) -> SolveResult:
 
     # Depth-first search with an explicit stack of (ball, partner
     # generator), one per open branch, so depth is not bounded by the
-    # recursion limit.
+    # recursion limit.  A branch is popped only once its partners ran
+    # dry and its last partner was undone, so ``state`` is then the state
+    # it was pushed in.
     stack: list = []
     i = 0
     while True:
@@ -154,7 +176,7 @@ def solve(instance: ColourInstance, budget: int | None = None) -> SolveResult:
             i += 1
         if i == total:
             return SolveResult("solved", ExchangePlan(tuple(pairing)), nodes)
-        stack.append((i, partners(i)))
+        stack.append((i, iter(()) if state in failed else partners(i)))
         while stack:
             i, branch = stack[-1]
             if pairing[i] != -1:  # undo this branch's previous partner
@@ -163,6 +185,7 @@ def solve(instance: ColourInstance, budget: int | None = None) -> SolveResult:
             if j is not None:
                 break
             stack.pop()
+            failed.add(state)
         else:
             return SolveResult("unsolvable", None, nodes)
         nodes += 1

@@ -8,6 +8,7 @@ import pytest
 import corpus
 from invmatch import bands, core, matching
 from invmatch.errors import (
+    BudgetExhausted,
     NotAPermutation,
     NotDivisible,
     NotOrthodox,
@@ -379,6 +380,11 @@ class TestRandomBand:
             bands.random_band(2, 2, 0.0, 1)
         with pytest.raises(ParameterOutOfRange):
             bands.random_band(0, 2, 0.5, 1)
+
+    def test_gives_up_after_the_draw_cap(self, monkeypatch):
+        monkeypatch.setattr(bands, "RANDOM_BAND_MAX_DRAWS", 50)
+        with pytest.raises(BudgetExhausted, match="in 50 draws"):
+            bands.random_band(1, 20, 0.3, 0)
 
 
 class TestBandFormat:

@@ -4,6 +4,7 @@ round-trips."""
 import io
 import json
 import sys
+import time
 
 import pytest
 
@@ -338,6 +339,20 @@ class TestSearches:
         report = json.loads(out)
         modes = {s["mode"] for s in report["verdicts"]["shapes"]}
         assert "sampled" in modes
+
+    def test_q4_sampler_gives_up_on_an_uncoverable_shape(self, capsys):
+        # a 1x13 draw at density 0.3 covers its line with p = 0.3**13, so
+        # the first sampled shape runs into the sampler's draw cap
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys,
+            ["search-q4", "--m-max", "1", "--n-max", "20", "--samples", "1",
+             "--densities", "0.3"],
+        )
+        assert time.perf_counter() - start < 30
+        assert code == 5
+        assert out == ""
+        assert err.startswith("budget exhausted: no 1x13 pattern")
 
     def test_search_on_oracle(self, capsys):
         code, out, _ = run(

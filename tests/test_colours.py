@@ -36,6 +36,67 @@ def transpose_matching(band):
     return tuple(p)
 
 
+# the 6x12 pattern at density 0.35 that the colour-reduce benchmark pins:
+# the plain search tries 80,853 pairings on it
+HARD_6X12 = (
+    "6 12\n011011101011\n110001100001\n000010011111\n"
+    "001100000000\n011000110010\n000010010000\n"
+)
+
+
+# reference: the solver's branching written as plain recursion, with no
+# memory of failed states
+def recursive_solve(inst, budget):
+    total = inst.m * inst.n
+    owner = [g for g, _ in inst.balls]
+    colour = [c for _, c in inst.balls]
+    need = [[True] * inst.n for _ in range(inst.m)]
+    pairing = [-1] * total
+    nodes = 0
+
+    def place(i):
+        nonlocal nodes
+        while i < total and pairing[i] != -1:
+            i += 1
+        if i == total:
+            return True
+        gi, ci = owner[i], colour[i]
+        tried = set()
+        for j in range(i, total):
+            gj, cj = owner[j], colour[j]
+            if pairing[j] != -1 or (gj, cj) in tried:
+                continue
+            if i == j:
+                ok = need[gi][cj]
+            else:
+                ok = not (gi == gj and ci == cj) and (
+                    need[gi][cj] and need[gj][ci]
+                )
+            if not ok:
+                continue
+            tried.add((gj, cj))
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise BudgetExhausted
+            pairing[i], pairing[j] = j, i
+            need[gi][cj] = False
+            need[gj][ci] = False
+            if place(i + 1):
+                return True
+            pairing[i] = pairing[j] = -1
+            need[gi][cj] = True
+            need[gj][ci] = True
+        return False
+
+    try:
+        solved = place(0)
+    except BudgetExhausted:
+        return "budget_exhausted", None, nodes
+    if not solved:
+        return "unsolvable", None, nodes
+    return "solved", tuple(pairing), nodes
+
+
 class TestInstanceFromMatching:
     def test_identity_on_full_2x2(self):
         band = full_band(2, 2)
@@ -163,57 +224,6 @@ class TestSolve:
 
 
     def test_same_nodes_and_plans_as_recursive_search(self):
-        # reference: the solver's branching written as plain recursion
-        def recursive_solve(inst, budget):
-            total = inst.m * inst.n
-            owner = [g for g, _ in inst.balls]
-            colour = [c for _, c in inst.balls]
-            need = [[True] * inst.n for _ in range(inst.m)]
-            pairing = [-1] * total
-            nodes = 0
-
-            def place(i):
-                nonlocal nodes
-                while i < total and pairing[i] != -1:
-                    i += 1
-                if i == total:
-                    return True
-                gi, ci = owner[i], colour[i]
-                tried = set()
-                for j in range(i, total):
-                    gj, cj = owner[j], colour[j]
-                    if pairing[j] != -1 or (gj, cj) in tried:
-                        continue
-                    if i == j:
-                        ok = need[gi][cj]
-                    else:
-                        ok = not (gi == gj and ci == cj) and (
-                            need[gi][cj] and need[gj][ci]
-                        )
-                    if not ok:
-                        continue
-                    tried.add((gj, cj))
-                    nodes += 1
-                    if budget is not None and nodes > budget:
-                        raise BudgetExhausted
-                    pairing[i], pairing[j] = j, i
-                    need[gi][cj] = False
-                    need[gj][ci] = False
-                    if place(i + 1):
-                        return True
-                    pairing[i] = pairing[j] = -1
-                    need[gi][cj] = True
-                    need[gj][ci] = True
-                return False
-
-            try:
-                solved = place(0)
-            except BudgetExhausted:
-                return "budget_exhausted", None, nodes
-            if not solved:
-                return "unsolvable", None, nodes
-            return "solved", tuple(pairing), nodes
-
         rng = random.Random(5)
         instances = []
         for _ in range(200):
@@ -241,6 +251,28 @@ class TestSolve:
                 backtracked += result.nodes > sum(i <= j for i, j in enumerate(plan))
         assert statuses == {"solved", "budget_exhausted"}
         assert backtracked >= 2
+
+    @pytest.mark.parametrize(
+        "make_band, plain_nodes, memo_nodes",
+        [
+            (lambda: bands.random_band(5, 10, 0.4, 27), 544, 190),
+            (lambda: bands.random_band(6, 12, 0.35, 17), 461, 255),
+            (lambda: bands.parse_band(HARD_6X12), 80_853, 1_947),
+        ],
+        ids=["5x10", "6x12", "hard-6x12"],
+    )
+    def test_failed_states_are_skipped_without_changing_the_plan(
+        self, make_band, plain_nodes, memo_nodes
+    ):
+        band = make_band()
+        phi = matching.find_permutation_matching(band)
+        inst = colours.instance_from_matching(band, phi)
+        status, plan, nodes = recursive_solve(inst, None)
+        assert (status, nodes) == ("solved", plain_nodes)
+        result = colours.solve(inst)
+        assert result.status == status
+        assert result.plan.pairing == plan
+        assert result.nodes == memo_nodes <= nodes
 
 
 class TestVerifyPlan:
@@ -388,6 +420,20 @@ class TestReduceCommand:
         assert matching.verify_involution_matching(
             sg, rep["witnesses"]["involution"]
         )
+
+    def test_band_past_the_plain_search_budget_is_solved(self, tmp_path):
+        # the plain search exhausts a 200,000-node budget on this band
+        path = tmp_path / "hard.band"
+        path.write_text(bands.format_band(bands.random_band(6, 12, 0.5, 21)))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["colour", "reduce", "--band", str(path),
+                         "--budget", "200000", "--json"])
+        assert code == 0
+        verdicts = json.loads(out.getvalue())["verdicts"]
+        assert verdicts["status"] == "solved"
+        assert verdicts["nodes"] == 8_245
+        assert verdicts["involution_verified"] is True
 
 
 class TestFormats:
