@@ -199,21 +199,28 @@ def pattern_inverse_graph(pattern) -> InverseGraph:
     """Inverse graph of the 0-rectangular band with the given idempotent
     pattern, read off the pattern in O(edges): the zero at 0 is its own
     only inverse, and cells (i, j), (k, l) at 1 + i*n + j, 1 + k*n + l
-    are mutual inverses iff pattern[k][j] and pattern[i][l]."""
+    are mutual inverses iff pattern[k][j] and pattern[i][l]: the neighbours
+    of (i, j) are the strips (k, i) of cells (k, l), l in cols[i], for k in
+    rows[j], less (i, j) itself when it is idempotent."""
     m = len(pattern)
     n = len(pattern[0]) if m else 0
-    # looked up, not computed: all entries for a cell share one int object,
+    # looked up, not computed: all strips share one int object per cell,
     # which halves the peak memory of a 1 x 1500 band
     index = [list(range(1 + i * n, 1 + (i + 1) * n)) for i in range(m)]
     cols = [[j for j in range(n) if row[j]] for row in pattern]
     rows = [[k for k in range(m) if pattern[k][j]] for j in range(n)]
-    pairs = (
-        (index[i][j], index[k][l])
-        for i in range(m) for j in range(n)
-        for k in rows[j] if k >= i
-        for l in cols[i] if k > i or l >= j
-    )
-    return InverseGraph.from_pairs(m * n + 1, itertools.chain([(0, 0)], pairs))
+    strips = [[[index[k][l] for l in c] for c in cols] for k in range(m)]
+    neighbors = [()]
+    for i in range(m):
+        for j in range(n):
+            nb = []
+            for k in rows[j]:
+                nb += strips[k][i]
+            if pattern[i][j]:
+                nb.remove(index[i][j])
+            neighbors.append(tuple(nb))
+    eligible = [index[i][j] for i in range(m) for j in cols[i]]
+    return InverseGraph(m * n + 1, tuple(neighbors), frozenset([0, *eligible]))
 
 
 def regularity_check(s: FiniteSemigroup) -> tuple[bool, int | None]:

@@ -82,7 +82,14 @@ def hopcroft_karp(
                 return True
         return False
 
+    # with every dist 0, phase 1 reduces to each u taking its first free v
     size = 0
+    for u in range(n_left):
+        for v in adj[u]:
+            if match_r[v] == -1:
+                match_l[u], match_r[v] = v, u
+                size += 1
+                break
     while bfs():
         for u in range(n_left):
             ptr[u] = 0

@@ -7,10 +7,17 @@ groups, products and adjunctions, all regular by construction.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from invmatch import bands
-from invmatch.core import DClassBox, EggBox, FiniteSemigroup, semigroup_from_rows
+from invmatch.core import (
+    DClassBox,
+    EggBox,
+    FiniteSemigroup,
+    InverseGraph,
+    semigroup_from_rows,
+)
 
 
 def inverses_of(s: FiniteSemigroup, a: int) -> list[int]:
@@ -20,6 +27,29 @@ def inverses_of(s: FiniteSemigroup, a: int) -> list[int]:
     return [
         b for b in range(s.order) if t[t[a][b]][a] == a and t[t[b][a]][b] == b
     ]
+
+
+# The pair-stream construction that core.pattern_inverse_graph replaced:
+# the oracle for band graphs too large for a Cayley table.
+def pattern_inverse_graph(pattern) -> InverseGraph:
+    """Inverse graph of the 0-rectangular band with the given idempotent
+    pattern, read off the pattern in O(edges): the zero at 0 is its own
+    only inverse, and cells (i, j), (k, l) at 1 + i*n + j, 1 + k*n + l
+    are mutual inverses iff pattern[k][j] and pattern[i][l]."""
+    m = len(pattern)
+    n = len(pattern[0]) if m else 0
+    # looked up, not computed: all entries for a cell share one int object,
+    # which halves the peak memory of a 1 x 1500 band
+    index = [list(range(1 + i * n, 1 + (i + 1) * n)) for i in range(m)]
+    cols = [[j for j in range(n) if row[j]] for row in pattern]
+    rows = [[k for k in range(m) if pattern[k][j]] for j in range(n)]
+    pairs = (
+        (index[i][j], index[k][l])
+        for i in range(m) for j in range(n)
+        for k in rows[j] if k >= i
+        for l in cols[i] if k > i or l >= j
+    )
+    return InverseGraph.from_pairs(m * n + 1, itertools.chain([(0, 0)], pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +322,19 @@ def null_semigroup(k: int) -> FiniteSemigroup:
     """Zero plus k-1 elements with all products zero; not regular."""
     rows = [[0] * k for _ in range(k)]
     return semigroup_from_rows(rows)
+
+
+def all_regular_patterns(m_max, n_max):
+    """Every band with an idempotent in each row and column, m <= m_max and
+    n <= n_max."""
+    for m in range(1, m_max + 1):
+        for n in range(1, n_max + 1):
+            for bits in range(2 ** (m * n)):
+                band = bands.band_from_rows(
+                    [[bits >> (i * n + j) & 1 for j in range(n)] for i in range(m)]
+                )
+                if bands.empty_line(band) is None:
+                    yield band
 
 
 def random_zero_band_semigroup(rng: random.Random, max_order: int):

@@ -114,21 +114,10 @@ class TestMutualInverses:
 
 
 
-def all_regular_patterns(m_max, n_max):
-    for m in range(1, m_max + 1):
-        for n in range(1, n_max + 1):
-            for bits in range(2 ** (m * n)):
-                band = bands.band_from_rows(
-                    [[bits >> (i * n + j) & 1 for j in range(n)] for i in range(m)]
-                )
-                if bands.empty_line(band) is None:
-                    yield band
-
-
 class TestPatternInverseGraph:
     def test_matches_the_table_on_every_small_pattern(self):
         count = 0
-        for band in all_regular_patterns(3, 4):
+        for band in corpus.all_regular_patterns(3, 4):
             count += 1
             table = core.inverse_graph_of(bands.to_semigroup(band))
             assert core.pattern_inverse_graph(band.pattern) == table
@@ -144,13 +133,31 @@ class TestPatternInverseGraph:
         full = full_band(6, 12)
         assert full.inverse_graph == core.inverse_graph_of(bands.to_semigroup(full))
 
+    def test_matches_the_pair_stream_beyond_table_reach(self):
+        rng = random.Random(9)
+        patterns = [
+            [[True] * 1500],
+            [[rng.random() < 0.5 for _ in range(40)] for _ in range(40)],
+        ]
+        for _ in range(300):
+            m, n = rng.randint(1, 8), rng.randint(1, 14)
+            density = rng.choice([0.1, 0.3, 0.6, 0.9])
+            patterns.append(
+                [[rng.random() < density for _ in range(n)] for _ in range(m)])
+        for pattern in patterns:
+            assert core.pattern_inverse_graph(pattern) == (
+                corpus.pattern_inverse_graph(pattern))
+        # the draws reach the patterns no Cayley-table test covers
+        assert any(not any(row) for p in patterns[2:] for row in p)
+        assert any(not all(any(col) for col in zip(*p)) for p in patterns[2:])
+
     def test_irregular_pattern_raises_before_any_graph(self):
         band = bands.band_from_rows([[1, 1], [0, 0]])
         with pytest.raises(NotRegularPattern, match="row 1 has no idempotent"):
             band.inverse_graph
 
     def test_band_stands_in_for_its_table(self):
-        for band in [bands.no_matching_band(), *all_regular_patterns(2, 3)]:
+        for band in [bands.no_matching_band(), *corpus.all_regular_patterns(2, 3)]:
             sg = bands.to_semigroup(band)
             for decide in (
                 matching.find_permutation_matching,
@@ -163,7 +170,7 @@ class TestPatternInverseGraph:
     def test_band_involution_check_agrees_with_the_table(self):
         rng = random.Random(9)
         verdicts = set()
-        for band in all_regular_patterns(2, 3):
+        for band in corpus.all_regular_patterns(2, 3):
             sg = bands.to_semigroup(band)
             candidates = [matching.find_involution_matching(band)]
             candidates += [

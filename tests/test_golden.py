@@ -37,6 +37,8 @@ CASES = {
         "--matching", "{}/band2x4.matching",
     ],
     "band_involution_2x4.json": ["band", "involution", "{}/band2x4.band"],
+    "colour_reduce_1x60.json": ["colour", "reduce", "--band", "{}/band1x60.band"],
+    "match_band4x6.json": ["match", "{}/band4x6.band"],
     # shapes 2x5 and 2x6 are sampled, so this pins the seeded patterns
     "search_q4_sampled.json": [
         "search-q4", "--m-max", "2", "--n-max", "6",

@@ -5,7 +5,9 @@ import random
 import pytest
 
 import blossom_oracle
-from invmatch import graphs, matching, transformations
+import corpus
+import hk_oracle
+from invmatch import core, graphs, matching, transformations
 
 
 def brute_bipartite_max(n_left, n_right, adj):
@@ -76,6 +78,38 @@ def test_hopcroft_karp_deterministic():
     first = graphs.hopcroft_karp(6, 6, adj)
     second = graphs.hopcroft_karp(6, 6, adj)
     assert first == second
+
+
+def test_hopcroft_karp_matches_the_plain_first_phase():
+    """The greedy start returns what the first breadth-first phase did, on
+    random graphs (unbalanced, with empty sides, unsorted and repeated
+    neighbours) and on the two-copy graphs the matching layer builds."""
+    rng = random.Random(13)
+    graphs_in = []
+    for _ in range(20_000):
+        nl, nr = rng.randint(0, 9), rng.randint(0, 9)
+        adj = [
+            [rng.randrange(nr) for _ in range(rng.randint(0, 6))] if nr else []
+            for _ in range(nl)
+        ]
+        graphs_in.append((nl, nr, adj))
+    inverse_graphs = [
+        transformations.family_inverse_graph(
+            transformations.family_maps("On", n), n)
+        for n in range(1, 7)
+    ]
+    inverse_graphs += [
+        core.pattern_inverse_graph(band.pattern)
+        for band in corpus.all_regular_patterns(3, 4)
+    ]
+    for g in inverse_graphs:
+        graphs_in.append((g.n, g.n, [g.candidates(a) for a in range(g.n)]))
+    for nl, nr, adj in graphs_in:
+        assert graphs.hopcroft_karp(nl, nr, adj) == (
+            hk_oracle.hopcroft_karp(nl, nr, adj))
+    assert any(nl != nr for nl, nr, _ in graphs_in)
+    assert any(nl == 0 for nl, _, _ in graphs_in)
+    assert any(nr == 0 and nl for nl, nr, _ in graphs_in)
 
 
 def test_deficiency_certificate_is_a_hall_violator():

@@ -5,7 +5,8 @@ by rebinding their names in the ``invmatch`` modules.  These tests load it
 by path to check that every listed name still resolves, and count calls
 the same way to check that one ``analyze`` computes each structure once
 per semigroup, that ``match`` runs Hopcroft-Karp once, that the band
-commands build no Cayley table, that only parsed Cayley tables are
+commands build no Cayley table and read their inverse graph off the
+pattern, not a stream of pairs, that only parsed Cayley tables are
 validated, and that ``search-on`` tests maps pairwise only to verify its
 matchings.
 """
@@ -110,6 +111,25 @@ def test_band_paths_build_no_cayley_table(monkeypatch):
     # the table commands still read a band file through its table, once
     run_quietly(["analyze", str(GOLDEN / "counterexample.band")])
     assert len(seen["bands.to_semigroup"]) == 1
+
+
+def test_band_paths_build_no_pair_stream(monkeypatch):
+    sizes = []
+    from_pairs = core.InverseGraph.from_pairs.__func__
+
+    def counted(cls, n, pairs):
+        sizes.append(n)
+        return from_pairs(cls, n, pairs)
+
+    monkeypatch.setattr(core.InverseGraph, "from_pairs", classmethod(counted))
+    band = str(GOLDEN / "band2x4.band")
+    run_quietly(["colour", "reduce", "--band", band])
+    run_quietly(["band", "involution", band])
+    run_quietly(["search-q4", "--m-max", "2", "--n-max", "3", "--oracle"])
+    assert sizes == []
+    # a band's Cayley table still reads its inverse graph off the pairs
+    run_quietly(["analyze", str(GOLDEN / "counterexample.band")])
+    assert sizes
 
 
 def test_only_parsed_tables_are_validated(monkeypatch):
