@@ -49,6 +49,19 @@ class ZeroRectBand:
         return self.m * self.n + 1
 
     @cached_property
+    def empty_line(self) -> str | None:
+        """The first row or column without an idempotent ("row i" or
+        "column j"), or None when the band is regular; scanned once, as
+        every band path checks it."""
+        for i, row in enumerate(self.pattern):
+            if not any(row):
+                return f"row {i}"
+        for j in range(self.n):
+            if not any(row[j] for row in self.pattern):
+                return f"column {j}"
+        return None
+
+    @cached_property
     def inverse_graph(self) -> InverseGraph:
         """Read off the pattern; raises NotRegularPattern first, as
         :func:`to_semigroup` does."""
@@ -91,20 +104,8 @@ def no_matching_band() -> ZeroRectBand:
     return band_from_rows([[0, 1, 1], [1, 0, 0]])
 
 
-def empty_line(band: ZeroRectBand) -> str | None:
-    """The first row or column without an idempotent ("row i" or "column
-    j"), or None when the band is regular."""
-    for i, row in enumerate(band.pattern):
-        if not any(row):
-            return f"row {i}"
-    for j in range(band.n):
-        if not any(row[j] for row in band.pattern):
-            return f"column {j}"
-    return None
-
-
 def require_regular_pattern(band: ZeroRectBand) -> None:
-    line = empty_line(band)
+    line = band.empty_line
     if line is not None:
         raise NotRegularPattern(f"{line} has no idempotent")
 

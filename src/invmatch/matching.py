@@ -24,6 +24,7 @@ from .core import (  # noqa: F401  (green_relations stays matching.green_relatio
     require_zero_simple,
 )
 from .errors import (
+    BudgetExhausted,
     DomainMismatch,
     EquivalenceViolation,
     NoInverseInTargetCell,
@@ -329,32 +330,52 @@ def matching_backtracking(s: FiniteSemigroup) -> Matching | None:
     return tuple(out) if place(0) else None
 
 
+# placements the reference involution search may try: O_4 needs 269,956,
+# and T_4's search would never end
+BACKTRACKING_BUDGET = 1_000_000
+
+
 def involution_backtracking(s: FiniteSemigroup) -> Matching | None:
     """Reference search over pairings into mutual-inverse 2-cycles and
-    self-eligible fixed points."""
+    self-eligible fixed points, lowest unplaced element first; raises
+    BudgetExhausted after BACKTRACKING_BUDGET placements."""
     g = build_inverse_graph(s)
-    n = g.n
+    n, eligible, neighbors = g.n, g.self_eligible, g.neighbors
     out = [-1] * n
 
-    def place(lo: int) -> bool:
-        # every element below lo is placed
-        a = next((x for x in range(lo, n) if out[x] == -1), None)
-        if a is None:
-            return True
-        if a in g.self_eligible:
-            out[a] = a
-            if place(a + 1):
-                return True
+    def partners(a):
+        # each partner is placed by the caller, and taken back on resuming
+        if a in eligible:
+            yield a
             out[a] = -1
-        for b in g.neighbors[a]:
+        for b in neighbors[a]:
             if b > a and out[b] == -1:
-                out[a], out[b] = b, a
-                if place(a + 1):
-                    return True
+                yield b
                 out[a] = out[b] = -1
-        return False
 
-    return tuple(out) if place(0) else None
+    stack = []  # each placed element with its untried partners
+    a = placed = 0
+    while True:
+        while a < n and out[a] != -1:
+            a += 1
+        if a == n:
+            return tuple(out)
+        stack.append((a, partners(a)))
+        while stack:
+            a, rest = stack[-1]
+            b = next(rest, None)
+            if b is not None:
+                break
+            stack.pop()
+        else:
+            return None
+        placed += 1
+        if placed > BACKTRACKING_BUDGET:
+            raise BudgetExhausted(
+                f"involution search stopped after {BACKTRACKING_BUDGET} placements"
+            )
+        out[a], out[b] = b, a
+        a += 1
 
 
 # ---------------------------------------------------------------------------

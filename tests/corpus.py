@@ -333,7 +333,7 @@ def all_regular_patterns(m_max, n_max):
                 band = bands.band_from_rows(
                     [[bits >> (i * n + j) & 1 for j in range(n)] for i in range(m)]
                 )
-                if bands.empty_line(band) is None:
+                if band.empty_line is None:
                     yield band
 
 

@@ -1,16 +1,21 @@
 """CLI surface: exit codes, report shape, determinism, witness
 round-trips."""
 
+import argparse
+import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 import corpus
 from invmatch import bands, colours, core, matching
-from invmatch.cli import main
+from invmatch.cli import build_parser, main
 from invmatch.transformations import FAMILIES
 
 
@@ -365,3 +370,115 @@ class TestSearches:
         assert all(r["has_matching"] for r in rows)
         assert all(r["oracle_agrees"] for r in rows)
         assert all(r["size"] == r["size_formula"] for r in rows)
+
+
+class TestOracleBounds:
+    """The exhaustive cross-checks of ``involution`` and ``band check`` are
+    bounded by what they cost: a placement budget for the involution
+    backtracking, the longer side of the band for the subset scan. Above
+    the bound ``oracle_agrees`` is omitted, as in ``search-on``."""
+
+    def test_involution_oracle_skips_t4(self, tmp_path, capsys):
+        from invmatch.transformations import enumerate_family
+
+        path = tmp_path / "t4.cayley"
+        path.write_text(core.format_cayley(enumerate_family("Tn", 4).semigroup))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, ["involution", str(path), "--json", "--oracle"])
+        assert time.perf_counter() - start < 10
+        assert code == 0
+        report = json.loads(out)
+        assert report["order"] == 256
+        assert report["verdicts"]["has_involution_matching"] is True
+        assert "oracle_agrees" not in report["verdicts"]
+
+    @pytest.mark.parametrize("family, n", [("PTn", 3), ("On", 4)])
+    def test_involution_oracle_runs_within_its_budget(self, tmp_path, capsys,
+                                                      family, n):
+        from invmatch.transformations import enumerate_family
+
+        path = tmp_path / "s.cayley"
+        path.write_text(core.format_cayley(enumerate_family(family, n).semigroup))
+        code, out, _ = run(capsys, ["involution", str(path), "--json", "--oracle"])
+        assert code == 0
+        assert json.loads(out)["verdicts"]["oracle_agrees"] is True
+
+    @pytest.mark.parametrize("m, n, checked", [
+        (1, 16, True), (5, 5, True), (4, 8, True), (1, 17, False), (1, 40, False),
+    ])
+    def test_band_check_oracle_is_a_side_bound(self, tmp_path, capsys,
+                                               m, n, checked):
+        path = tmp_path / "ones.band"
+        path.write_text(bands.format_band(bands.band_from_rows([[1] * n] * m)))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, ["band", "check", str(path), "--json", "--oracle"])
+        assert time.perf_counter() - start < 10
+        assert code == 0
+        verdicts = json.loads(out)["verdicts"]
+        assert verdicts["condition_holds"] is True
+        assert verdicts.get("oracle_agrees") is (True if checked else None)
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
+ALONE = "import sys; from invmatch.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def call_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def call_alone(argv):
+    env = {**os.environ, "PYTHONPATH": str(SRC), "COLUMNS": "80"}
+    proc = subprocess.run([sys.executable, "-c", ALONE, *argv],
+                          capture_output=True, text=True, env=env, check=False)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestSharedParser:
+    """``main`` builds its parser once per process; no call may see what
+    an earlier one parsed."""
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_no_mutable_default_or_accumulating_action(self):
+        parser = build_parser()
+        (sub,) = (a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+        for name, p in [("", parser), *sub.choices.items()]:
+            for action in p._actions:
+                assert not isinstance(action, (
+                    argparse._AppendAction, argparse._AppendConstAction,
+                    argparse._ExtendAction, argparse._CountAction,
+                )), (name, action.dest)
+                assert action.default is None or isinstance(
+                    action.default, (bool, int, float, str)
+                ), (name, action.dest)
+
+    def test_calls_in_one_process_equal_calls_alone(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        band = str(GOLDEN / "band2x4.band")
+        q4 = ["search-q4", "--m-max", "1", "--n-max", "3",
+              "--exhaustive-limit", "2", "--samples", "2", "--json"]
+        sequence = [
+            ["colour", "reduce", "--band", band, "--budget", "5", "--json"],
+            ["colour", "reduce", "--band", band, "--json"],
+            q4 + ["--seed", "7"],
+            q4,
+            ["match", str(GOLDEN / "counterexample.band"), "--json"],
+            ["match", str(GOLDEN / "counterexample.band")],
+            ["colour", "reduce"],
+            ["colour", "reduce", "--band", band],
+        ]
+        together = [call_in_process(argv) for argv in sequence]
+        assert together[6][0] == 2
+        assert together[0] != together[1] and together[2] != together[3]
+        for argv, got in zip(sequence, together):
+            assert got == call_alone(argv), argv

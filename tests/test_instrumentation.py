@@ -11,6 +11,7 @@ validated, and that ``search-on`` tests maps pairwise only to verify its
 matchings.
 """
 
+import argparse
 import contextlib
 import importlib
 import importlib.util
@@ -19,7 +20,7 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from invmatch import cli, core, matching, transformations
+from invmatch import bands, cli, core, matching, transformations
 from invmatch.transformations import enumerate_family
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
@@ -148,3 +149,55 @@ def test_search_on_tests_pairs_only_to_verify(monkeypatch):
     # one check per map of O_1, O_2 and O_3; the inverse graph is built
     # without testing pairs
     assert len(seen["transformations.maps_mutually_inverse"]) == 1 + 3 + 10
+
+
+def test_dispatch_reaches_a_handler_rebound_after_the_first_call(monkeypatch):
+    band = str(GOLDEN / "band2x4.band")
+    run_quietly(["colour", "reduce", "--band", band])
+    seen = []
+    monkeypatch.setattr(cli, "cmd_colour", lambda args: seen.append(args) or 0)
+    run_quietly(["colour", "reduce", "--band", band])
+    assert [args.mode for args in seen] == ["reduce"]
+
+
+def test_subcommands_are_the_cmd_functions():
+    (sub,) = (a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction))
+    handlers = {name[4:].replace("_", "-")
+                for name in vars(cli) if name.startswith("cmd_")}
+    assert set(sub.choices) == handlers
+
+
+def test_tracer_installed_after_a_call_records_the_command():
+    band = str(GOLDEN / "band2x4.band")
+    run_quietly(["colour", "reduce", "--band", band])
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        tracer.begin_call(0, "colour reduce 2x4")
+        run_quietly(["colour", "reduce", "--band", band])
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert names.count("cli.colour") == 1 and "colours.solve" in names
+
+
+def test_colour_reduce_scans_the_pattern_once():
+    # counted through the interpreter's profiling hook, which sees every
+    # run of the regularity scan's code
+    scanned = []
+
+    def profile(frame, event, _arg):
+        code = frame.f_code
+        if (event == "call" and code.co_name == "empty_line"
+                and code.co_filename == bands.__file__):
+            scanned.append(code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run_quietly(["colour", "reduce", "--band", str(GOLDEN / "band2x4.band")])
+    finally:
+        sys.setprofile(previous)
+    # the command, the inverse graph and four verifications all ask
+    assert len(scanned) == 1

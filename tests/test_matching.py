@@ -8,6 +8,7 @@ import pytest
 import corpus
 from invmatch import bands, core, matching
 from invmatch.errors import (
+    BudgetExhausted,
     DomainMismatch,
     NoInverseInTargetCell,
     NotAPermutation,
@@ -350,6 +351,19 @@ class TestFindInvolutionMatching:
                 assert matching.find_permutation_matching(s) is not None
 
 
+class TestInvolutionBacktracking:
+    def test_budget_stops_a_search_that_never_ends(self, monkeypatch):
+        monkeypatch.setattr(matching, "BACKTRACKING_BUDGET", 10_000)
+        s = enumerate_family("Tn", 4).semigroup
+        with pytest.raises(BudgetExhausted):
+            matching.involution_backtracking(s)
+
+    def test_iterative_beyond_the_recursion_limit(self):
+        # every cell of an all-ones 1 x n band is self-eligible
+        band = bands.band_from_rows([[1] * 1500])
+        assert matching.involution_backtracking(band) == tuple(range(1501))
+
+
 class TestSeededInvolution:
     def test_agrees_with_unseeded_on_corpus(self):
         for seed in range(150):
@@ -373,7 +387,7 @@ class TestSeededInvolution:
                         [[bits >> (i * n + j) & 1 for j in range(n)]
                          for i in range(m)]
                     )
-                    if bands.empty_line(band) is not None:
+                    if band.empty_line is not None:
                         continue
                     g = matching.build_inverse_graph(band)
                     p = matching.matching_on_graph(g)
