@@ -36,9 +36,12 @@ EXIT_ALGEBRA = 3
 EXIT_PRECONDITION = 4
 EXIT_BUDGET = 5
 
-# the longest band side whose subset-scan oracle (2^m + 2^n subsets)
-# band check --oracle runs; above it the report omits oracle_agrees
+# the largest inputs --oracle cross-checks (larger ones skip the check):
+# band check's subset scan (2^m + 2^n subsets) up to this side, search-q4's
+# backtracking up to this many cells, and search-on's up to O_n for this n
 BAND_ORACLE_MAX_SIDE = 16
+Q4_ORACLE_MAX_CELLS = 12
+ON_ORACLE_MAX_N = 3
 
 
 def _digest(text: str) -> str:
@@ -70,6 +73,14 @@ def _load_algebra(path: str):
         core.validate(sg)
         kind = "cayley"
     return {"kind": kind, "band": band, "semigroup": sg, "digest": _digest(text)}
+
+
+def _require_positive(args, *names) -> None:
+    """A size below 1 is a parse error: the run would have nothing to do."""
+    for name in names:
+        value = getattr(args, name.lstrip("-").replace("-", "_"))
+        if value < 1:
+            raise ParseError(f"{name} must be positive, got {value}")
 
 
 def _report(args, command: str, payload: dict) -> dict:
@@ -357,8 +368,7 @@ def cmd_colour(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.n < 1:
-        raise ParseError(f"n must be positive, got {args.n}")
+    _require_positive(args, "n")
     data = transformations.enumerate_family(args.family, args.n, cap=args.cap)
     sys.stdout.write(core.format_cayley(data.semigroup))
     if args.dict:
@@ -387,7 +397,7 @@ def _q4_band_verdict(band, use_oracle: bool):
         "involution": inv is not None,
         "separator": inv is None,
     }
-    if use_oracle:
+    if use_oracle and band.m * band.n <= Q4_ORACLE_MAX_CELLS:
         oracle = matching.involution_backtracking(band)
         out["oracle_agrees"] = (oracle is not None) == (inv is not None)
         out["separator"] = out["separator"] or not out["oracle_agrees"]
@@ -401,6 +411,7 @@ def _q4_band_verdict(band, use_oracle: bool):
 
 
 def cmd_search_q4(args) -> int:
+    _require_positive(args, "--m-max", "--n-max", "--samples")
     try:
         densities = [float(d) for d in args.densities.split(",") if d]
     except ValueError as exc:
@@ -435,7 +446,7 @@ def cmd_search_q4(args) -> int:
             if band.empty_line is not None:
                 continue
             counts["regular"] += 1
-            verdict = _q4_band_verdict(band, args.oracle and cells <= args.oracle_max)
+            verdict = _q4_band_verdict(band, args.oracle)
             if not verdict["matched"]:
                 continue
             counts["matched"] += 1
@@ -478,6 +489,7 @@ def cmd_search_q4(args) -> int:
 
 
 def cmd_search_on(args) -> int:
+    _require_positive(args, "--n-max")
     results = []
     for n in range(1, args.n_max + 1):
         maps = transformations.family_maps("On", n)
@@ -494,7 +506,7 @@ def cmd_search_on(args) -> int:
             "has_matching": p is not None,
             "matching_verified": verified,
         }
-        if args.oracle and n <= args.oracle_max:
+        if args.oracle and n <= ON_ORACLE_MAX_N:
             data = transformations.enumerate_family("On", n)
             oracle = matching.matching_backtracking(data.semigroup)
             row["oracle_agrees"] = (oracle is not None) == (p is not None)
@@ -583,13 +595,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="enumerate all patterns when 2^(m*n) is at most this")
     p.add_argument("--densities", default="0.3,0.5,0.7")
     p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--oracle-max", type=int, default=12,
-                   help="cell bound for the backtracking cross-check")
 
     p = sub.add_parser("search-on", parents=[common],
                        help="matching existence for order-preserving maps")
     p.add_argument("--n-max", type=int, default=8)
-    p.add_argument("--oracle-max", type=int, default=3)
 
     return parser
 

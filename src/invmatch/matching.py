@@ -306,65 +306,31 @@ def assemble_global_matching(s: FiniteSemigroup, parts) -> Matching:
 # ---------------------------------------------------------------------------
 # Exhaustive oracles (slow; used for cross-checks at small orders)
 
-
-def matching_backtracking(s: FiniteSemigroup) -> Matching | None:
-    """Reference search over injective inverse assignments."""
-    g = build_inverse_graph(s)
-    n = g.n
-    cand = [g.candidates(a) for a in range(n)]
-    used = [False] * n
-    out = [-1] * n
-
-    def place(a: int) -> bool:
-        if a == n:
-            return True
-        for b in cand[a]:
-            if not used[b]:
-                used[b] = True
-                out[a] = b
-                if place(a + 1):
-                    return True
-                used[b] = False
-        return False
-
-    return tuple(out) if place(0) else None
-
-
-# placements the reference involution search may try: O_4 needs 269,956,
-# and T_4's search would never end
+# placements a reference search may try: O_4 needs 269,956 in the
+# involution search and 342,731,358 in the matching search, and T_4's
+# involution search would never end
 BACKTRACKING_BUDGET = 1_000_000
 
 
-def involution_backtracking(s: FiniteSemigroup) -> Matching | None:
-    """Reference search over pairings into mutual-inverse 2-cycles and
-    self-eligible fixed points, lowest unplaced element first; raises
-    BudgetExhausted after BACKTRACKING_BUDGET placements."""
-    g = build_inverse_graph(s)
-    n, eligible, neighbors = g.n, g.self_eligible, g.neighbors
-    out = [-1] * n
+def _first_fit(n: int, out: list[int], options) -> Matching | None:
+    """Fill ``out`` lowest unplaced element (``-1``) first, depth first.
 
-    def partners(a):
-        # each partner is placed by the caller, and taken back on resuming
-        if a in eligible:
-            yield a
-            out[a] = -1
-        for b in neighbors[a]:
-            if b > a and out[b] == -1:
-                yield b
-                out[a] = out[b] = -1
-
-    stack = []  # each placed element with its untried partners
+    ``options(a)`` is a generator that places each choice for ``a`` in
+    ``out`` before it yields and takes it back when resumed; an explicit
+    stack of them stands in for recursion.  Raises BudgetExhausted after
+    BACKTRACKING_BUDGET placements.
+    """
+    stack = []
     a = placed = 0
     while True:
         while a < n and out[a] != -1:
             a += 1
         if a == n:
             return tuple(out)
-        stack.append((a, partners(a)))
+        stack.append((a, options(a)))
         while stack:
             a, rest = stack[-1]
-            b = next(rest, None)
-            if b is not None:
+            if next(rest, None) is not None:
                 break
             stack.pop()
         else:
@@ -372,10 +338,44 @@ def involution_backtracking(s: FiniteSemigroup) -> Matching | None:
         placed += 1
         if placed > BACKTRACKING_BUDGET:
             raise BudgetExhausted(
-                f"involution search stopped after {BACKTRACKING_BUDGET} placements"
+                f"backtracking search stopped after {BACKTRACKING_BUDGET} placements"
             )
-        out[a], out[b] = b, a
-        a += 1
+
+
+def matching_backtracking(s: FiniteSemigroup) -> Matching | None:
+    """Reference search over injective inverse assignments."""
+    g = build_inverse_graph(s)
+    used = [False] * g.n
+    out = [-1] * g.n
+
+    def images(a):
+        for b in g.candidates(a):
+            if not used[b]:
+                used[b], out[a] = True, b
+                yield b
+                used[b], out[a] = False, -1
+
+    return _first_fit(g.n, out, images)
+
+
+def involution_backtracking(s: FiniteSemigroup) -> Matching | None:
+    """Reference search over pairings into mutual-inverse 2-cycles and
+    self-eligible fixed points."""
+    g = build_inverse_graph(s)
+    out = [-1] * g.n
+
+    def partners(a):
+        if a in g.self_eligible:
+            out[a] = a
+            yield a
+            out[a] = -1
+        for b in g.neighbors[a]:
+            if b > a and out[b] == -1:
+                out[a], out[b] = b, a
+                yield b
+                out[a] = out[b] = -1
+
+    return _first_fit(g.n, out, partners)
 
 
 # ---------------------------------------------------------------------------

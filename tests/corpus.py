@@ -18,6 +18,7 @@ from invmatch.core import (
     InverseGraph,
     semigroup_from_rows,
 )
+from invmatch.matching import build_inverse_graph
 
 
 def inverses_of(s: FiniteSemigroup, a: int) -> list[int]:
@@ -50,6 +51,32 @@ def pattern_inverse_graph(pattern) -> InverseGraph:
         for l in cols[i] if k > i or l >= j
     )
     return InverseGraph.from_pairs(m * n + 1, itertools.chain([(0, 0)], pairs))
+
+
+# The recursive search that matching.matching_backtracking replaced, kept
+# verbatim as its oracle: one frame per element and no budget, so only for
+# small inputs.
+def matching_backtracking(s: FiniteSemigroup) -> tuple[int, ...] | None:
+    """Reference search over injective inverse assignments."""
+    g = build_inverse_graph(s)
+    n = g.n
+    cand = [g.candidates(a) for a in range(n)]
+    used = [False] * n
+    out = [-1] * n
+
+    def place(a: int) -> bool:
+        if a == n:
+            return True
+        for b in cand[a]:
+            if not used[b]:
+                used[b] = True
+                out[a] = b
+                if place(a + 1):
+                    return True
+                used[b] = False
+        return False
+
+    return tuple(out) if place(0) else None
 
 
 # ---------------------------------------------------------------------------

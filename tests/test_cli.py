@@ -359,6 +359,17 @@ class TestSearches:
         assert out == ""
         assert err.startswith("budget exhausted: no 1x13 pattern")
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("search-q4", "--m-max", "0"), ("search-q4", "--n-max", "-2"),
+        ("search-q4", "--samples", "-1"), ("search-on", "--n-max", "-3"),
+    ])
+    def test_non_positive_size_is_a_parse_error(self, capsys,
+                                                command, flag, value):
+        code, out, err = run(capsys, [command, flag, value, "--json"])
+        assert code == 2
+        assert out == ""
+        assert err == f"parse error: {flag} must be positive, got {value}\n"
+
     def test_search_on_oracle(self, capsys):
         code, out, _ = run(
             capsys, ["search-on", "--n-max", "3", "--json", "--oracle"]
@@ -373,10 +384,27 @@ class TestSearches:
 
 
 class TestOracleBounds:
-    """The exhaustive cross-checks of ``involution`` and ``band check`` are
-    bounded by what they cost: a placement budget for the involution
-    backtracking, the longer side of the band for the subset scan. Above
-    the bound ``oracle_agrees`` is omitted, as in ``search-on``."""
+    """All four exhaustive cross-checks are bounded, and none by an option.
+    ``involution`` stops its backtracking at the placement budget,
+    ``band check`` scans subsets up to a fixed longer side, and
+    ``search-q4`` and ``search-on`` backtrack up to a fixed number of cells
+    and a fixed n. Beyond a bound the report omits ``oracle_agrees``."""
+
+    @pytest.mark.parametrize("command", ["search-q4", "search-on"])
+    def test_oracle_max_is_not_an_option(self, command):
+        code, out, err = call_in_process([command, "--oracle-max", "5"])
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: --oracle-max 5" in err
+
+    def test_search_on_oracle_stops_at_n_3(self, capsys):
+        code, out, _ = run(
+            capsys, ["search-on", "--n-max", "4", "--json", "--oracle"]
+        )
+        assert code == 0
+        rows = json.loads(out)["verdicts"]["families"]
+        assert [r["n"] for r in rows] == [1, 2, 3, 4]
+        assert [r.get("oracle_agrees") for r in rows] == [True, True, True, None]
 
     def test_involution_oracle_skips_t4(self, tmp_path, capsys):
         from invmatch.transformations import enumerate_family

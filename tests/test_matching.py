@@ -351,6 +351,24 @@ class TestFindInvolutionMatching:
                 assert matching.find_permutation_matching(s) is not None
 
 
+class TestMatchingBacktracking:
+    def test_same_tuples_as_the_recursive_search(self):
+        inputs = [corpus.corpus_semigroup(seed, max_order=10) for seed in range(300)]
+        inputs += corpus.all_regular_patterns(3, 3)
+        for s in inputs:
+            assert matching.matching_backtracking(s) == corpus.matching_backtracking(s)
+
+    def test_iterative_beyond_the_recursion_limit(self):
+        band = bands.band_from_rows([[1] * 1200])
+        p = matching.matching_backtracking(band)
+        assert bands.verify_band_matching(band, p)
+
+    def test_budget_stops_o5(self):
+        s = enumerate_family("On", 5).semigroup
+        with pytest.raises(BudgetExhausted):
+            matching.matching_backtracking(s)
+
+
 class TestInvolutionBacktracking:
     def test_budget_stops_a_search_that_never_ends(self, monkeypatch):
         monkeypatch.setattr(matching, "BACKTRACKING_BUDGET", 10_000)
