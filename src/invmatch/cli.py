@@ -112,6 +112,12 @@ def _violator_payload(sg, viol) -> dict | None:
     }
 
 
+def _violator_line(sg, viol) -> str:
+    """The violator A and its image V(A) by label, as ``A -> V(A)``."""
+    return (" ".join(sg.labels_of(viol.elements)) + " -> "
+            + " ".join(sg.labels_of(viol.image)))
+
+
 # ---------------------------------------------------------------------------
 # analyze / match / involution / factors
 
@@ -155,12 +161,7 @@ def cmd_analyze(args) -> int:
         f"involution matching: {'present' if has_involution else 'absent'}",
     ]
     if rep.violator is not None:
-        human.append(
-            "hall violator: "
-            + " ".join(sg.labels_of(rep.violator.elements))
-            + " -> "
-            + " ".join(sg.labels_of(rep.violator.image))
-        )
+        human.append("hall violator: " + _violator_line(sg, rep.violator))
     _emit(args, _report(args, "analyze", payload), human)
     return EXIT_OK
 
@@ -181,13 +182,7 @@ def cmd_match(args) -> int:
     if p is not None:
         human = ["present", matching.format_matching(p).rstrip()]
     else:
-        human = [
-            "absent",
-            "violator: "
-            + " ".join(sg.labels_of(viol.elements))
-            + " -> "
-            + " ".join(sg.labels_of(viol.image)),
-        ]
+        human = ["absent", "violator: " + _violator_line(sg, viol)]
     _emit(args, _report(args, "match", payload), human)
     return EXIT_OK
 
@@ -416,6 +411,12 @@ def cmd_search_q4(args) -> int:
         densities = [float(d) for d in args.densities.split(",") if d]
     except ValueError as exc:
         raise ParseError(f"bad --densities: {args.densities!r}") from exc
+    # only sampled shapes read the densities; the largest shape is sampled
+    # when any is
+    if not densities and 2 ** (args.m_max * args.n_max) > args.exhaustive_limit:
+        raise ParseError(
+            f"--densities is empty, but shape {args.m_max}x{args.n_max} is sampled"
+        )
     shapes = sorted(
         (m, n)
         for m in range(1, args.m_max + 1)

@@ -36,6 +36,8 @@ class ColourInstance:
     provenance: tuple[tuple[int, int], ...] | None = None
 
     def validate(self) -> None:
+        if self.m < 1 or self.n < 1:
+            raise MalformedInstance("instance dimensions must be positive")
         if len(self.balls) != self.m * self.n:
             raise MalformedInstance(
                 f"{len(self.balls)} balls for an {self.m} x {self.n} instance"

@@ -143,43 +143,27 @@ def idempotents(s: FiniteSemigroup) -> list[int]:
 class InverseGraph:
     """Mutual-inverse relation of a semigroup.
 
-    ``neighbors[a]`` lists the b != a with b in V(a), ascending;
-    ``self_eligible`` holds the a with a = a^3, i.e. a in V(a).
+    ``inverses[a]`` is V(a), the b with aba = a and bab = b, ascending; it
+    holds a itself exactly when a = a^3.
     """
 
     n: int
-    neighbors: tuple[tuple[int, ...], ...]
-    self_eligible: frozenset[int]
+    inverses: tuple[tuple[int, ...], ...]
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> InverseGraph:
         """The graph on [0, n) of the mutual-inverse pairs (a, b), a <= b,
-        read once (a generator will do); (a, a) marks a as self-eligible."""
-        neighbors: list[list[int]] = [[] for _ in range(n)]
-        eligible = set()
+        read once (a generator will do); (a, a) puts a in V(a)."""
+        inverses: list[list[int]] = [[] for _ in range(n)]
         for a, b in pairs:
-            if a == b:
-                eligible.add(a)
-            else:
-                neighbors[a].append(b)
-                neighbors[b].append(a)
-        return cls(
-            n=n,
-            neighbors=tuple(tuple(sorted(ns)) for ns in neighbors),
-            self_eligible=frozenset(eligible),
-        )
+            inverses[a].append(b)
+            if a != b:
+                inverses[b].append(a)
+        return cls(n, tuple(tuple(sorted(vs)) for vs in inverses))
 
     def degree(self, a: int) -> int:
-        """|V(a)|: the number of inverses of a, counting a when eligible."""
-        return len(self.neighbors[a]) + (1 if a in self.self_eligible else 0)
-
-    def candidates(self, a: int) -> list[int]:
-        """V(a), ascending."""
-        out = list(self.neighbors[a])
-        if a in self.self_eligible:
-            out.append(a)
-            out.sort()
-        return out
+        """|V(a)|: the number of inverses of a."""
+        return len(self.inverses[a])
 
 
 def inverse_graph_of(s: FiniteSemigroup) -> InverseGraph:
@@ -199,9 +183,10 @@ def pattern_inverse_graph(pattern) -> InverseGraph:
     """Inverse graph of the 0-rectangular band with the given idempotent
     pattern, read off the pattern in O(edges): the zero at 0 is its own
     only inverse, and cells (i, j), (k, l) at 1 + i*n + j, 1 + k*n + l
-    are mutual inverses iff pattern[k][j] and pattern[i][l]: the neighbours
-    of (i, j) are the strips (k, i) of cells (k, l), l in cols[i], for k in
-    rows[j], less (i, j) itself when it is idempotent."""
+    are mutual inverses iff pattern[k][j] and pattern[i][l]: V((i, j)) is
+    the concatenation, over k in rows[j] ascending, of the strips (k, i)
+    of cells (k, l), l in cols[i].  It is ascending, and holds (i, j)
+    itself exactly when the cell is idempotent."""
     m = len(pattern)
     n = len(pattern[0]) if m else 0
     # looked up, not computed: all strips share one int object per cell,
@@ -210,23 +195,20 @@ def pattern_inverse_graph(pattern) -> InverseGraph:
     cols = [[j for j in range(n) if row[j]] for row in pattern]
     rows = [[k for k in range(m) if pattern[k][j]] for j in range(n)]
     strips = [[[index[k][l] for l in c] for c in cols] for k in range(m)]
-    neighbors = [()]
+    inverses = [(0,)]
     for i in range(m):
         for j in range(n):
-            nb = []
+            vs = []
             for k in rows[j]:
-                nb += strips[k][i]
-            if pattern[i][j]:
-                nb.remove(index[i][j])
-            neighbors.append(tuple(nb))
-    eligible = [index[i][j] for i in range(m) for j in cols[i]]
-    return InverseGraph(m * n + 1, tuple(neighbors), frozenset([0, *eligible]))
+                vs += strips[k][i]
+            inverses.append(tuple(vs))
+    return InverseGraph(m * n + 1, tuple(inverses))
 
 
 def regularity_check(s: FiniteSemigroup) -> tuple[bool, int | None]:
     """True when every element has an inverse; else the first without one."""
     g = s.inverse_graph
-    witness = next((a for a in range(g.n) if not g.degree(a)), None)
+    witness = next((a for a in range(g.n) if not g.inverses[a]), None)
     return witness is None, witness
 
 
@@ -493,7 +475,7 @@ def structure_report(s: FiniteSemigroup) -> StructureReport:
     n = s.order
     t = s.table
     egg = s.egg_box
-    degrees = [s.inverse_graph.degree(a) for a in range(n)]
+    degrees = [len(vs) for vs in s.inverse_graph.inverses]
     regular = all(degrees)
     inverse = all(d == 1 for d in degrees)
     union_of_groups = all(

@@ -58,9 +58,9 @@ class HallViolator:
 def hall_on_graph(g: InverseGraph) -> tuple[Matching | None, HallViolator | None]:
     """One maximum matching of the two-copy bipartite graph, read as a
     perfect matching or, when it is not perfect, as a Hall violator."""
-    adj = [g.candidates(a) for a in range(g.n)]
-    _, match_l, match_r = graphs.hopcroft_karp(g.n, g.n, adj)
-    cert = graphs.deficiency_certificate(g.n, g.n, adj, match_l, match_r)
+    _, match_l, match_r = graphs.hopcroft_karp(g.n, g.n, g.inverses)
+    cert = graphs.deficiency_certificate(
+        g.n, g.n, g.inverses, match_l, match_r)
     if cert is None:
         return tuple(match_l), None
     violator, image = cert
@@ -93,7 +93,7 @@ def split_cycles(g: InverseGraph, p) -> list[int]:
             seen[x] = True
             x = p[x]
         if len(cycle) % 2:
-            fixable = [x for x in cycle if x in g.self_eligible]
+            fixable = [x for x in cycle if x in g.inverses[x]]
             if not fixable:
                 continue
             fixed = min(fixable)
@@ -131,15 +131,16 @@ def involution_on_graph(g: InverseGraph, matching=None) -> Matching | None:
                 seed[a], seed[a + n] = a + n, a
             elif b != -1:
                 seed[a], seed[a + n] = b, b + n
-    adj: list[list[int]] = [[] for _ in range(2 * n)]
-    for a in range(n):
-        adj[a].extend(g.neighbors[a])
-        adj[a + n].extend(b + n for b in g.neighbors[a])
-    for a in sorted(g.self_eligible):
-        adj[a].append(a + n)
-        adj[a + n].append(a)
-    adj = [sorted(xs) for xs in adj]
-    mate = graphs.max_matching_general(2 * n, adj, seed)
+    # both copies are built in ascending order, so no list needs a sort:
+    # copy A lists V(a) less a, then the cross edge a + n when a is in V(a);
+    # copy B lists that a first, then V(a) less a, shifted by n
+    copy_a, copy_b = [], []
+    for a, vs in enumerate(g.inverses):
+        others = [b for b in vs if b != a]
+        fixable = len(others) < len(vs)
+        copy_a.append(others + [a + n] * fixable)
+        copy_b.append([a] * fixable + [b + n for b in others])
+    mate = graphs.max_matching_general(2 * n, copy_a + copy_b, seed)
     if any(m == -1 for m in mate):
         return None
     p = [0] * n
@@ -260,7 +261,7 @@ def lift_h_matching(f: PrincipalFactor, q) -> Matching:
         cell_index = 1 + egg.r_of[x] * n_cols + egg.l_of[x]
         target = q[cell_index]
         tr, tl = divmod(target - 1, n_cols)
-        inverses = g.candidates(x)
+        inverses = g.inverses[x]
         candidates = [y for y in box.grid[tr][tl] if y in inverses]
         if not candidates:
             raise NoInverseInTargetCell(x, (tr, tl))
@@ -349,7 +350,7 @@ def matching_backtracking(s: FiniteSemigroup) -> Matching | None:
     out = [-1] * g.n
 
     def images(a):
-        for b in g.candidates(a):
+        for b in g.inverses[a]:
             if not used[b]:
                 used[b], out[a] = True, b
                 yield b
@@ -365,12 +366,10 @@ def involution_backtracking(s: FiniteSemigroup) -> Matching | None:
     out = [-1] * g.n
 
     def partners(a):
-        if a in g.self_eligible:
-            out[a] = a
-            yield a
-            out[a] = -1
-        for b in g.neighbors[a]:
-            if b > a and out[b] == -1:
+        # every b < a is placed, and V(a) ascends: the fixed point b == a
+        # is tried before the pairs
+        for b in g.inverses[a]:
+            if out[b] == -1:
                 out[a], out[b] = b, a
                 yield b
                 out[a] = out[b] = -1

@@ -327,7 +327,7 @@ def strong_inverse_pairs(
     return InverseGraph.from_pairs(g.n, (
         (a, b)
         for a in range(g.n)
-        for b in g.candidates(a)
+        for b in g.inverses[a]
         if b >= a
         and _is_inverse_subsemigroup(s, generated_closure(s, (a, b)))
     ))

@@ -60,7 +60,7 @@ def matching_backtracking(s: FiniteSemigroup) -> tuple[int, ...] | None:
     """Reference search over injective inverse assignments."""
     g = build_inverse_graph(s)
     n = g.n
-    cand = [g.candidates(a) for a in range(n)]
+    cand = g.inverses
     used = [False] * n
     out = [-1] * n
 

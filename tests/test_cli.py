@@ -127,6 +127,12 @@ class TestCounterexampleReports:
         assert report["verdicts"]["has_involution_matching"] is False
         assert report["witnesses"]["hall_violator"] is not None
 
+    def test_human_violator_lines(self, cex_file, capsys):
+        _, match_out, _ = run(capsys, ["match", cex_file])
+        _, analyze_out, _ = run(capsys, ["analyze", cex_file])
+        assert match_out == "absent\nviolator: (2,2) (2,3) -> (1,1)\n"
+        assert analyze_out.endswith("hall violator: (2,2) (2,3) -> (1,1)\n")
+
     def test_factors_report(self, cex_file, capsys):
         code, out, _ = run(capsys, ["factors", cex_file, "--json"])
         assert code == 0
@@ -240,6 +246,15 @@ class TestColour:
         assert report["verdicts"]["plan_verified"] is True
         plan = colours.ExchangePlan(tuple(report["witnesses"]["plan"]))
         assert colours.verify_plan(inst, plan)
+
+    @pytest.mark.parametrize("header", ["0 3", "2 0", "-1 -1\n0 0"])
+    def test_solve_rejects_a_non_positive_dimension(self, tmp_path, capsys,
+                                                    header):
+        path = tmp_path / "inst"
+        path.write_text(header + "\n")
+        code, out, err = run(capsys, ["colour", "solve", str(path)])
+        assert (code, out) == (2, "")
+        assert err == "parse error: instance dimensions must be positive\n"
 
     def test_reduce_band(self, tmp_path, capsys):
         band = bands.band_from_rows([[1, 1], [1, 1]])
@@ -369,6 +384,27 @@ class TestSearches:
         assert code == 2
         assert out == ""
         assert err == f"parse error: {flag} must be positive, got {value}\n"
+
+    @pytest.mark.parametrize("densities", ["", ","])
+    def test_q4_empty_densities_with_a_sampled_shape_is_a_parse_error(
+            self, capsys, densities):
+        code, out, err = run(capsys, ["search-q4", "--m-max", "1", "--n-max",
+                                      "13", "--densities", densities])
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "parse error: --densities is empty, but shape 1x13 is sampled\n")
+
+    def test_q4_empty_densities_are_unused_when_every_shape_is_exhaustive(
+            self, capsys):
+        argv = ["search-q4", "--m-max", "2", "--n-max", "3", "--json"]
+        code, out, _ = run(capsys, argv + ["--densities", ""])
+        assert code == 0
+        _, default_out, _ = run(capsys, argv)
+        report, default = json.loads(out), json.loads(default_out)
+        # the densities are hashed into the input digest, used or not
+        report.pop("input"), default.pop("input")
+        assert report == default
 
     def test_search_on_oracle(self, capsys):
         code, out, _ = run(

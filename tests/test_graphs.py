@@ -103,7 +103,7 @@ def test_hopcroft_karp_matches_the_plain_first_phase():
         for band in corpus.all_regular_patterns(3, 4)
     ]
     for g in inverse_graphs:
-        graphs_in.append((g.n, g.n, [g.candidates(a) for a in range(g.n)]))
+        graphs_in.append((g.n, g.n, g.inverses))
     for nl, nr, adj in graphs_in:
         assert graphs.hopcroft_karp(nl, nr, adj) == (
             hk_oracle.hopcroft_karp(nl, nr, adj))

@@ -8,7 +8,9 @@ per semigroup, that ``match`` runs Hopcroft-Karp once, that the band
 commands build no Cayley table and read their inverse graph off the
 pattern, not a stream of pairs, that only parsed Cayley tables are
 validated, and that ``search-on`` tests maps pairwise only to verify its
-matchings.
+matchings.  Two more check what the matching layer hands the graph
+algorithms: Hopcroft-Karp gets the inverse graph's own ``inverses``, and
+the involution gadget is built in ascending order, needing no sort.
 """
 
 import argparse
@@ -20,7 +22,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from invmatch import bands, cli, core, matching, transformations
+import corpus
+from invmatch import bands, cli, core, graphs, matching, transformations
 from invmatch.transformations import enumerate_family
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
@@ -38,6 +41,15 @@ def test_every_traced_name_resolves():
         mod_name, attr = name.rsplit(".", 1)
         module = importlib.import_module(f"invmatch.{mod_name}")
         assert callable(getattr(module, attr, None)), name
+
+
+def test_bench_edge_counter_sums_the_inverse_lists():
+    ((stat, count),) = load_tracer()._COUNTERS["matching.build_inverse_graph"]
+    assert stat == "edges"
+    band_graph = bands.no_matching_band().inverse_graph
+    table_graph = enumerate_family("Tn", 3).semigroup.inverse_graph
+    for g in (band_graph, table_graph):
+        assert count((), {}, g) == sum(map(len, g.inverses))
 
 
 def test_traced_names_are_reachable_where_the_benchmark_looks():
@@ -201,3 +213,62 @@ def test_colour_reduce_scans_the_pattern_once():
         sys.setprofile(previous)
     # the command, the inverse graph and four verifications all ask
     assert len(scanned) == 1
+
+
+def recorded_calls(monkeypatch, name):
+    """Rebind ``graphs.<name>``, which the matching layer calls by that
+    attribute; return the list of argument tuples of its calls."""
+    calls = []
+    fn = getattr(graphs, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(graphs, name, recorded)
+    return calls
+
+
+def test_hall_on_graph_hands_over_the_graph_itself(monkeypatch):
+    hk = recorded_calls(monkeypatch, "hopcroft_karp")
+    cert = recorded_calls(monkeypatch, "deficiency_certificate")
+    for g in (bands.no_matching_band().inverse_graph,
+              enumerate_family("Tn", 3).semigroup.inverse_graph):
+        matching.hall_on_graph(g)
+        assert hk.pop()[2] is g.inverses
+        assert cert.pop()[2] is g.inverses
+
+
+def sorted_gadget(g):
+    """The two-copy gadget built edge by edge, cross edges included, and
+    then sorted list by list."""
+    n = g.n
+    adj = [[] for _ in range(2 * n)]
+    for a, vs in enumerate(g.inverses):
+        for b in vs:
+            if b == a:
+                adj[a].append(a + n)
+                adj[a + n].append(a)
+            else:
+                adj[a].append(b)
+                adj[a + n].append(b + n)
+    return [sorted(xs) for xs in adj]
+
+
+def test_involution_gadget_is_built_in_order(monkeypatch):
+    calls = recorded_calls(monkeypatch, "max_matching_general")
+    inverse_graphs = [corpus.corpus_semigroup(seed).inverse_graph
+                      for seed in range(40)]
+    inverse_graphs += [band.inverse_graph
+                       for band in corpus.all_regular_patterns(3, 3)]
+    for g in inverse_graphs:
+        matching.involution_on_graph(g)
+        size, adj, _ = calls.pop()
+        n = g.n
+        assert size == len(adj) == 2 * n
+        assert all(x < y for xs in adj for x, y in zip(xs, xs[1:]))
+        for a in range(n):
+            own = a in g.inverses[a]
+            assert (adj[a][-1:] == [a + n]) == own
+            assert (adj[a + n][:1] == [a]) == own
+        assert [list(xs) for xs in adj] == sorted_gadget(g)
