@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import combinations_with_replacement, permutations
+from math import factorial, prod
+from operator import or_
 
 from . import graphs
 from .core import FiniteSemigroup, InverseGraph, PrincipalFactor
@@ -342,7 +345,7 @@ def similarity_check(band: ZeroRectBand) -> SimilarityReport:
 
 
 # ---------------------------------------------------------------------------
-# Random patterns and the text format
+# Pattern orbits, random patterns and the text format
 #
 #   line 1: "m n"; then m rows of n characters '0'/'1'.
 
@@ -376,6 +379,44 @@ def random_band(m: int, n: int, density: float, seed: int) -> ZeroRectBand:
         f"no {m}x{n} pattern at density {density} covered every row and "
         f"column in {RANDOM_BAND_MAX_DRAWS} draws (seed {seed})"
     )
+
+
+def pattern_orbits(m: int, n: int):
+    """Yield (band, orbit_size) once per orbit of the regular m x n patterns
+    under permuting rows and columns, whose bands are isomorphic.  A pattern
+    is the multiset of its L longer-side lines, each a mask over the shorter
+    side, kept when least among its images under the shorter side's
+    permutations; its orbit holds (distinct images) x L!/prod(mult!)
+    patterns (isomorph-free generation, McKay, J. Algorithms 1998)."""
+    short, long = sorted((m, n))
+    full = (1 << short) - 1
+    tables = [[sum((x >> k & 1) << p[k] for k in range(short))
+               for x in range(full + 1)] for p in permutations(range(short))]
+    for masks in combinations_with_replacement(range(1, full + 1), long):
+        if reduce(or_, masks) != full:
+            continue
+        images = {tuple(sorted(t[x] for x in masks)) for t in tables}
+        if min(images) < masks:
+            continue
+        lines = [[x >> k & 1 for k in range(short)] for x in masks]
+        size = factorial(long) // prod(factorial(masks.count(x)) for x in set(masks))
+        yield band_from_rows(lines if m > n else zip(*lines)), len(images) * size
+
+
+def orbit_members(band: ZeroRectBand) -> list[ZeroRectBand]:
+    """The patterns of the band's orbit, closed up from swaps of adjacent
+    rows and of adjacent columns."""
+    def swaps(pat):
+        return (pat[:k] + (pat[k + 1], pat[k]) + pat[k + 2:]
+                for k in range(len(pat) - 1))
+    seen, todo = {band.pattern}, [band.pattern]
+    while todo:
+        pat = todo.pop()
+        cols = (tuple(zip(*c)) for c in swaps(tuple(zip(*pat))))
+        for image in {*swaps(pat), *cols} - seen:
+            seen.add(image)
+            todo.append(image)
+    return [ZeroRectBand(band.m, band.n, pat) for pat in seen]
 
 
 def parse_band(text: str) -> ZeroRectBand:

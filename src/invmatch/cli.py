@@ -299,6 +299,7 @@ def cmd_band(args) -> int:
 
 
 def cmd_colour(args) -> int:
+    _require_positive(args, "--budget")
     if args.mode == "solve":
         inst = colours.parse_instance(_read(args.path))
         digest = _digest(colours.format_instance(inst))
@@ -427,36 +428,36 @@ def cmd_search_q4(args) -> int:
     for shape_index, (m, n) in enumerate(shapes):
         cells = m * n
         exhaustive = 2**cells <= args.exhaustive_limit
-        counts = {"total": 0, "regular": 0, "matched": 0, "involution": 0}
         # one band at a time: each keeps its inverse graph while it lives
         if exhaustive:
-            patterns = (
-                bands.band_from_rows([[bits >> (i * n + j) & 1 for j in range(n)]
-                                      for i in range(m)])
-                for bits in range(2**cells)
-            )
+            total, orbits = 2**cells, bands.pattern_orbits(m, n)
         else:
             seed = args.seed + 7919 * shape_index
-            patterns = (
-                bands.random_band(m, n, density, seed + 101 * di + k)
+            total = len(densities) * args.samples
+            orbits = (
+                (bands.random_band(m, n, density, seed + 101 * di + k), 1)
                 for di, density in enumerate(densities)
                 for k in range(args.samples)
             )
-        for band in patterns:
-            counts["total"] += 1
-            if band.empty_line is not None:
-                continue
-            counts["regular"] += 1
+        counts = {"total": total, "regular": 0, "matched": 0, "involution": 0}
+        found = []
+        for band, size in orbits:
             verdict = _q4_band_verdict(band, args.oracle)
-            if not verdict["matched"]:
-                continue
-            counts["matched"] += 1
-            if verdict.get("involution"):
-                counts["involution"] += 1
-            if verdict.get("separator"):
-                separators.append(
-                    {"m": m, "n": n, **verdict["certificate"]}
-                )
+            decided = [(size, verdict)]
+            if verdict.get("separator") and size > 1:
+                # a separating orbit is reported pattern by pattern
+                decided = [(1, _q4_band_verdict(b, args.oracle))
+                           for b in bands.orbit_members(band)]
+            for weight, verdict in decided:
+                counts["regular"] += weight
+                if verdict["matched"]:
+                    counts["matched"] += weight
+                    counts["involution"] += weight * verdict["involution"]
+                if verdict.get("separator"):
+                    found.append({"m": m, "n": n, **verdict["certificate"]})
+        if exhaustive:  # in pattern order: bit i*n + j is cell (i, j)
+            found.sort(key=lambda c: int("".join(c["pattern"][1:])[::-1], 2))
+        separators.extend(found)
         per_shape.append(
             {"m": m, "n": n, "mode": "exhaustive" if exhaustive else "sampled",
              **counts}

@@ -351,17 +351,31 @@ def null_semigroup(k: int) -> FiniteSemigroup:
     return semigroup_from_rows(rows)
 
 
+def regular_patterns(m, n):
+    """Every m x n band with an idempotent in each row and column, in the
+    order of the pattern's bits: bit i*n + j is cell (i, j)."""
+    for bits in range(2 ** (m * n)):
+        band = bands.band_from_rows(
+            [[bits >> (i * n + j) & 1 for j in range(n)] for i in range(m)]
+        )
+        if band.empty_line is None:
+            yield band
+
+
+# The per-pattern loop that bands.pattern_orbits replaced in search-q4,
+# kept as its oracle: every regular pattern as an orbit of its own.  Patched
+# in for bands.pattern_orbits, it makes search-q4 decide (and with --oracle
+# cross-check) every pattern, in pattern order, as it once did.
+def pattern_by_pattern(m, n):
+    return ((band, 1) for band in regular_patterns(m, n))
+
+
 def all_regular_patterns(m_max, n_max):
     """Every band with an idempotent in each row and column, m <= m_max and
     n <= n_max."""
     for m in range(1, m_max + 1):
         for n in range(1, n_max + 1):
-            for bits in range(2 ** (m * n)):
-                band = bands.band_from_rows(
-                    [[bits >> (i * n + j) & 1 for j in range(n)] for i in range(m)]
-                )
-                if band.empty_line is None:
-                    yield band
+            yield from regular_patterns(m, n)
 
 
 def random_zero_band_semigroup(rng: random.Random, max_order: int):

@@ -1,6 +1,8 @@
 """0-rectangular bands: patterns, Hall conditions, harem construction,
 the induced involution, and the orthodox similarity criterion."""
 
+import itertools
+import math
 import random
 
 import pytest
@@ -392,6 +394,59 @@ class TestRandomBand:
         monkeypatch.setattr(bands, "RANDOM_BAND_MAX_DRAWS", 50)
         with pytest.raises(BudgetExhausted, match="in 50 draws"):
             bands.random_band(1, 20, 0.3, 0)
+
+
+def brute_orbit(band):
+    """Every pattern got by permuting the band's rows and columns."""
+    return {
+        tuple(tuple(band.pattern[i][j] for j in cols) for i in rows)
+        for rows in itertools.permutations(range(band.m))
+        for cols in itertools.permutations(range(band.n))
+    }
+
+
+def regular_count(m, n):
+    """Closed form: m x n patterns with an idempotent in every row and
+    column, by inclusion-exclusion over the empty columns."""
+    return sum((-1) ** k * math.comb(n, k) * (2 ** (n - k) - 1) ** m
+               for k in range(n + 1))
+
+
+SMALL_SHAPES = [(m, n) for m in range(1, 4) for n in range(1, 4)]
+
+
+class TestPatternOrbits:
+    @pytest.mark.parametrize("m, n", sorted(
+        {(m, n) for m in range(1, 6) for n in range(1, 6)} - {(5, 5)}
+        | {(1, 12), (12, 1)}))
+    def test_orbit_sizes_sum_to_the_regular_count(self, m, n):
+        orbits = list(bands.pattern_orbits(m, n))
+        assert sum(size for _, size in orbits) == regular_count(m, n)
+        assert all(band.empty_line is None for band, _ in orbits)
+        assert {(band.m, band.n) for band, _ in orbits} == {(m, n)}
+
+    @pytest.mark.parametrize("m, n", SMALL_SHAPES)
+    def test_orbit_size_is_the_brute_force_orbit(self, m, n):
+        for band, size in bands.pattern_orbits(m, n):
+            assert size == len(brute_orbit(band))
+
+    @pytest.mark.parametrize("m, n", SMALL_SHAPES + [(3, 4), (4, 3)])
+    def test_orbits_partition_the_regular_patterns(self, m, n):
+        # no two representatives share an orbit, and the members of the
+        # orbits are exactly the regular patterns, each once
+        members = []
+        for band, size in bands.pattern_orbits(m, n):
+            orbit = bands.orbit_members(band)
+            assert len(orbit) == size
+            assert {b.pattern for b in orbit} == brute_orbit(band)
+            members.extend(b.pattern for b in orbit)
+        assert sorted(members) == sorted(
+            b.pattern for b in corpus.regular_patterns(m, n))
+
+    def test_a_single_line_is_one_orbit(self):
+        # only the shorter side is permuted in tables: one here, not 12!
+        assert list(bands.pattern_orbits(1, 12)) == [(full_band(1, 12), 1)]
+        assert list(bands.pattern_orbits(12, 1)) == [(full_band(12, 1), 1)]
 
 
 class TestBandFormat:

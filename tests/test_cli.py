@@ -75,6 +75,22 @@ class TestExitCodes:
         )
         assert code == 5
 
+    @pytest.mark.parametrize("mode", ["solve", "reduce"])
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    def test_colour_budget_below_one_is_a_parse_error(self, tmp_path, capsys,
+                                                      mode, budget):
+        # inputs that solve and reduce accept at any positive budget
+        path = tmp_path / "instance"
+        path.write_text(colours.format_instance(colours.ColourInstance(
+            2, 2, ((0, 0), (0, 0), (1, 1), (1, 1)))))
+        source = ([str(path)] if mode == "solve"
+                  else ["--band", str(GOLDEN / "band2x4.band")])
+        code, out, err = run(capsys, ["colour", mode, *source,
+                                      "--budget", budget, "--json"])
+        assert code == 2
+        assert out == ""
+        assert err == f"parse error: --budget must be positive, got {budget}\n"
+
     def test_missing_file(self, capsys):
         code, _, _ = run(capsys, ["analyze", "/nonexistent/file"])
         assert code == 2
@@ -417,6 +433,65 @@ class TestSearches:
         assert all(r["has_matching"] for r in rows)
         assert all(r["oracle_agrees"] for r in rows)
         assert all(r["size"] == r["size_formula"] for r in rows)
+
+
+def q4_report(capsys, argv):
+    code, out, err = run(capsys, ["search-q4", *argv, "--json"])
+    assert code == 0 and err == ""
+    return out
+
+
+def q4_per_pattern(capsys, monkeypatch, argv):
+    """The report of the per-pattern loop that decides (and with
+    ``--oracle`` cross-checks) every pattern, not one per orbit."""
+    with monkeypatch.context() as patch:
+        patch.setattr(bands, "pattern_orbits", corpus.pattern_by_pattern)
+        return q4_report(capsys, argv)
+
+
+class TestQ4Orbits:
+    """Exhaustive ``search-q4`` decides one band per orbit of row and
+    column permutations; its report equals the per-pattern loop's."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--m-max", str(m), "--n-max", str(n), "--oracle"]
+        for m in range(1, 4) for n in range(1, 5)
+    ] + [["--m-max", "1", "--n-max", "12"], ["--m-max", "12", "--n-max", "1"]])
+    def test_report_equals_the_per_pattern_loop(self, capsys, monkeypatch,
+                                                argv):
+        assert q4_report(capsys, argv) == q4_per_pattern(capsys, monkeypatch,
+                                                         argv)
+
+    @pytest.mark.parametrize("argv, found, expanded", [
+        (["--m-max", "2", "--n-max", "3"], 5, 1),
+        (["--m-max", "3", "--n-max", "3", "--oracle"], 12, 2),
+    ])
+    def test_a_separating_orbit_is_reported_pattern_by_pattern(
+            self, capsys, monkeypatch, argv, found, expanded):
+        # no real band separates, so the gadget is made to fail on an
+        # isomorphism-invariant condition: exactly 3 idempotent cells
+        involution_on_graph = matching.involution_on_graph
+
+        def failing(g, matching=None):
+            if sum(a in g.inverses[a] for a in range(1, g.n)) == 3:
+                return None
+            return involution_on_graph(g, matching=matching)
+
+        monkeypatch.setattr(matching, "involution_on_graph", failing)
+        orbit_members, expanded_orbits = bands.orbit_members, []
+
+        def members(band):
+            expanded_orbits.append(band)
+            return orbit_members(band)
+
+        monkeypatch.setattr(bands, "orbit_members", members)
+        out = q4_report(capsys, argv)
+        assert out == q4_per_pattern(capsys, monkeypatch, argv)
+        # the separators are the matched 3-cell patterns: the full 1x3 and
+        # 3x1, each an orbit of one, and the expanded orbits of 2x2 (four
+        # patterns) and 3x3 (six)
+        assert json.loads(out)["verdicts"]["separators_found"] == found
+        assert len(expanded_orbits) == expanded
 
 
 class TestOracleBounds:

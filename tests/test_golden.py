@@ -45,6 +45,11 @@ CASES = {
         "--exhaustive-limit", "256", "--samples", "4", "--oracle",
     ],
     "search_on_oracle_6.json": ["search-on", "--n-max", "6", "--oracle"],
+    # every 4x4 pattern, decided one orbit at a time; zero separators
+    "search_q4_4x4.json": [
+        "search-q4", "--m-max", "4", "--n-max", "4",
+        "--exhaustive-limit", "65536",
+    ],
 }
 
 # failure report file -> argv; the input is O_5 with table[73][31] changed
