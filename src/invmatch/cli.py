@@ -26,6 +26,7 @@ from .errors import (
     InvmatchError,
     NotAssociative,
     ParseError,
+    TooLarge,
 )
 
 SCHEMA = "invmatch/report-v1"
@@ -42,6 +43,8 @@ EXIT_BUDGET = 5
 BAND_ORACLE_MAX_SIDE = 16
 Q4_ORACLE_MAX_CELLS = 12
 ON_ORACLE_MAX_N = 3
+# search-on lists every map of O_n: up to O_10 (92,378 maps) and no further
+ON_MAX_MAPS = 100_000
 
 
 def _digest(text: str) -> str:
@@ -56,23 +59,22 @@ def _read(path: str) -> str:
 
 
 def _load_algebra(path: str):
-    """Band or Cayley file, auto-detected by the header token count."""
+    """Band or Cayley file, auto-detected by the header token count: its
+    semigroup and the report's ``input`` block."""
     text = _read(path)
     first = next(
         (ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")),
         "",
     )
     if len(first.split()) == 2:
-        band = bands.parse_band(text)
         # associative and in range by construction
-        sg = bands.to_semigroup(band)
+        sg = bands.to_semigroup(bands.parse_band(text))
         kind = "band"
     else:
-        band = None
         sg = core.parse_cayley(text)
         core.validate(sg)
         kind = "cayley"
-    return {"kind": kind, "band": band, "semigroup": sg, "digest": _digest(text)}
+    return sg, {"kind": kind, "digest": _digest(text)}
 
 
 def _require_positive(args, *names) -> None:
@@ -123,8 +125,7 @@ def _violator_line(sg, viol) -> str:
 
 
 def cmd_analyze(args) -> int:
-    loaded = _load_algebra(args.path)
-    sg = loaded["semigroup"]
+    sg, source = _load_algebra(args.path)
     struct = core.structure_report(sg)
     rep = matching.equivalence_report(sg)
     # an involution matching is a permutation matching: without one there
@@ -136,7 +137,7 @@ def cmd_analyze(args) -> int:
         is not None
     )
     payload = {
-        "input": {"kind": loaded["kind"], "digest": loaded["digest"]},
+        "input": source,
         "order": sg.order,
         "structure": vars(struct),
         "d_class_sizes": sorted(len(b.elements) for b in sg.egg_box.d_classes),
@@ -167,11 +168,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_match(args) -> int:
-    loaded = _load_algebra(args.path)
-    sg = loaded["semigroup"]
+    sg, source = _load_algebra(args.path)
     p, viol = matching.hall_on_graph(matching.build_inverse_graph(sg))
     payload = {
-        "input": {"kind": loaded["kind"], "digest": loaded["digest"]},
+        "input": source,
         "order": sg.order,
         "verdicts": {"has_matching": p is not None},
         "witnesses": {
@@ -188,11 +188,10 @@ def cmd_match(args) -> int:
 
 
 def cmd_involution(args) -> int:
-    loaded = _load_algebra(args.path)
-    sg = loaded["semigroup"]
+    sg, source = _load_algebra(args.path)
     p = matching.find_involution_matching(sg)
     payload = {
-        "input": {"kind": loaded["kind"], "digest": loaded["digest"]},
+        "input": source,
         "order": sg.order,
         "verdicts": {"has_involution_matching": p is not None},
         "witnesses": {"involution": list(p) if p else None},
@@ -210,8 +209,7 @@ def cmd_involution(args) -> int:
 
 
 def cmd_factors(args) -> int:
-    loaded = _load_algebra(args.path)
-    sg = loaded["semigroup"]
+    sg, source = _load_algebra(args.path)
     rows = []
     for f in sg.factors:
         band = bands.h_quotient(f)
@@ -226,7 +224,7 @@ def cmd_factors(args) -> int:
             }
         )
     payload = {
-        "input": {"kind": loaded["kind"], "digest": loaded["digest"]},
+        "input": source,
         "order": sg.order,
         "factors": rows,
     }
@@ -492,6 +490,9 @@ def cmd_search_q4(args) -> int:
 
 def cmd_search_on(args) -> int:
     _require_positive(args, "--n-max")
+    size = transformations.family_size("On", args.n_max)
+    if size > ON_MAX_MAPS:
+        raise TooLarge(f"|On({args.n_max})| = {size} exceeds cap {ON_MAX_MAPS}")
     results = []
     for n in range(1, args.n_max + 1):
         maps = transformations.family_maps("On", n)
@@ -579,7 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path", nargs="?", help="instance file (solve mode)")
     p.add_argument("--band", help="band file (reduce mode)")
     p.add_argument("--matching", help="matching file (reduce mode)")
-    p.add_argument("--budget", type=int, default=1_000_000,
+    p.add_argument("--budget", type=int, default=matching.BACKTRACKING_BUDGET,
                    help="node budget for the exact solver")
 
     p = sub.add_parser("gen", parents=[common],

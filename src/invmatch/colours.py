@@ -14,8 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import matching
 from .bands import ZeroRectBand, verify_band_involution, verify_band_matching
 from .errors import (
+    BudgetExhausted,
     IndexOutOfRange,
     MalformedInstance,
     NotAMatching,
@@ -23,7 +25,6 @@ from .errors import (
     PlanInstanceMismatch,
     WellDefinednessViolation,
 )
-from .matching import Matching
 
 Ball = tuple[int, int]  # (girl, colour)
 
@@ -120,17 +121,19 @@ def solve(instance: ColourInstance, budget: int | None = None) -> SolveResult:
     its memory.
 
     ``nodes`` counts the pairings actually tried; a skipped state adds
-    none.  ``budget`` caps that count; exceeding it yields the explicit
+    none.  ``budget`` caps that count, None meaning
+    ``matching.BACKTRACKING_BUDGET``; exceeding it yields the explicit
     "budget_exhausted" status, which is not a solvability verdict.
     """
     instance.validate()
+    if budget is None:
+        budget = matching.BACKTRACKING_BUDGET
     total = instance.m * instance.n
     owner = [g for g, _ in instance.balls]
     colour = [c for _, c in instance.balls]
     # need[g][c]: girl g still lacks colour c among her post-exchange balls
     need = [[True] * instance.n for _ in range(instance.m)]
     pairing = [-1] * total
-    nodes = 0
     state = 0
     failed: set[int] = set()
 
@@ -144,8 +147,12 @@ def solve(instance: ColourInstance, budget: int | None = None) -> SolveResult:
             state ^= 1 << j | 1 << (total + owner[j] * instance.n + colour[i])
 
     def partners(i: int):
-        """Admissible partners of ball i in index order, one per (owner,
-        colour); each is checked against the state when it is reached."""
+        """Pair ball i with each admissible partner in index order, one per
+        (owner, colour), and unpair it when resumed; each partner is checked
+        against the state when it is reached.  A failed state yields none,
+        and a state whose partners all failed is recorded as failed."""
+        if state in failed:
+            return
         gi, ci = owner[i], colour[i]
         tried: set[tuple[int, int]] = set()
         for j in range(i, total):
@@ -164,37 +171,18 @@ def solve(instance: ColourInstance, budget: int | None = None) -> SolveResult:
                 ok = need[gi][cj] and need[gj][ci]
             if ok:
                 tried.add((gj, cj))
+                pair(i, j, True)
                 yield j
+                pair(i, j, False)
+        failed.add(state)
 
-    # Depth-first search with an explicit stack of (ball, partner
-    # generator), one per open branch, so depth is not bounded by the
-    # recursion limit.  A branch is popped only once its partners ran
-    # dry and its last partner was undone, so ``state`` is then the state
-    # it was pushed in.
-    stack: list = []
-    i = 0
-    while True:
-        while i < total and pairing[i] != -1:
-            i += 1
-        if i == total:
-            return SolveResult("solved", ExchangePlan(tuple(pairing)), nodes)
-        stack.append((i, iter(()) if state in failed else partners(i)))
-        while stack:
-            i, branch = stack[-1]
-            if pairing[i] != -1:  # undo this branch's previous partner
-                pair(i, pairing[i], False)
-            j = next(branch, None)
-            if j is not None:
-                break
-            stack.pop()
-            failed.add(state)
-        else:
-            return SolveResult("unsolvable", None, nodes)
-        nodes += 1
-        if budget is not None and nodes > budget:
-            return SolveResult("budget_exhausted", None, nodes)
-        pair(i, j, True)
-        i += 1
+    try:
+        plan, nodes = matching._first_fit(total, pairing, partners, budget)
+    except BudgetExhausted:
+        return SolveResult("budget_exhausted", None, budget + 1)
+    if plan is None:
+        return SolveResult("unsolvable", None, nodes)
+    return SolveResult("solved", ExchangePlan(plan), nodes)
 
 
 def verify_plan(instance: ColourInstance, plan: ExchangePlan) -> bool:
@@ -211,7 +199,7 @@ def verify_plan(instance: ColourInstance, plan: ExchangePlan) -> bool:
 
 def involution_from_plan(
     band: ZeroRectBand, phi, instance: ColourInstance, plan: ExchangePlan
-) -> Matching:
+) -> matching.Matching:
     """Involution matching of the band induced by a verified plan.
 
     Raises WellDefinednessViolation when the plan does not actually align

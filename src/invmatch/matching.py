@@ -313,13 +313,14 @@ def assemble_global_matching(s: FiniteSemigroup, parts) -> Matching:
 BACKTRACKING_BUDGET = 1_000_000
 
 
-def _first_fit(n: int, out: list[int], options) -> Matching | None:
+def _first_fit(n: int, out: list[int], options, budget: int):
     """Fill ``out`` lowest unplaced element (``-1``) first, depth first.
 
     ``options(a)`` is a generator that places each choice for ``a`` in
     ``out`` before it yields and takes it back when resumed; an explicit
-    stack of them stands in for recursion.  Raises BudgetExhausted after
-    BACKTRACKING_BUDGET placements.
+    stack of them stands in for recursion.  Returns the filled ``out`` as
+    a tuple, or None, with the number of placements made.  Raises
+    BudgetExhausted once placements exceed ``budget``.
     """
     stack = []
     a = placed = 0
@@ -327,7 +328,7 @@ def _first_fit(n: int, out: list[int], options) -> Matching | None:
         while a < n and out[a] != -1:
             a += 1
         if a == n:
-            return tuple(out)
+            return tuple(out), placed
         stack.append((a, options(a)))
         while stack:
             a, rest = stack[-1]
@@ -335,11 +336,11 @@ def _first_fit(n: int, out: list[int], options) -> Matching | None:
                 break
             stack.pop()
         else:
-            return None
+            return None, placed
         placed += 1
-        if placed > BACKTRACKING_BUDGET:
+        if placed > budget:
             raise BudgetExhausted(
-                f"backtracking search stopped after {BACKTRACKING_BUDGET} placements"
+                f"backtracking search stopped after {budget} placements"
             )
 
 
@@ -356,7 +357,7 @@ def matching_backtracking(s: FiniteSemigroup) -> Matching | None:
                 yield b
                 used[b], out[a] = False, -1
 
-    return _first_fit(g.n, out, images)
+    return _first_fit(g.n, out, images, BACKTRACKING_BUDGET)[0]
 
 
 def involution_backtracking(s: FiniteSemigroup) -> Matching | None:
@@ -374,7 +375,7 @@ def involution_backtracking(s: FiniteSemigroup) -> Matching | None:
                 yield b
                 out[a] = out[b] = -1
 
-    return _first_fit(g.n, out, partners)
+    return _first_fit(g.n, out, partners, BACKTRACKING_BUDGET)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,8 @@ from pathlib import Path
 import pytest
 
 import corpus
-from invmatch import bands, colours, core, matching
+from invmatch import bands, cli, colours, core, matching, transformations
 from invmatch.cli import build_parser, main
-from invmatch.transformations import FAMILIES
 
 
 def run(capsys, argv):
@@ -74,6 +73,10 @@ class TestExitCodes:
             capsys, ["colour", "solve", str(path), "--budget", "1"]
         )
         assert code == 5
+
+    def test_colour_budget_defaults_to_the_backtracking_budget(self):
+        args = build_parser().parse_args(["colour", "solve", "instance"])
+        assert args.budget == matching.BACKTRACKING_BUDGET
 
     @pytest.mark.parametrize("mode", ["solve", "reduce"])
     @pytest.mark.parametrize("budget", ["0", "-3"])
@@ -232,7 +235,7 @@ class TestGen:
         code, _, _ = run(capsys, ["gen", "Tn", "6"])
         assert code == 4
 
-    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("family", sorted(transformations.FAMILIES))
     def test_gen_rejects_non_positive_n(self, capsys, family):
         for n in ("0", "-1"):
             code, out, err = run(capsys, ["gen", family, n])
@@ -421,6 +424,22 @@ class TestSearches:
         # the densities are hashed into the input digest, used or not
         report.pop("input"), default.pop("input")
         assert report == default
+
+    def test_search_on_refuses_a_family_past_its_cap(self, capsys,
+                                                     monkeypatch):
+        def never(*args):
+            raise AssertionError("family_maps called past the cap")
+
+        monkeypatch.setattr(transformations, "family_maps", never)
+        code, out, err = run(capsys, ["search-on", "--n-max", "40", "--json"])
+        size = transformations.family_size("On", 40)
+        assert (code, out) == (4, "")
+        assert err == (f"precondition failed: |On(40)| = {size} exceeds cap "
+                       f"{cli.ON_MAX_MAPS}\n")
+
+    def test_search_on_cap_admits_o10_and_refuses_o11(self):
+        assert (transformations.family_size("On", 10) <= cli.ON_MAX_MAPS
+                < transformations.family_size("On", 11))
 
     def test_search_on_oracle(self, capsys):
         code, out, _ = run(

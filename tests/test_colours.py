@@ -164,6 +164,15 @@ class TestSolve:
         assert result.status == "budget_exhausted"
         assert result.plan is None
 
+    def test_no_budget_means_the_backtracking_budget(self, monkeypatch):
+        monkeypatch.setattr(matching, "BACKTRACKING_BUDGET", 100)
+        band = bands.parse_band(HARD_6X12)
+        inst = colours.instance_from_matching(
+            band, matching.find_permutation_matching(band))
+        result = colours.solve(inst)
+        assert (result.status, result.plan, result.nodes) == (
+            "budget_exhausted", None, 101)
+
     def test_malformed_instance_rejected(self):
         inst = colours.ColourInstance(2, 2, ((0, 0), (0, 0), (0, 1), (1, 1)))
         with pytest.raises(MalformedInstance):
