@@ -172,20 +172,21 @@ def h_quotient(factor: PrincipalFactor) -> ZeroRectBand:
 # Scaled Hall conditions and the harem construction
 #
 # With n = a*m, a permutation matching forces every t rows to meet at
-# least a*t columns and every t columns to meet at least t/a rows.  Both
-# conditions reduce to a perfect matching on the graph with each row
-# cloned a times (unit-capacity flow), which is also exactly what the
-# harem family needs.
+# least a*t columns.  That reduces to a perfect matching on the graph with
+# each row cloned a times (unit-capacity flow), which is also exactly what
+# the harem family needs; by Hall's theorem the matched clones then make
+# every t columns meet at least t/a rows as well.
 
 
-def _clone_graph(band: ZeroRectBand) -> tuple[int, list[list[int]]]:
-    a = band.aspect_ratio
-    m, n = band.m, band.n
-    adj = []
-    for _slot in range(a):
-        for i in range(m):
-            adj.append([j for j in range(n) if band.pattern[i][j]])
-    return a, adj
+def _clone_matching(band: ZeroRectBand) -> tuple[list[int], tuple | None]:
+    """Maximum matching of the a*m = n row clones (clone u is row u % m)
+    onto the columns: ``match_l`` and the deficiency certificate, which is
+    None exactly when every clone is matched."""
+    require_regular_pattern(band)
+    a, n = band.aspect_ratio, band.n
+    adj = [[j for j in range(n) if row[j]] for row in band.pattern] * a
+    _size, match_l, match_r = graphs.hopcroft_karp(n, n, adj)
+    return match_l, graphs.deficiency_certificate(n, n, adj, match_l, match_r)
 
 
 def check_harem_condition(
@@ -197,22 +198,17 @@ def check_harem_condition(
     meets fewer than a*|T| columns.  Exhaustive subset checking lives in
     :func:`check_harem_condition_exhaustive` as the small-m oracle.
     """
-    require_regular_pattern(band)
-    a, adj = _clone_graph(band)
-    n_left = a * band.m
-    size, match_l, match_r = graphs.hopcroft_karp(n_left, band.n, adj)
-    if size == band.n:
+    _, cert = _clone_matching(band)
+    if cert is None:
         return True, None
-    cert = graphs.deficiency_certificate(n_left, band.n, adj, match_l, match_r)
-    clones, _image = cert
-    violating_rows = tuple(sorted({u % band.m for u in clones}))
-    return False, ("rows", violating_rows)
+    return False, ("rows", tuple(sorted({u % band.m for u in cert[0]})))
 
 
 def check_harem_condition_exhaustive(
     band: ZeroRectBand,
 ) -> tuple[bool, tuple[str, tuple[int, ...]] | None]:
-    """Subset-scan oracle for the scaled Hall conditions (2^m + 2^n)."""
+    """Subset-scan oracle for the scaled Hall conditions over the 2^m row
+    sets; the column condition follows from the row one."""
     a = band.aspect_ratio
     m, n, pat = band.m, band.n, band.pattern
     for mask in range(1, 1 << m):
@@ -220,11 +216,6 @@ def check_harem_condition_exhaustive(
         cols = {j for j in range(n) for i in rows if pat[i][j]}
         if len(cols) < a * len(rows):
             return False, ("rows", tuple(rows))
-    for mask in range(1, 1 << n):
-        cols = [j for j in range(n) if mask >> j & 1]
-        rows = {i for i in range(m) for j in cols if pat[i][j]}
-        if len(rows) * a < len(cols):
-            return False, ("cols", tuple(cols))
     return True, None
 
 
@@ -247,17 +238,15 @@ def harem_family(band: ZeroRectBand) -> HaremFamily | None:
     Each row's matched columns are assigned to slots in increasing column
     order, which makes the output deterministic.
     """
-    require_regular_pattern(band)
-    a, adj = _clone_graph(band)
-    n_left = a * band.m
-    size, match_l, _ = graphs.hopcroft_karp(n_left, band.n, adj)
-    if size < band.n:
+    match_l, cert = _clone_matching(band)
+    if cert is not None:
         return None
     per_row: list[list[int]] = [[] for _ in range(band.m)]
-    for u in range(n_left):
-        per_row[u % band.m].append(match_l[u])
+    for u, col in enumerate(match_l):
+        per_row[u % band.m].append(col)
     functions = tuple(
-        tuple(sorted(cols)[t] for cols in per_row) for t in range(a)
+        tuple(sorted(cols)[t] for cols in per_row)
+        for t in range(band.aspect_ratio)
     )
     return HaremFamily(functions)
 

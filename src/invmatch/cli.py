@@ -38,7 +38,7 @@ EXIT_PRECONDITION = 4
 EXIT_BUDGET = 5
 
 # the largest inputs --oracle cross-checks (larger ones skip the check):
-# band check's subset scan (2^m + 2^n subsets) up to this side, search-q4's
+# band check's scan of the 2^m row sets up to this longer side, search-q4's
 # backtracking up to this many cells, and search-on's up to O_n for this n
 BAND_ORACLE_MAX_SIDE = 16
 Q4_ORACLE_MAX_CELLS = 12
@@ -86,11 +86,8 @@ def _require_positive(args, *names) -> None:
 
 
 def _report(args, command: str, payload: dict) -> dict:
-    report = {"schema": SCHEMA, "command": command}
-    report.update(payload)
-    if getattr(args, "seed", None) is not None:
-        report["seed"] = args.seed
-    if getattr(args, "timing", False):
+    report = {"schema": SCHEMA, "command": command, **payload, "seed": args.seed}
+    if args.timing:
         report["timing_ms"] = round((time.perf_counter() - args._t0) * 1000, 3)
     return report
 
@@ -538,13 +535,19 @@ def cmd_search_on(args) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit a JSON report")
-    common.add_argument("--timing", action="store_true",
+    # option parents: each command and mode takes only what its handler reads
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--json", action="store_true", help="emit a JSON report")
+    report.add_argument("--timing", action="store_true",
                         help="include timing in reports (breaks rerun identity)")
-    common.add_argument("--seed", type=int, default=0, help="base random seed")
-    common.add_argument("--oracle", action="store_true",
-                        help="enable exhaustive cross-checks where supported")
+    report.add_argument("--seed", type=int, default=0,
+                        help="base random seed, echoed in the report")
+    oracle = argparse.ArgumentParser(add_help=False, parents=[report])
+    oracle.add_argument("--oracle", action="store_true",
+                        help="cross-check by exhaustive search on small inputs")
+    budget = argparse.ArgumentParser(add_help=False, parents=[report])
+    budget.add_argument("--budget", type=int, default=matching.BACKTRACKING_BUDGET,
+                        help="node budget for the exact solver")
 
     parser = argparse.ArgumentParser(
         prog="invmatch",
@@ -552,45 +555,39 @@ def build_parser() -> argparse.ArgumentParser:
         "semigroups",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
+    for name, parent, text in [
+        ("analyze", report, "full structural and matching report"),
+        ("match", report, "decide permutation matching"),
+        ("involution", oracle, "decide involution matching"),
+        ("factors", report, "list principal factors"),
+    ]:
+        sub.add_parser(name, parents=[parent], help=text).add_argument("path")
 
-    p = sub.add_parser("analyze", parents=[common],
-                       help="full structural and matching report")
-    p.add_argument("path")
+    modes = sub.add_parser("band", help="idempotent-pattern operations"
+                           ).add_subparsers(dest="mode", required=True)
+    for name, parent, text in [
+        ("check", oracle, "decide the scaled Hall conditions"),
+        ("harem", report, "build the harem family"),
+        ("involution", report, "build an involution matching from it"),
+    ]:
+        modes.add_parser(name, parents=[parent], help=text).add_argument("path")
 
-    p = sub.add_parser("match", parents=[common],
-                       help="decide permutation matching")
-    p.add_argument("path")
+    modes = sub.add_parser("colour", help="ball-exchange alignment"
+                           ).add_subparsers(dest="mode", required=True)
+    p = modes.add_parser("solve", parents=[budget], help="solve an instance")
+    p.add_argument("path", help="instance file")
+    p = modes.add_parser("reduce", parents=[budget],
+                         help="solve the instance of a band matching")
+    p.add_argument("--band", required=True, help="band file")
+    p.add_argument("--matching", help="matching file (found when omitted)")
 
-    p = sub.add_parser("involution", parents=[common],
-                       help="decide involution matching")
-    p.add_argument("path")
-
-    p = sub.add_parser("factors", parents=[common],
-                       help="list principal factors")
-    p.add_argument("path")
-
-    p = sub.add_parser("band", parents=[common],
-                       help="idempotent-pattern operations")
-    p.add_argument("mode", choices=["check", "harem", "involution"])
-    p.add_argument("path")
-
-    p = sub.add_parser("colour", parents=[common],
-                       help="ball-exchange alignment")
-    p.add_argument("mode", choices=["solve", "reduce"])
-    p.add_argument("path", nargs="?", help="instance file (solve mode)")
-    p.add_argument("--band", help="band file (reduce mode)")
-    p.add_argument("--matching", help="matching file (reduce mode)")
-    p.add_argument("--budget", type=int, default=matching.BACKTRACKING_BUDGET,
-                   help="node budget for the exact solver")
-
-    p = sub.add_parser("gen", parents=[common],
-                       help="emit a transformation family table")
+    p = sub.add_parser("gen", help="emit a transformation family table")
     p.add_argument("family", choices=list(transformations.FAMILIES))
     p.add_argument("n", type=int)
     p.add_argument("--cap", type=int, default=10_000)
     p.add_argument("--dict", help="write an index -> images JSON sidecar")
 
-    p = sub.add_parser("search-q4", parents=[common],
+    p = sub.add_parser("search-q4", parents=[oracle],
                        help="hunt bands with a matching but no involution")
     p.add_argument("--m-max", type=int, default=3)
     p.add_argument("--n-max", type=int, default=4)
@@ -599,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--densities", default="0.3,0.5,0.7")
     p.add_argument("--samples", type=int, default=20)
 
-    p = sub.add_parser("search-on", parents=[common],
+    p = sub.add_parser("search-on", parents=[oracle],
                        help="matching existence for order-preserving maps")
     p.add_argument("--n-max", type=int, default=8)
 
@@ -607,13 +604,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     args._t0 = time.perf_counter()
-    if args.cmd == "colour" and args.mode == "solve" and not args.path:
-        parser.error("colour solve requires an instance file")
-    if args.cmd == "colour" and args.mode == "reduce" and not args.band:
-        parser.error("colour reduce requires --band")
     try:
         # looked up per call: the parser is shared, its handlers rebindable
         return globals()["cmd_" + args.cmd.replace("-", "_")](args)

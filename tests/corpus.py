@@ -370,6 +370,29 @@ def pattern_by_pattern(m, n):
     return ((band, 1) for band in regular_patterns(m, n))
 
 
+# The two-sided subset scan that bands.check_harem_condition_exhaustive
+# cut to its row half, kept as its oracle: once every t rows meet a*t
+# columns, Hall's theorem matches the a*m = n row clones onto the columns,
+# so every t columns meet t/a rows and the column scan never fires.
+def harem_condition_two_sided(band):
+    """(True, None), or (False, (side, T)) for the first row set T that
+    meets fewer than a*|T| columns or column set T that meets fewer than
+    |T|/a rows."""
+    a = band.aspect_ratio
+    m, n, pat = band.m, band.n, band.pattern
+    for mask in range(1, 1 << m):
+        rows = [i for i in range(m) if mask >> i & 1]
+        cols = {j for j in range(n) for i in rows if pat[i][j]}
+        if len(cols) < a * len(rows):
+            return False, ("rows", tuple(rows))
+    for mask in range(1, 1 << n):
+        cols = [j for j in range(n) if mask >> j & 1]
+        rows = {i for i in range(m) for j in cols if pat[i][j]}
+        if len(rows) * a < len(cols):
+            return False, ("cols", tuple(cols))
+    return True, None
+
+
 def all_regular_patterns(m_max, n_max):
     """Every band with an idempotent in each row and column, m <= m_max and
     n <= n_max."""

@@ -217,6 +217,19 @@ class TestHaremCondition:
                 }
                 assert len(cols) < a * len(rows)
 
+    def test_row_scan_agrees_with_the_two_sided_scan(self):
+        # every regular pattern of up to 12 cells with m dividing n
+        checked = 0
+        for m, n in itertools.product(range(1, 13), repeat=2):
+            if m * n > 12 or n % m:
+                continue
+            for band in corpus.regular_patterns(m, n):
+                expected = corpus.harem_condition_two_sided(band)
+                assert bands.check_harem_condition_exhaustive(band) == expected
+                assert bands.check_harem_condition(band)[0] == expected[0]
+                checked += 1
+        assert checked == 1090
+
     def test_matching_implies_condition(self):
         # one direction of the row/column counting argument, never assumed
         # in reverse

@@ -599,6 +599,15 @@ def call_alone(argv):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def walk_parsers(parser, name=""):
+    """The parser and every command and mode parser below it."""
+    yield name, parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub_name, sub in action.choices.items():
+                yield from walk_parsers(sub, f"{name} {sub_name}".strip())
+
+
 class TestSharedParser:
     """``main`` builds its parser once per process; no call may see what
     an earlier one parsed."""
@@ -607,10 +616,7 @@ class TestSharedParser:
         assert build_parser() is build_parser()
 
     def test_no_mutable_default_or_accumulating_action(self):
-        parser = build_parser()
-        (sub,) = (a for a in parser._actions
-                  if isinstance(a, argparse._SubParsersAction))
-        for name, p in [("", parser), *sub.choices.items()]:
+        for name, p in walk_parsers(build_parser()):
             for action in p._actions:
                 assert not isinstance(action, (
                     argparse._AppendAction, argparse._AppendConstAction,
@@ -640,3 +646,70 @@ class TestSharedParser:
         assert together[0] != together[1] and together[2] != together[3]
         for argv, got in zip(sequence, together):
             assert got == call_alone(argv), argv
+
+
+class Recording(argparse.Namespace):
+    """A namespace that notes, once ``_reads`` is set, every option read."""
+
+    def __getattribute__(self, name):
+        attrs = object.__getattribute__(self, "__dict__")
+        if "_reads" in attrs and not name.startswith("_"):
+            attrs["_reads"].add(name)
+        return object.__getattribute__(self, name)
+
+
+class TestEveryOptionIsRead:
+    """Each command and mode takes exactly the options its handler reads:
+    nothing is parsed only to be ignored."""
+
+    @staticmethod
+    def paths(tmp_path):
+        instance = tmp_path / "instance"
+        instance.write_text(colours.format_instance(colours.ColourInstance(
+            2, 2, ((0, 0), (0, 0), (1, 1), (1, 1)))))
+        band = str(GOLDEN / "band2x4.band")
+        return [
+            ["analyze", str(GOLDEN / "t3.cayley")],
+            ["match", str(GOLDEN / "counterexample.band")],
+            ["involution", str(GOLDEN / "o3.cayley"), "--oracle"],
+            ["factors", str(GOLDEN / "t3.cayley")],
+            ["band", "check", band, "--oracle"],
+            ["band", "harem", band],
+            ["band", "involution", band],
+            ["colour", "solve", str(instance)],
+            ["colour", "reduce", "--band", band,
+             "--matching", str(GOLDEN / "band2x4.matching")],
+            ["gen", "Tn", "2", "--dict", str(tmp_path / "maps.json")],
+            ["search-q4", "--m-max", "1", "--n-max", "3",
+             "--exhaustive-limit", "2", "--samples", "2"],
+            ["search-on", "--n-max", "2", "--oracle"],
+        ]
+
+    def test_every_parsed_option_is_read(self, tmp_path, capsys):
+        settable, covered = 0, set()
+        for argv in self.paths(tmp_path):
+            args = build_parser().parse_args(argv, namespace=Recording())
+            covered.add(" ".join(argv[:2] if "mode" in vars(args) else argv[:1]))
+            options = set(vars(args)) - {"cmd", "mode"}
+            args._t0 = time.perf_counter()
+            args._reads = set()
+            handler = getattr(cli, "cmd_" + args.cmd.replace("-", "_"))
+            assert handler(args) == 0, argv
+            assert options <= args._reads, (argv, options - args._reads)
+            settable += len(options)
+        capsys.readouterr()
+        assert covered == {name for name, p in walk_parsers(build_parser())
+                           if p._subparsers is None}
+        assert settable == 59
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "Tn", "2", "--json"],
+        ["analyze", "T", "--oracle"],
+        ["band", "harem", "B", "--oracle"],
+        ["colour", "solve", "I", "--band", "B"],
+        ["colour", "reduce", "--band", "B", "I"],
+        ["colour", "solve"],  # no instance file
+    ])
+    def test_an_option_the_handler_would_not_read_is_refused(self, argv):
+        code, out, _ = call_in_process(argv)
+        assert (code, out) == (2, "")

@@ -37,6 +37,7 @@ CASES = {
         "--matching", "{}/band2x4.matching",
     ],
     "band_involution_2x4.json": ["band", "involution", "{}/band2x4.band"],
+    "band_harem_2x4.json": ["band", "harem", "{}/band2x4.band"],
     "colour_reduce_1x60.json": ["colour", "reduce", "--band", "{}/band1x60.band"],
     "match_band4x6.json": ["match", "{}/band4x6.band"],
     # shapes 2x5 and 2x6 are sampled, so this pins the seeded patterns
@@ -106,6 +107,12 @@ def written_dict(path) -> str:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_golden(name):
     assert report(CASES[name]) == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def test_timing_adds_only_a_non_negative_timing_ms():
+    timed = json.loads(report(CASES["analyze_t3.json"] + ["--timing"]))
+    assert timed.pop("timing_ms") >= 0
+    assert timed == json.loads((GOLDEN / "analyze_t3.json").read_text())
 
 
 @pytest.mark.parametrize("name", sorted(FAILURES))
