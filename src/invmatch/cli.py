@@ -6,7 +6,9 @@ are deterministic for a fixed (input, seed, version); timing is only
 included on request so reruns stay byte-identical.
 
 Exit codes: 0 ok, 2 parse error, 3 invalid algebra, 4 unmet
-precondition, 5 search budget exhausted.
+precondition, 5 search budget exhausted.  An unexpected exception, a
+fault in this program rather than in its input, is reported on one
+stderr line as ``internal error: <type>: <message>`` with exit code 4.
 """
 
 from __future__ import annotations
@@ -603,8 +605,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _usage_parser(parser, argv, args) -> argparse.ArgumentParser:
+    """The deepest command or mode parser named at the start of ``argv``.
+    argparse reports leftover arguments with the top-level usage, but
+    each was left over by that parser or one below it."""
+    for depth, name in enumerate([args.cmd, getattr(args, "mode", None)]):
+        if argv[depth:depth + 1] != [name]:
+            break
+        parser = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices[name]
+    return parser
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args, extras = build_parser().parse_known_args(argv)
+    if extras:
+        _usage_parser(build_parser(), argv, args).error(
+            "unrecognized arguments: " + " ".join(extras))
     args._t0 = time.perf_counter()
     try:
         # looked up per call: the parser is shared, its handlers rebindable
@@ -623,6 +641,9 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except InvmatchError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
+        return EXIT_PRECONDITION
+    except Exception as exc:  # a fault of this program: one line, no traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 
 

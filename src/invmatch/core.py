@@ -533,12 +533,18 @@ def parse_cayley(text: str) -> FiniteSemigroup:
         raise ParseError("order must be positive")
     if len(lines) != n + 1:
         raise ParseError(f"expected {n} rows, found {len(lines) - 1}")
+    # built only once the text is known to hold n rows; a row with a token
+    # other than "0".."n-1", such as "01" or "999", is read by int() instead
+    token = {str(v): v for v in range(n)}.__getitem__
     rows = []
     for ln in lines[1:]:
         try:
-            row = tuple(map(int, ln.split()))
-        except ValueError as exc:
-            raise ParseError(f"bad row: {ln!r}") from exc
+            row = tuple(map(token, ln.split()))
+        except KeyError:
+            try:
+                row = tuple(map(int, ln.split()))
+            except ValueError as exc:
+                raise ParseError(f"bad row: {ln!r}") from exc
         if len(row) != n:
             raise ParseError(f"row has {len(row)} entries, expected {n}")
         rows.append(row)
@@ -550,8 +556,13 @@ def parse_cayley(text: str) -> FiniteSemigroup:
 
 
 def format_cayley(s: FiniteSemigroup) -> str:
+    digits = {v: str(v) for v in range(s.order)}.__getitem__
     out = [str(s.order)]
-    out.extend(" ".join(str(v) for v in row) for row in s.table)
+    for row in s.table:
+        try:
+            out.append(" ".join(map(digits, row)))
+        except KeyError:  # an entry outside [0, n), as validate would report
+            out.append(" ".join(map(str, row)))
     if s.labels is not None:
         out.append("# labels: " + " ".join(s.labels))
     return "\n".join(out) + "\n"

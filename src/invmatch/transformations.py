@@ -124,20 +124,42 @@ class FamilyData:
 
 
 def enumerate_family(family: str, n: int, cap: int = 10_000) -> FamilyData:
-    """Enumerate the family and build its Cayley table by composition.
+    """Enumerate the family and build its Cayley table.
+
     With the maps extended by the sentinel n as a fixed point, fg is
-    ``itemgetter(*f)(g)``: a tuple, as f has n + 1 >= 2 entries."""
+    ``itemgetter(*f)(g)``: a tuple, as f has n + 1 >= 2 entries.  Only the
+    rows of a generating set, picked greedily highest rank first, are
+    composed so.  Every other row comes by associativity: for a reached h
+    and a generator s, (hs)g = h(sg), so the row of hs is the row of s read
+    through the row of h.  A family of one map has a generator's row only,
+    so no itemgetter of one index, which returns an entry, reads a row.
+    """
     size = family_size(family, n)
     if size > cap:
         raise TooLarge(f"|{family}({n})| = {size} exceeds cap {cap}")
     maps = family_maps(family, n)
     ext = [f + (n,) for f in maps]
     pos = {f: i for i, f in enumerate(ext)}.__getitem__
-    table = tuple(
-        tuple(map(pos, map(itemgetter(*f), ext))) for f in ext
-    )
+    rows = [None] * len(ext)
+    reached, gens = [], []
+    # set(f + (n,)) has rank + 1 values; the sort is stable, so ties go by index
+    for g in sorted(range(len(ext)), key=lambda i: len(set(ext[i])), reverse=True):
+        if rows[g] is not None:
+            continue
+        rows[g] = tuple(map(pos, map(itemgetter(*ext[g]), ext)))
+        gens.append(g)
+        # keep the reached set closed under right products by generators
+        todo = [(h, g) for h in reached] + [(g, s) for s in gens]
+        reached.append(g)
+        while todo:
+            h, s = todo.pop()
+            hs = rows[h][s]
+            if rows[hs] is None:
+                rows[hs] = itemgetter(*rows[s])(rows[h])
+                reached.append(hs)
+                todo += [(hs, t) for t in gens]
     labels = tuple(_map_label(f, n) for f in maps)
-    return FamilyData(family, n, FiniteSemigroup(table, labels), tuple(maps))
+    return FamilyData(family, n, FiniteSemigroup(tuple(rows), labels), tuple(maps))
 
 
 # ---------------------------------------------------------------------------

@@ -713,3 +713,33 @@ class TestEveryOptionIsRead:
     def test_an_option_the_handler_would_not_read_is_refused(self, argv):
         code, out, _ = call_in_process(argv)
         assert (code, out) == (2, "")
+
+    @pytest.mark.parametrize("argv, path, extras", [
+        (["gen", "Tn", "2", "--json"], "gen", "--json"),
+        (["analyze", "T", "--oracle"], "analyze", "--oracle"),
+        (["band", "harem", "B", "--oracle"], "band harem", "--oracle"),
+        (["colour", "solve", "I", "--band", "B"], "colour solve", "--band B"),
+        (["colour", "reduce", "--band", "B", "I"], "colour reduce", "I"),
+    ])
+    def test_a_refused_option_shows_its_own_usage(self, argv, path, extras):
+        code, out, err = call_in_process(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage: invmatch {path} [-h]")
+        assert err.endswith(
+            f"\ninvmatch {path}: error: unrecognized arguments: {extras}\n")
+
+    def test_an_option_before_the_mode_shows_the_command_usage(self):
+        code, _, err = call_in_process(["band", "--json", "harem", "B"])
+        assert code == 2
+        assert err.startswith("usage: invmatch band [-h]")
+        assert err.endswith("\ninvmatch band: error: unrecognized arguments: --json\n")
+
+
+class TestInternalError:
+    def test_an_unexpected_exception_is_one_line_and_exit_4(self, monkeypatch):
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_analyze", broken)
+        code, out, err = call_in_process(["analyze", str(GOLDEN / "t3.cayley")])
+        assert (code, out, err) == (4, "", "internal error: RuntimeError: boom\n")

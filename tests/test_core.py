@@ -508,8 +508,47 @@ class TestCayleyFormat:
         ("2\n0 x 1\n0\n# labels: a\n", "bad row: '0 x 1'"),
         ("2\n0 1 1\n0 x\n", "row has 3 entries, expected 2"),
         ("2\n0 1\n1 0\n# labels: a\n", "expected 2 labels, found 1"),
+        ("2\n0 x\n1 1\n", "bad row: '0 x'"),
+        # the row count is checked before anything of order n is built
+        ("1000000000\n0 1\n1 1\n", "expected 1000000000 rows, found 2"),
     ])
     def test_parse_error_messages(self, text, message):
         with pytest.raises(ParseError) as err:
             core.parse_cayley(text)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("token, table", [
+        ("01", ((0, 1), (1, 1))),
+        ("+1", ((0, 1), (1, 1))),
+        ("-1", ((0, -1), (1, 1))),
+        ("999", ((0, 999), (1, 1))),
+    ])
+    def test_tokens_outside_the_canonical_digits_read_as_int(self, token, table):
+        assert core.parse_cayley(f"2\n0 {token}\n1 1\n").table == table
+
+    @pytest.mark.parametrize("token, message", [
+        ("-1", "table[0][1] = -1 outside [0, 2)"),
+        ("999", "table[0][1] = 999 outside [0, 2)"),
+    ])
+    def test_out_of_range_tokens_fail_validation(self, token, message):
+        s = core.parse_cayley(f"2\n0 {token}\n1 1\n")
+        with pytest.raises(EntryOutOfRange) as err:
+            core.validate(s)
+        assert str(err.value) == message
+
+    def test_tab_separated_rows(self):
+        s = core.parse_cayley("2\n0\t1\n1 \t 1\n")
+        assert s.table == ((0, 1), (1, 1))
+
+    def test_entries_outside_the_order_print_as_str(self):
+        s = core.FiniteSemigroup(((0, -1), (1, 7)), ("a", "b"))
+        assert core.format_cayley(s) == "2\n0 -1\n1 7\n# labels: a b\n"
+
+    @pytest.mark.parametrize("family, top", [
+        ("Tn", 4), ("PTn", 4), ("On", 7), ("OPn", 5), ("Pn", 5),
+    ])
+    def test_family_tables_round_trip(self, family, top):
+        for n in range(1, top + 1):
+            s = enumerate_family(family, n).semigroup
+            back = core.parse_cayley(core.format_cayley(s))
+            assert (back.table, back.labels) == (s.table, s.labels), n

@@ -3,12 +3,17 @@ from perfect matchings, and strong inverses."""
 
 import itertools
 from math import comb
+from operator import itemgetter
 
 import pytest
 
 import corpus
-from invmatch import core, matching, transformations as tr
+from invmatch import cli, core, matching, transformations as tr
 from invmatch.errors import NotPerfect, NotTn, TooLarge
+
+
+# per family, the largest n with at most about 1,000 maps (O_7 has 1,716)
+TABLE_TOP = {"Tn": 4, "PTn": 4, "On": 7, "OPn": 5, "Pn": 5}
 
 
 class TestEnumeration:
@@ -56,9 +61,30 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("family", tr.FAMILIES)
     def test_table_equals_the_composed_table(self, family):
-        for n in range(1, 5):
+        for n in range(1, TABLE_TOP[family] + 1):
             data = tr.enumerate_family(family, n)
             assert data.semigroup.table == composed_table(data), n
+
+    @pytest.mark.parametrize("family", tr.FAMILIES)
+    def test_gen_prints_the_composed_table(self, family, capsys):
+        for n in range(1, TABLE_TOP[family] + 1):
+            data = tr.enumerate_family(family, n)
+            table = composed_table(data)
+            lines = [str(len(table)),
+                     *(" ".join(str(v) for v in row) for row in table),
+                     "# labels: " + " ".join(data.semigroup.labels)]
+            assert cli.main(["gen", family, str(n)]) == 0
+            assert capsys.readouterr().out == "\n".join(lines) + "\n", n
+
+    @pytest.mark.parametrize("family", tr.FAMILIES)
+    def test_composed_table_composes(self, family):
+        for n in range(1, 5):
+            data = tr.enumerate_family(family, n)
+            pos = {f: i for i, f in enumerate(data.maps)}
+            assert composed_table(data) == tuple(
+                tuple(pos[tr.compose(f, g, n)] for g in data.maps)
+                for f in data.maps
+            )
 
     def test_tables_validate(self):
         for family in tr.FAMILIES:
@@ -285,12 +311,13 @@ def pair_scan(maps, n):
 
 
 def composed_table(data):
-    """The Cayley table of ``data`` by ``compose``, one pair at a time."""
-    pos = {f: i for i, f in enumerate(data.maps)}
-    return tuple(
-        tuple(pos[tr.compose(f, g, data.n)] for g in data.maps)
-        for f in data.maps
-    )
+    """The Cayley table of ``data`` composed one pair at a time: with both
+    maps extended by the sentinel n as a fixed point, fg is
+    ``itemgetter(*f)(g)``, which is ``compose`` at C speed (see
+    test_composed_table_composes)."""
+    ext = [f + (data.n,) for f in data.maps]
+    pos = {f: i for i, f in enumerate(ext)}
+    return tuple(tuple(pos[fg] for fg in map(itemgetter(*f), ext)) for f in ext)
 
 
 class TestFamilyInverseGraph:
