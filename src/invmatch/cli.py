@@ -586,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="emit a transformation family table")
     p.add_argument("family", choices=list(transformations.FAMILIES))
     p.add_argument("n", type=int)
-    p.add_argument("--cap", type=int, default=10_000)
+    p.add_argument("--cap", type=int, default=4_000)  # at most 16 M entries
     p.add_argument("--dict", help="write an index -> images JSON sidecar")
 
     p = sub.add_parser("search-q4", parents=[oracle],

@@ -144,7 +144,8 @@ class InverseGraph:
     """Mutual-inverse relation of a semigroup.
 
     ``inverses[a]`` is V(a), the b with aba = a and bab = b, ascending; it
-    holds a itself exactly when a = a^3.
+    holds a itself exactly when a = a^3.  Vertices with equal V may share
+    one tuple object.
     """
 
     n: int
@@ -184,24 +185,30 @@ def pattern_inverse_graph(pattern) -> InverseGraph:
     pattern, read off the pattern in O(edges): the zero at 0 is its own
     only inverse, and cells (i, j), (k, l) at 1 + i*n + j, 1 + k*n + l
     are mutual inverses iff pattern[k][j] and pattern[i][l]: V((i, j)) is
-    the concatenation, over k in rows[j] ascending, of the strips (k, i)
-    of cells (k, l), l in cols[i].  It is ascending, and holds (i, j)
-    itself exactly when the cell is idempotent."""
+    the concatenation, over the k with pattern[k][j] ascending, of the
+    strips (k, i) of cells (k, l), l in cols[i].  It is ascending, holds
+    (i, j) itself exactly when the cell is idempotent, and depends on j
+    only through column j's kind, its tuple of entries: each row builds
+    one tuple per kind, shared by the cells of that kind."""
     m = len(pattern)
     n = len(pattern[0]) if m else 0
     # looked up, not computed: all strips share one int object per cell,
     # which halves the peak memory of a 1 x 1500 band
     index = [list(range(1 + i * n, 1 + (i + 1) * n)) for i in range(m)]
-    cols = [[j for j in range(n) if row[j]] for row in pattern]
-    rows = [[k for k in range(m) if pattern[k][j]] for j in range(n)]
+    cols = [[j for j, e in enumerate(row) if e] for row in pattern]
+    kinds: dict[tuple[bool, ...], int] = {}
+    kind_of = [kinds.setdefault(col, len(kinds)) for col in zip(*pattern)]
+    rows = [[k for k, e in enumerate(col) if e] for col in kinds]
     strips = [[[index[k][l] for l in c] for c in cols] for k in range(m)]
     inverses = [(0,)]
     for i in range(m):
-        for j in range(n):
+        shared = []
+        for ks in rows:
             vs = []
-            for k in rows[j]:
+            for k in ks:
                 vs += strips[k][i]
-            inverses.append(tuple(vs))
+            shared.append(tuple(vs))
+        inverses += map(shared.__getitem__, kind_of)
     return InverseGraph(m * n + 1, tuple(inverses))
 
 

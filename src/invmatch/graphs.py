@@ -20,7 +20,8 @@ def hopcroft_karp(
     ``adj[u]`` lists the right-neighbours of left vertex ``u``.  Returns
     ``(size, match_left, match_right)`` with ``-1`` marking unmatched
     vertices.  The augmenting search is iterative, so left-side paths may
-    be as long as the graph without hitting the recursion limit.
+    be as long as the graph without hitting the recursion limit.  The
+    greedy first pass reads one list object shared by consecutive u once.
     """
     match_l = [-1] * n_left
     match_r = [-1] * n_right
@@ -82,10 +83,16 @@ def hopcroft_karp(
                 return True
         return False
 
-    # with every dist 0, phase 1 reduces to each u taking its first free v
+    # with every dist 0, phase 1 reduces to each u taking its first free v;
+    # no v is freed in it, so a u holding the previous u's list object goes
+    # on where that scan stopped: every v passed is still matched
     size = 0
+    prev = rest = None
     for u in range(n_left):
-        for v in adj[u]:
+        if adj[u] is not prev:
+            prev = adj[u]
+            rest = iter(prev)
+        for v in rest:
             if match_r[v] == -1:
                 match_l[u], match_r[v] = v, u
                 size += 1

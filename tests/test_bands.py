@@ -153,6 +153,32 @@ class TestPatternInverseGraph:
         assert any(not any(row) for p in patterns[2:] for row in p)
         assert any(not all(any(col) for col in zip(*p)) for p in patterns[2:])
 
+    def test_cells_of_a_row_and_column_kind_share_one_tuple(self):
+        g = core.pattern_inverse_graph([[True] * 1500])
+        assert len({id(vs) for vs in g.inverses}) == 2
+        rng = random.Random(31)
+        seen = set()
+        for _ in range(60):
+            m, n = rng.randint(1, 6), rng.randint(1, 12)
+            density = rng.choice([0.3, 0.6, 1.0])
+            rows = [[rng.random() < density for _ in range(n)] for _ in range(m)]
+            # one idempotent in each empty row and column makes it regular
+            for row in rows:
+                row[rng.randrange(n)] |= not any(row)
+            for j in range(n):
+                rows[rng.randrange(m)][j] |= not any(row[j] for row in rows)
+            band = bands.band_from_rows(rows)
+            g = core.pattern_inverse_graph(band.pattern)
+            kind = [tuple(row[j] for row in band.pattern) for j in range(n)]
+            for i in range(m):
+                for j, jj in itertools.product(range(n), repeat=2):
+                    shared = (g.inverses[1 + i * n + j]
+                              is g.inverses[1 + i * n + jj])
+                    assert shared == (kind[j] == kind[jj])
+                    seen.add(shared)
+            assert g == core.inverse_graph_of(bands.to_semigroup(band))
+        assert seen == {True, False}
+
     def test_irregular_pattern_raises_before_any_graph(self):
         band = bands.band_from_rows([[1, 1], [0, 0]])
         with pytest.raises(NotRegularPattern, match="row 1 has no idempotent"):

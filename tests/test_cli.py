@@ -235,6 +235,13 @@ class TestGen:
         code, _, _ = run(capsys, ["gen", "Tn", "6"])
         assert code == 4
 
+    def test_gen_default_cap_refuses_ptn5_before_any_map(self, capsys):
+        code, out, err = run(capsys, ["gen", "PTn", "5"])
+        assert code == 4
+        assert out == ""
+        assert err == (
+            "precondition failed: |PTn(5)| = 7776 exceeds cap 4000\n")
+
     @pytest.mark.parametrize("family", sorted(transformations.FAMILIES))
     def test_gen_rejects_non_positive_n(self, capsys, family):
         for n in ("0", "-1"):

@@ -80,10 +80,32 @@ def test_hopcroft_karp_deterministic():
     assert first == second
 
 
+def shared_list_graphs(rng, count):
+    """Random graphs whose lists are drawn from a small pool of list
+    objects, so one object recurs back to back and with other lists in
+    between; the pool holds an empty list and may repeat a neighbour."""
+    out = []
+    for _ in range(count):
+        nl, nr = rng.randint(0, 12), rng.randint(0, 8)
+        pool = [[]] + [
+            [rng.randrange(nr) for _ in range(rng.randint(1, 6))]
+            for _ in range(rng.randint(1, 3) if nr else 0)
+        ]
+        adj = []
+        while len(adj) < nl:
+            adj += [rng.choice(pool)] * rng.randint(1, 4)
+        out.append((nl, nr, adj[:nl]))
+    return out
+
+
 def test_hopcroft_karp_matches_the_plain_first_phase():
     """The greedy start returns what the first breadth-first phase did, on
     random graphs (unbalanced, with empty sides, unsorted and repeated
-    neighbours) and on the two-copy graphs the matching layer builds."""
+    neighbours), on random graphs of shared list objects, and on the
+    two-copy graphs the matching layer builds: O_1..O_6, every regular
+    band up to 3 x 4, seeded band patterns up to 7 x 14 at densities up
+    to 1.0 (irregular ones included) and the full 1 x 1500 band, whose
+    cells share V tuples."""
     rng = random.Random(13)
     graphs_in = []
     for _ in range(20_000):
@@ -93,6 +115,8 @@ def test_hopcroft_karp_matches_the_plain_first_phase():
             for _ in range(nl)
         ]
         graphs_in.append((nl, nr, adj))
+    shared = shared_list_graphs(rng, 5_000)
+    graphs_in += shared
     inverse_graphs = [
         transformations.family_inverse_graph(
             transformations.family_maps("On", n), n)
@@ -102,6 +126,13 @@ def test_hopcroft_karp_matches_the_plain_first_phase():
         core.pattern_inverse_graph(band.pattern)
         for band in corpus.all_regular_patterns(3, 4)
     ]
+    patterns = [[[True] * 1500]]
+    for _ in range(300):
+        m, n = rng.randint(1, 7), rng.randint(1, 14)
+        density = rng.choice([0.2, 0.4, 0.6, 0.8, 1.0])
+        patterns.append(
+            [[rng.random() < density for _ in range(n)] for _ in range(m)])
+    inverse_graphs += [core.pattern_inverse_graph(p) for p in patterns]
     for g in inverse_graphs:
         graphs_in.append((g.n, g.n, g.inverses))
     for nl, nr, adj in graphs_in:
@@ -110,6 +141,19 @@ def test_hopcroft_karp_matches_the_plain_first_phase():
     assert any(nl != nr for nl, nr, _ in graphs_in)
     assert any(nl == 0 for nl, _, _ in graphs_in)
     assert any(nr == 0 and nl for nl, nr, _ in graphs_in)
+    back_to_back = interleaved = repeated = 0
+    for _, _, adj in shared:
+        last = set()
+        for u, vs in enumerate(adj):
+            if u and adj[u - 1] is vs and vs:
+                back_to_back += 1
+            elif id(vs) in last and vs:
+                interleaved += 1
+            last.add(id(vs))
+            repeated += len(set(vs)) < len(vs)
+    assert back_to_back and interleaved and repeated
+    assert any(all(map(all, p)) for p in patterns[1:])
+    assert any(not any(row) for p in patterns for row in p)
 
 
 def test_deficiency_certificate_is_a_hall_violator():
