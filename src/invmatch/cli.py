@@ -28,7 +28,6 @@ from .errors import (
     InvmatchError,
     NotAssociative,
     ParseError,
-    TooLarge,
 )
 
 SCHEMA = "invmatch/report-v1"
@@ -346,7 +345,7 @@ def cmd_colour(args) -> int:
     }
     human = [result.status]
     if result.status == "solved":
-        inv = colours.involution_from_plan(band, phi, inst, result.plan)
+        inv = colours.involution_from_plan(band, inst, result.plan)
         payload["witnesses"]["involution"] = list(inv)
         payload["verdicts"]["involution_verified"] = (
             bands.verify_band_involution(band, inv)
@@ -489,9 +488,7 @@ def cmd_search_q4(args) -> int:
 
 def cmd_search_on(args) -> int:
     _require_positive(args, "--n-max")
-    size = transformations.family_size("On", args.n_max)
-    if size > ON_MAX_MAPS:
-        raise TooLarge(f"|On({args.n_max})| = {size} exceeds cap {ON_MAX_MAPS}")
+    transformations.check_family_cap("On", args.n_max, ON_MAX_MAPS)
     results = []
     for n in range(1, args.n_max + 1):
         maps = transformations.family_maps("On", n)
@@ -586,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="emit a transformation family table")
     p.add_argument("family", choices=list(transformations.FAMILIES))
     p.add_argument("n", type=int)
-    p.add_argument("--cap", type=int, default=4_000)  # at most 16 M entries
+    p.add_argument("--cap", type=int, default=transformations.FAMILY_CAP)
     p.add_argument("--dict", help="write an index -> images JSON sidecar")
 
     p = sub.add_parser("search-q4", parents=[oracle],

@@ -3,11 +3,11 @@ matchings of 0-rectangular bands.
 
 m girls hold n balls each, m balls of each of n colours; one round of
 pairwise exchanges (a single involution on balls, fixed points allowed)
-must leave every girl with one ball of each colour.  Solved instances
-derived from a permutation matching of a band convert into involution
-matchings of that band: when girl a's ball of origin (a, x) trades with
-girl b's ball of origin (b, y), the cell (a, colour_of(b, y)) swaps with
-(b, colour_of(a, x)), a pairing of idempotent-backed mutual inverses.
+must leave every girl with one ball of each colour.  A solved plan
+converts into an involution matching of a band through each ball's
+(girl, colour) alone (:func:`involution_from_plan`); its pairs are mutual
+inverses when every girl holds only colours c with pattern[girl][c], as
+the instances derived from a permutation matching of the band do.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ class ColourInstance:
     m: int  # girls
     n: int  # colours
     balls: tuple[Ball, ...]
-    provenance: tuple[tuple[int, int], ...] | None = None
 
     def validate(self) -> None:
         if self.m < 1 or self.n < 1:
@@ -83,13 +82,11 @@ def instance_from_matching(band: ZeroRectBand, phi) -> ColourInstance:
     if not verify_band_matching(band, phi):
         raise NotAMatching("phi is not a matching of the band fixing 0")
     balls = []
-    provenance = []
     for a in range(band.m):
         for x in range(band.n):
             image = band.cell_of(phi[band.cell_index(a, x)])
             balls.append((a, image[1]))
-            provenance.append((a, x))
-    inst = ColourInstance(band.m, band.n, tuple(balls), tuple(provenance))
+    inst = ColourInstance(band.m, band.n, tuple(balls))
     inst.validate()
     return inst
 
@@ -198,47 +195,27 @@ def verify_plan(instance: ColourInstance, plan: ExchangePlan) -> bool:
 
 
 def involution_from_plan(
-    band: ZeroRectBand, phi, instance: ColourInstance, plan: ExchangePlan
+    band: ZeroRectBand, instance: ColourInstance, plan: ExchangePlan
 ) -> matching.Matching:
-    """Involution matching of the band induced by a verified plan.
+    """Involution matching of the band induced by a plan: when ball x of
+    girl a trades with ball y of girl b, cell (a, colour of y) swaps with
+    (b, colour of x).  A plan that leaves every girl one ball of each
+    colour assigns every cell exactly one image.
 
-    Raises WellDefinednessViolation when the plan does not actually align
-    the instance (colliding or incomplete cell assignments -- the failure
-    that a verified plan rules out).
+    Raises PlanInstanceMismatch when the instance is not of the band's
+    shape, and WellDefinednessViolation when the plan does not align the
+    instance or the induced map is not an involution matching.
     """
-    if instance.provenance is None:
-        raise PlanInstanceMismatch("instance carries no ball provenance")
-    if not verify_band_matching(band, phi):
-        raise NotAMatching("phi is not a matching of the band fixing 0")
-    total = band.m * band.n
-    if len(instance.balls) != total or len(instance.provenance) != total:
-        raise PlanInstanceMismatch("instance does not fit the band")
-    for k, (a, x) in enumerate(instance.provenance):
-        expected = (a, band.cell_of(phi[band.cell_index(a, x)])[1])
-        if instance.balls[k] != expected:
-            raise PlanInstanceMismatch(
-                f"ball {k} does not originate from the given matching"
-            )
-    plan.validate(total)
-
-    assignment: dict[tuple[int, int], tuple[int, int]] = {}
-    for x_ball in range(total):
-        y_ball = plan.pairing[x_ball]
-        a = instance.balls[x_ball][0]
-        b = instance.balls[y_ball][0]
-        source = (a, instance.balls[y_ball][1])
-        target = (b, instance.balls[x_ball][1])
-        if assignment.setdefault(source, target) != target:
-            raise WellDefinednessViolation(
-                f"cell {source} received two images"
-            )
-    if len(assignment) != total:
-        raise WellDefinednessViolation(
-            f"only {len(assignment)} of {total} cells were assigned"
+    if (instance.m, instance.n) != (band.m, band.n):
+        raise PlanInstanceMismatch(
+            f"{instance.m} x {instance.n} instance for a {band.m} x {band.n} band"
         )
+    if not verify_plan(instance, plan):
+        raise WellDefinednessViolation("plan does not align the instance")
     p = [0] * band.order
-    for (i, j), (k, l) in assignment.items():
-        p[band.cell_index(i, j)] = band.cell_index(k, l)
+    for (a, cx), y in zip(instance.balls, plan.pairing):
+        b, cy = instance.balls[y]
+        p[band.cell_index(a, cy)] = band.cell_index(b, cx)
     if not verify_band_involution(band, p):
         raise WellDefinednessViolation("induced map is not an involution matching")
     return tuple(p)

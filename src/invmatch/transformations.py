@@ -20,6 +20,8 @@ from .errors import NotPerfect, NotTn, TooLarge
 from .matching import InverseGraph, build_inverse_graph, matching_on_graph
 
 FAMILIES = ("Tn", "PTn", "On", "OPn", "Pn")
+# the default cap on a family's maps: a Cayley table of at most 16 M entries
+FAMILY_CAP = 4_000
 
 Map = tuple[int, ...]
 
@@ -80,6 +82,16 @@ def family_size(family: str, n: int) -> int:
     raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 
+def check_family_cap(family: str, n: int, cap: int) -> None:
+    """Raise TooLarge past cap maps; a family holds its n constant maps,
+    so n > cap is refused before the (slow, for huge n) size is computed."""
+    if n > cap:
+        raise TooLarge(f"|{family}({n})| >= {n} exceeds cap {cap}")
+    size = family_size(family, n)
+    if size > cap:
+        raise TooLarge(f"|{family}({n})| = {size} exceeds cap {cap}")
+
+
 def family_maps(family: str, n: int) -> list[Map]:
     """All members of the family, sorted; no Cayley table is built."""
     if family == "Tn":
@@ -123,7 +135,7 @@ class FamilyData:
         self._pos = {f: i for i, f in enumerate(self.maps)}
 
 
-def enumerate_family(family: str, n: int, cap: int = 10_000) -> FamilyData:
+def enumerate_family(family: str, n: int, cap: int = FAMILY_CAP) -> FamilyData:
     """Enumerate the family and build its Cayley table.
 
     With the maps extended by the sentinel n as a fixed point, fg is
@@ -134,9 +146,7 @@ def enumerate_family(family: str, n: int, cap: int = 10_000) -> FamilyData:
     through the row of h.  A family of one map has a generator's row only,
     so no itemgetter of one index, which returns an entry, reads a row.
     """
-    size = family_size(family, n)
-    if size > cap:
-        raise TooLarge(f"|{family}({n})| = {size} exceeds cap {cap}")
+    check_family_cap(family, n, cap)
     maps = family_maps(family, n)
     ext = [f + (n,) for f in maps]
     pos = {f: i for i, f in enumerate(ext)}.__getitem__
@@ -297,7 +307,7 @@ def permutation_from_perfect_matching(
 
 
 def tn_matching_via_classes(
-    n: int, cap: int = 10_000
+    n: int, cap: int = FAMILY_CAP
 ) -> tuple[FamilyData, tuple[int, ...]]:
     """Permutation matching of the full transformation monoid assembled
     from one matching per signature class."""

@@ -178,7 +178,7 @@ def test_criterion_5_colour_pipeline():
             failures += 1
             continue
         try:
-            p = colours.involution_from_plan(band, phi, inst, result.plan)
+            p = colours.involution_from_plan(band, inst, result.plan)
             assert matching.verify_involution_matching(sg, p)
             solved += 1
         except WellDefinednessViolation:
@@ -194,7 +194,7 @@ def test_criterion_5_colour_pipeline():
             if not colours.verify_plan(inst, bad):
                 corrupted_tried += 1
                 try:
-                    colours.involution_from_plan(band, phi, inst, bad)
+                    colours.involution_from_plan(band, inst, bad)
                 except WellDefinednessViolation:
                     corrupted_raises += 1
     elapsed = time.perf_counter() - t0

@@ -444,6 +444,22 @@ class TestSearches:
         assert err == (f"precondition failed: |On(40)| = {size} exceeds cap "
                        f"{cli.ON_MAX_MAPS}\n")
 
+    @pytest.mark.parametrize("argv, cap", [
+        (["search-on", "--n-max", "1000000000"], cli.ON_MAX_MAPS),
+        (["gen", "On", "1000000000"], transformations.FAMILY_CAP),
+    ])
+    def test_a_family_past_its_cap_in_n_is_refused_before_its_size(
+            self, capsys, monkeypatch, argv, cap):
+        # the size of On(n) takes most of a minute near n = 10**6
+        def never(*args):
+            raise AssertionError("family_size called for n past the cap")
+
+        monkeypatch.setattr(transformations, "family_size", never)
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (4, "")
+        assert err == (f"precondition failed: |On(1000000000)| >= 1000000000 "
+                       f"exceeds cap {cap}\n")
+
     def test_search_on_cap_admits_o10_and_refuses_o11(self):
         assert (transformations.family_size("On", 10) <= cli.ON_MAX_MAPS
                 < transformations.family_size("On", 11))

@@ -3,8 +3,11 @@ verification, and the induced involution matching."""
 
 import contextlib
 import io
+import itertools
 import json
 import random
+import sys
+from unittest import mock
 
 import pytest
 
@@ -335,7 +338,7 @@ class TestInvolutionFromPlan:
         result = colours.solve(inst)
         assert result.status == "solved"
         assert result.plan.exchanges() == []
-        p = colours.involution_from_plan(band, phi, inst, result.plan)
+        p = colours.involution_from_plan(band, inst, result.plan)
         assert p == tuple(range(band.order))
         sg = bands.to_semigroup(band)
         assert matching.verify_involution_matching(sg, p)
@@ -348,7 +351,7 @@ class TestInvolutionFromPlan:
         assert held == {0: [0, 0], 1: [1, 1]}
         result = colours.solve(inst)
         assert result.status == "solved"
-        p = colours.involution_from_plan(band, phi, inst, result.plan)
+        p = colours.involution_from_plan(band, inst, result.plan)
         sg = bands.to_semigroup(band)
         assert matching.verify_involution_matching(sg, p)
 
@@ -373,25 +376,45 @@ class TestInvolutionFromPlan:
         assert corrupted
         for plan in corrupted:
             with pytest.raises(WellDefinednessViolation):
-                colours.involution_from_plan(band, phi, inst, plan)
+                colours.involution_from_plan(band, inst, plan)
 
-    def test_provenance_required(self):
-        band = full_band(2, 2)
-        phi = identity_matching(band)
-        inst = colours.instance_from_matching(band, phi)
-        stripped = colours.ColourInstance(inst.m, inst.n, inst.balls)
-        plan = colours.ExchangePlan(tuple(range(4)))
+    def test_transposed_instance_rejected(self):
+        band = full_band(2, 3)
+        inst = colours.instance_from_matching(
+            full_band(3, 2), identity_matching(full_band(3, 2)))
+        plan = colours.ExchangePlan(tuple(range(6)))
         with pytest.raises(PlanInstanceMismatch):
-            colours.involution_from_plan(band, phi, stripped, plan)
+            colours.involution_from_plan(band, inst, plan)
 
-    def test_foreign_matching_rejected(self):
-        band = full_band(2, 2)
-        inst = colours.instance_from_matching(band, identity_matching(band))
-        plan = colours.ExchangePlan(tuple(range(4)))
-        with pytest.raises(PlanInstanceMismatch):
-            colours.involution_from_plan(
-                band, transpose_matching(band), inst, plan
-            )
+    def test_count_matrix_instances_convert(self):
+        # instances built from count matrices (girl g holds counts[g][c]
+        # balls of colour c, only where pattern[g][c]) come from no matching
+        def count_matrix_instances(band):
+            for counts in itertools.product(range(band.m + 1),
+                                            repeat=band.m * band.n):
+                rows = [counts[g * band.n:(g + 1) * band.n]
+                        for g in range(band.m)]
+                if (all(sum(row) == band.n for row in rows)
+                        and all(sum(col) == band.m for col in zip(*rows))
+                        and all(band.pattern[g][c] or not rows[g][c]
+                                for g, c in band.cells())):
+                    yield colours.ColourInstance(band.m, band.n, tuple(
+                        (g, c) for g, c in band.cells()
+                        for _ in range(rows[g][c])))
+
+        cases = [bands.random_band(2, 4, 0.7, seed) for seed in range(20)]
+        cases.append(bands.band_from_rows([[1, 1, 0], [1, 1, 1]]))
+        converted = 0
+        for band in cases:
+            sg = bands.to_semigroup(band)
+            for inst in count_matrix_instances(band):
+                result = colours.solve(inst)
+                if result.status != "solved":
+                    continue
+                p = colours.involution_from_plan(band, inst, result.plan)
+                assert matching.verify_involution_matching(sg, p)
+                converted += 1
+        assert converted > 50
 
     def test_pipeline_soundness_on_random_bands(self):
         produced = 0
@@ -405,7 +428,7 @@ class TestInvolutionFromPlan:
             result = colours.solve(inst, budget=200_000)
             if result.status != "solved":
                 continue
-            p = colours.involution_from_plan(band, phi, inst, result.plan)
+            p = colours.involution_from_plan(band, inst, result.plan)
             assert matching.verify_involution_matching(sg, p)
             assert p[0] == 0
             produced += 1
@@ -444,6 +467,70 @@ class TestReduceCommand:
         assert verdicts["nodes"] == 8_245
         assert verdicts["involution_verified"] is True
 
+
+
+class TestCommandsOnRandomInputs:
+    """``colour solve`` on random instance texts, some with a stray ball,
+    and ``colour reduce`` on random band texts, irregular ones included:
+    every run ends with a documented exit code, a failure with one stderr
+    line and no stdout, and every emitted plan and involution verifies."""
+
+    def test_random_texts(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @st.composite
+        def instance_texts(draw):
+            m, n = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+            cols = draw(st.permutations([c for c in range(n) for _ in range(m)]))
+            balls = [(k // n, c) for k, c in enumerate(cols)]
+            if draw(st.booleans()):
+                k = draw(st.integers(0, m * n - 1))
+                balls[k] = (draw(st.integers(-1, m)), draw(st.integers(-1, n)))
+            balls = draw(st.permutations(balls))
+            return f"{m} {n}\n" + "".join(f"{g} {c}\n" for g, c in balls)
+
+        patterns = st.integers(1, 4).flatmap(lambda m: st.integers(1, 6).flatmap(
+            lambda n: st.lists(st.lists(st.booleans(), min_size=n, max_size=n),
+                               min_size=m, max_size=m)))
+        runs = (st.tuples(st.just("solve"), instance_texts())
+                | st.tuples(st.just("reduce"), patterns.map(
+                    lambda rows: bands.format_band(bands.band_from_rows(rows)))))
+
+        @hypothesis.settings(max_examples=200, deadline=None,
+                             derandomize=True, database=None)
+        @hypothesis.given(runs)
+        def check(run):
+            mode, text = run
+            argv = (["colour", "solve", "-"] if mode == "solve"
+                    else ["colour", "reduce", "--band", "-"])
+            out, err = io.StringIO(), io.StringIO()
+            with mock.patch.object(sys, "stdin", io.StringIO(text)), \
+                    contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main(argv + ["--budget", "2000", "--json"])
+            assert code in {0, 2, 3, 4, 5}
+            if code not in (0, 5):
+                assert out.getvalue() == ""
+                assert err.getvalue().count("\n") == 1
+                return
+            rep = json.loads(out.getvalue())
+            plan = rep["witnesses"]["plan"]
+            if mode == "solve":
+                inst = colours.parse_instance(text)
+            else:
+                band = bands.parse_band(text)
+                inst = colours.instance_from_matching(
+                    band, rep["witnesses"]["matching"])
+                inv = rep["witnesses"]["involution"]
+                assert (inv is not None) == (plan is not None)
+                if inv is not None:
+                    assert matching.verify_involution_matching(
+                        bands.to_semigroup(band), inv)
+            if plan is not None:
+                assert colours.verify_plan(inst, colours.ExchangePlan(tuple(plan)))
+
+        check()
 
 class TestFormats:
     def test_instance_round_trip(self):

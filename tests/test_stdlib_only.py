@@ -2,7 +2,9 @@
 the standard library; the test-only oracles (hypothesis, networkx) must not
 leak into it. And no function calls itself by name: a recursive search
 overflows the stack on a large enough input, so every search keeps an
-explicit stack instead."""
+explicit stack instead. And every function and lambda reads each of its
+parameters but self and cls: one that none reads is dead weight that every
+caller still has to pass."""
 
 import ast
 import sys
@@ -45,3 +47,23 @@ def test_no_function_calls_itself_by_name():
             ):
                 recursive.append(f"{name}: {fn.name}")
     assert recursive == []
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for name, tree in parsed_modules():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.Lambda)):
+                continue
+            a = fn.args
+            params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs,
+                                      a.vararg, a.kwarg) if p is not None]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            read = {node.id for stmt in body for node in ast.walk(stmt)
+                    if isinstance(node, ast.Name)
+                    and isinstance(node.ctx, ast.Load)}
+            unread += [f"{name}: {getattr(fn, 'name', 'lambda')}({p})"
+                       for p in params
+                       if p not in ("self", "cls") and p not in read]
+    assert unread == []

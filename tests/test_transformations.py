@@ -109,7 +109,8 @@ class TestEnumeration:
         for n in range(0, 8):
             assert tr.family_size(family, n) == len(tr.family_maps(family, n))
 
-    @pytest.mark.parametrize("family, n", [("OPn", 9), ("Pn", 12)])
+    # PTn(5) has 7,776 maps: past the default cap, which bounds the table
+    @pytest.mark.parametrize("family, n", [("OPn", 9), ("Pn", 12), ("PTn", 5)])
     def test_cap_refuses_before_enumerating(self, family, n, monkeypatch):
         def refuse(*args):
             raise AssertionError("family_maps called")
