@@ -71,9 +71,11 @@ def validate(s: FiniteSemigroup) -> None:
     Associativity is decided by Light's test: (xg)y = x(gy) for all x, y
     and each g of a generating set, tested as soon as g is picked, O(n^2)
     products per generator.  The g for which the law holds form a
-    submagma, so a pass proves the table associative.  On a failure the
-    plain scan over all n^3 triples names the first bad one; it stops at
-    or before the triple the test found.
+    submagma, and the generating set's one-sided closure (see
+    :func:`_close`) lies in the submagma it generates, so a pass proves
+    the table associative.  On a failure the plain scan over all n^3
+    triples names the first bad one; it stops at or before the triple the
+    test found.
 
     Raises EntryOutOfRange or NotAssociative with the first failure in
     lexicographic scan order.
@@ -96,27 +98,37 @@ def _generators(t):
     """Yield a generating set of the magma ``t``, picked greedily: the
     elements with the most distinct products in their row first
     (idempotents first among equals), each only if the closure of those
-    before it misses it."""
+    before it misses it.  The order reads every row once, at C speed; the
+    closures read at most |S|·|X| products for the X picked."""
     inside: set[int] = set()
+    gens: list[int] = []
     for g in sorted(range(len(t)), key=lambda a: (len(set(t[a])), t[a][a] == a),
                     reverse=True):
         if g not in inside:
             yield g
-            _close(t, inside, g)
+            _close(t, inside, gens, g)
 
 
-def _close(t, inside: set[int], g: int) -> None:
-    """Add ``g`` to the closed set ``inside`` and close it again under the
-    product of ``t``.  Each new element is multiplied by the members on
-    both sides once, so growing a closure one element at a time costs
-    O(n^2) products in all."""
-    inside.add(g)
-    fresh = [g]
+def _close(t, inside: set[int], gens: list[int], g: int) -> None:
+    """Add the generator ``g`` to ``gens`` and grow ``inside``, the closure
+    of ``gens`` before it, to the closure of ``gens`` after it.
+
+    The closure is taken under right products by generators only: each
+    member of ``inside`` is multiplied by g once, and each new element by
+    every generator once, so growing a closure one generator at a time
+    reads at most |S|·|X| products for a generating set X (Froidure and
+    Pin's enumeration).  It holds the left-normed products (..(g1 g2)..)gk
+    of generators.  On an associative table these are all the products,
+    so this is the subsemigroup generated.  On any table they lie in the
+    submagma generated, so a set whose closure is the whole table
+    generates the table under every bracketing, which is what Light's
+    test in :func:`validate` needs.
+    """
+    gens.append(g)
+    fresh = list({g, *[t[x][g] for x in inside]} - inside)
+    inside.update(fresh)
     while fresh and len(inside) < len(t):
-        u = fresh.pop()
-        tu = t[u]
-        new = set(map(tu.__getitem__, inside))
-        new.update([t[v][u] for v in inside])
+        new = set(map(t[fresh.pop()].__getitem__, gens))
         new -= inside
         inside |= new
         fresh.extend(new)
@@ -300,25 +312,27 @@ def _components(n: int, succ) -> list[int]:
 
 
 def green_relations(s: FiniteSemigroup) -> EggBox:
-    """Egg-box decomposition.  On a generating set, the R-classes are the
-    strongly connected components of the right Cayley graph (a -> ag), the
-    L-classes those of the left one (a -> ga), and the D-classes (= J on
-    finite semigroups) those of both together; H = R intersect L."""
+    """Egg-box decomposition from |S|·|X| products for the generating set
+    X of :func:`_generators`.  The R-classes are the strongly connected
+    components of the right Cayley graph on X (a -> ag), the L-classes
+    those of the left one (a -> ga), and H = R intersect L.  On a finite
+    semigroup D (= J) is R o L = R v L, so it needs no third search: the
+    D-class of a is the union of the L-classes that meet the R-class of a,
+    O(|S|) for all classes."""
     n = s.order
     t = s.table
     gens = list(_generators(t))
-
-    def right(a):
-        return [t[a][g] for g in gens]
-
-    def left(a):
-        return [t[g][a] for g in gens]
-
-    r_id = _components(n, right)
-    l_id = _components(n, left)
-    d_id = _components(n, lambda a: [*right(a), *left(a)])
+    rows = [t[g] for g in gens]
+    r_id = _components(n, lambda a: map(t[a].__getitem__, gens))
+    l_id = _components(n, lambda a: [row[a] for row in rows])
     r_classes = _partition_by(n, r_id.__getitem__)
     l_classes = _partition_by(n, l_id.__getitem__)
+    d_id = [-1] * n
+    for a in range(n):
+        if d_id[a] == -1:
+            for j in {l_id[b] for b in r_classes[r_id[a]]}:
+                for c in l_classes[j]:
+                    d_id[c] = a
     d_classes_raw = _partition_by(n, d_id.__getitem__)
     d_of = [0] * n
     r_of = [0] * n
@@ -393,30 +407,31 @@ def principal_factors(s: FiniteSemigroup) -> tuple[PrincipalFactor, ...]:
     require_regular(s)
     t = s.table
     factors = []
+    # pos[z]: z's index in the current factor, or 0 (the zero) for z
+    # outside the class; reset to all zeros after each class
+    pos = [0] * len(t)
     for d_idx, box in enumerate(s.egg_box.d_classes):
         members = box.elements
         member_set = set(members)
         # xS meets the minimal ideal K for any x, so xS lies in the class
         # of x exactly when that class is K
         zero_adjoined = not member_set.issuperset(t[members[0]])
-        k = len(members)
-        pos = {x: i for i, x in enumerate(members)}
+        zero = (0,) if zero_adjoined else ()
+        for i, x in enumerate(members, len(zero)):
+            pos[x] = i
+        # row x of the factor: the members' columns of t[x], then their pos
+        cols = (itemgetter(*members) if len(members) > 1
+                else lambda row: (row[members[0]],))
+        rows = [(*zero, *map(pos.__getitem__, cols(t[x]))) for x in members]
+        for x in members:
+            pos[x] = 0
+        labels = tuple(s.label(x) for x in members)
         if zero_adjoined:
-            size = k + 1
-            rows = [[0] * size for _ in range(size)]
-            for i, x in enumerate(members):
-                for j, y in enumerate(members):
-                    z = t[x][y]
-                    rows[i + 1][j + 1] = pos[z] + 1 if z in member_set else 0
-            labels = ("0",) + tuple(s.label(x) for x in members)
-        else:
-            rows = [
-                [pos[t[x][y]] for y in members] for x in members
-            ]
-            labels = tuple(s.label(x) for x in members)
+            rows.insert(0, (0,) * (len(members) + 1))
+            labels = ("0",) + labels
         factors.append(
             PrincipalFactor(
-                semigroup=FiniteSemigroup(tuple(map(tuple, rows)), labels),
+                semigroup=FiniteSemigroup(tuple(rows), labels),
                 source_d_class=d_idx,
                 zero_adjoined=zero_adjoined,
                 members=members,
@@ -457,11 +472,14 @@ class StructureReport:
 
 
 def generated_closure(s: FiniteSemigroup, seed) -> list[int]:
-    """Subsemigroup generated by ``seed``."""
+    """Subsemigroup generated by ``seed``, in |S|·|X| products for the X
+    of its elements that the closure of those before them misses; see
+    :func:`_close`."""
     inside: set[int] = set()
+    gens: list[int] = []
     for g in seed:
         if g not in inside:
-            _close(s.table, inside, g)
+            _close(s.table, inside, gens, g)
     return sorted(inside)
 
 
