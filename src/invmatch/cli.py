@@ -360,7 +360,7 @@ def cmd_colour(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    _require_positive(args, "n")
+    _require_positive(args, "n", "--cap")
     data = transformations.enumerate_family(args.family, args.n, cap=args.cap)
     sys.stdout.write(core.format_cayley(data.semigroup))
     if args.dict:

@@ -25,10 +25,9 @@ from .errors import (
 class FiniteSemigroup:
     """A finite magma given by its Cayley table; see :func:`validate`.
 
-    The egg-box, the inverse graph and the principal factors are computed
-    on first use by :func:`green_relations`, :func:`inverse_graph_of` and
-    :func:`principal_factors`, and kept on the object: the table never
-    changes, so neither do they.
+    Its generating set, egg-box, inverse graph and principal factors are
+    computed on first use, each by the function its property calls, and
+    kept on the object: the table never changes, so neither do they.
     """
 
     table: tuple[tuple[int, ...], ...]
@@ -37,6 +36,10 @@ class FiniteSemigroup:
     @property
     def order(self) -> int:
         return len(self.table)
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        return generating_set(self)
 
     @cached_property
     def egg_box(self) -> EggBox:
@@ -69,13 +72,12 @@ def validate(s: FiniteSemigroup) -> None:
     """Entry-range and associativity check.
 
     Associativity is decided by Light's test: (xg)y = x(gy) for all x, y
-    and each g of a generating set, tested as soon as g is picked, O(n^2)
-    products per generator.  The g for which the law holds form a
-    submagma, and the generating set's one-sided closure (see
-    :func:`_close`) lies in the submagma it generates, so a pass proves
-    the table associative.  On a failure the plain scan over all n^3
-    triples names the first bad one; it stops at or before the triple the
-    test found.
+    and each g of the generating set ``s.generators``, O(n^2) products per
+    generator.  The g for which the law holds form a submagma, and the
+    generating set's one-sided closure (see :func:`_closure`) lies in the
+    submagma it generates, so a pass proves the table associative.  On a
+    failure the plain scan over all n^3 triples names the first bad one; it
+    stops at or before the triple the test found.
 
     Raises EntryOutOfRange or NotAssociative with the first failure in
     lexicographic scan order.
@@ -90,54 +92,55 @@ def validate(s: FiniteSemigroup) -> None:
             raise EntryOutOfRange(a, b, row[b], n)
     # the one in-range table of order 1 is associative, and an itemgetter
     # of one index returns an entry, not a row
-    if n > 1 and any(_first_bad_triple(t, [g]) for g in _generators(t)):
+    if n > 1 and _first_bad_triple(t, s.generators):
         raise NotAssociative(*_first_bad_triple(t, range(n)))
 
 
-def _generators(t):
-    """Yield a generating set of the magma ``t``, picked greedily: the
-    elements with the most distinct products in their row first
-    (idempotents first among equals), each only if the closure of those
-    before it misses it.  The order reads every row once, at C speed; the
-    closures read at most |S|·|X| products for the X picked."""
-    inside: set[int] = set()
-    gens: list[int] = []
-    for g in sorted(range(len(t)), key=lambda a: (len(set(t[a])), t[a][a] == a),
-                    reverse=True):
-        if g not in inside:
-            yield g
-            _close(t, inside, gens, g)
+def generating_set(s: FiniteSemigroup) -> tuple[int, ...]:
+    """A generating set of the magma ``s``, picked greedily: the elements
+    with the most distinct products in their row first (idempotents first
+    among equals), each only if the closure of those before it misses it.
+    The order reads every row once, at C speed; the closures read at most
+    |S|·|X| products for the X picked.  Use the cached ``s.generators``."""
+    t = s.table
+    return _closure(t, sorted(range(len(t)), reverse=True,
+                              key=lambda a: (len(set(t[a])), t[a][a] == a)))[1]
 
 
-def _close(t, inside: set[int], gens: list[int], g: int) -> None:
-    """Add the generator ``g`` to ``gens`` and grow ``inside``, the closure
-    of ``gens`` before it, to the closure of ``gens`` after it.
+def _closure(t, candidates) -> tuple[set[int], tuple[int, ...]]:
+    """The closure of ``candidates`` in the magma ``t``, and the generators
+    it took: each candidate that the closure of those before it misses.
 
     The closure is taken under right products by generators only: each
-    member of ``inside`` is multiplied by g once, and each new element by
-    every generator once, so growing a closure one generator at a time
-    reads at most |S|·|X| products for a generating set X (Froidure and
-    Pin's enumeration).  It holds the left-normed products (..(g1 g2)..)gk
-    of generators.  On an associative table these are all the products,
-    so this is the subsemigroup generated.  On any table they lie in the
-    submagma generated, so a set whose closure is the whole table
-    generates the table under every bracketing, which is what Light's
-    test in :func:`validate` needs.
+    member is multiplied by a new generator once, and each new element by
+    every generator once, so it reads at most |S|·|X| products for the
+    generators X (Froidure and Pin's enumeration).  It holds the
+    left-normed products (..(g1 g2)..)gk of generators.  On an associative
+    table these are all the products, so this is the subsemigroup
+    generated.  On any table they lie in the submagma generated, so a set
+    whose closure is the whole table generates the table under every
+    bracketing, which is what Light's test in :func:`validate` needs.
     """
-    gens.append(g)
-    fresh = list({g, *[t[x][g] for x in inside]} - inside)
-    inside.update(fresh)
-    while fresh and len(inside) < len(t):
-        new = set(map(t[fresh.pop()].__getitem__, gens))
-        new -= inside
-        inside |= new
-        fresh.extend(new)
+    inside: set[int] = set()
+    gens: list[int] = []
+    for g in candidates:
+        if g in inside:
+            continue
+        gens.append(g)
+        fresh = list({g, *[t[x][g] for x in inside]} - inside)
+        inside.update(fresh)
+        while fresh and len(inside) < len(t):
+            new = set(map(t[fresh.pop()].__getitem__, gens))
+            new -= inside
+            inside |= new
+            fresh.extend(new)
+    return inside, tuple(gens)
 
 
 def _first_bad_triple(t, middles) -> tuple[int, int, int] | None:
-    """First (a, b, c) in lexicographic order with b in the ascending
-    ``middles`` and (ab)c != a(bc), or None.  Row (ab)· is compared with
-    a(b·), read off row a, at once."""
+    """First (a, b, c) with b in ``middles`` and (ab)c != a(bc), scanning
+    a, then b in the order of ``middles``, then c; or None.  Row (ab)· is
+    compared with a(b·), read off row a, at once."""
     times = [(b, itemgetter(*t[b])) for b in middles]
     for a, ta in enumerate(t):
         for b, times_b in times:
@@ -313,7 +316,7 @@ def _components(n: int, succ) -> list[int]:
 
 def green_relations(s: FiniteSemigroup) -> EggBox:
     """Egg-box decomposition from |S|·|X| products for the generating set
-    X of :func:`_generators`.  The R-classes are the strongly connected
+    X = ``s.generators``.  The R-classes are the strongly connected
     components of the right Cayley graph on X (a -> ag), the L-classes
     those of the left one (a -> ga), and H = R intersect L.  On a finite
     semigroup D (= J) is R o L = R v L, so it needs no third search: the
@@ -321,7 +324,7 @@ def green_relations(s: FiniteSemigroup) -> EggBox:
     O(|S|) for all classes."""
     n = s.order
     t = s.table
-    gens = list(_generators(t))
+    gens = s.generators
     rows = [t[g] for g in gens]
     r_id = _components(n, lambda a: map(t[a].__getitem__, gens))
     l_id = _components(n, lambda a: [row[a] for row in rows])
@@ -474,13 +477,8 @@ class StructureReport:
 def generated_closure(s: FiniteSemigroup, seed) -> list[int]:
     """Subsemigroup generated by ``seed``, in |S|·|X| products for the X
     of its elements that the closure of those before them misses; see
-    :func:`_close`."""
-    inside: set[int] = set()
-    gens: list[int] = []
-    for g in seed:
-        if g not in inside:
-            _close(s.table, inside, gens, g)
-    return sorted(inside)
+    :func:`_closure`."""
+    return sorted(_closure(s.table, seed)[0])
 
 
 def _is_union_of_groups_subset(s: FiniteSemigroup, subset) -> bool:

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -249,6 +250,20 @@ class TestGen:
             assert code == 2
             assert out == ""
             assert err == f"parse error: n must be positive, got {n}\n"
+
+    def test_gen_cap_admits_a_family_of_exactly_its_size(self, capsys):
+        code, out, err = run(capsys, ["gen", "On", "4", "--cap", "35"])
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / "gen_on_4.cayley").read_text(encoding="utf-8")
+        code, out, err = run(capsys, ["gen", "On", "4", "--cap", "34"])
+        assert (code, out) == (4, "")
+        assert err == "precondition failed: |On(4)| = 35 exceeds cap 34\n"
+
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_gen_rejects_a_non_positive_cap(self, capsys, cap):
+        code, out, err = run(capsys, ["gen", "Tn", "3", "--cap", cap])
+        assert (code, out) == (2, "")
+        assert err == f"parse error: --cap must be positive, got {cap}\n"
 
     def test_gen_pipes_into_analyze(self, capsys, monkeypatch):
         code, out, _ = run(capsys, ["gen", "Tn", "3"])
@@ -766,3 +781,104 @@ class TestInternalError:
         monkeypatch.setattr(cli, "cmd_analyze", broken)
         code, out, err = call_in_process(["analyze", str(GOLDEN / "t3.cayley")])
         assert (code, out, err) == (4, "", "internal error: RuntimeError: boom\n")
+
+
+def reverify_table_witnesses(sg, command, rep):
+    """Every witness in a table command's report, checked against ``sg``;
+    ``factors`` reports none."""
+    witnesses = rep.get("witnesses", {})
+    if witnesses.get("matching"):
+        assert matching.verify_permutation_matching(sg, witnesses["matching"])
+    if witnesses.get("h_preserving"):
+        p = witnesses["h_preserving"]
+        assert matching.verify_permutation_matching(sg, p)
+        assert matching.is_h_preserving(sg, p)
+    viol = witnesses.get("hall_violator")
+    if viol is not None:
+        inverses = sg.inverse_graph.inverses
+        assert sorted({b for a in viol["elements"] for b in inverses[a]}) == viol["image"]
+        assert len(viol["elements"]) > len(viol["image"])
+    if command == "match":
+        assert (witnesses["matching"] is None) != (viol is None)
+    if command == "involution" and witnesses["involution"] is not None:
+        assert matching.verify_involution_matching(sg, witnesses["involution"])
+
+
+def reverify_band_witnesses(band, mode, rep):
+    """Every witness in a ``band`` mode's report, checked against ``band``."""
+    witnesses = rep["witnesses"]
+    if mode == "check" and witnesses["violator"] is not None:
+        rows = witnesses["violator"]["indices"]
+        cols = {j for i in rows for j in range(band.n) if band.pattern[i][j]}
+        assert band.n * len(rows) > band.m * len(cols)
+    if mode == "harem" and witnesses["functions"] is not None:
+        images = [j for f in witnesses["functions"] for j in f]
+        assert sorted(images) == list(range(band.n))
+        assert all(band.pattern[i][j] for f in witnesses["functions"]
+                   for i, j in enumerate(f))
+    if mode == "involution" and witnesses["involution"] is not None:
+        assert rep["verdicts"]["verified"] is True
+        assert bands.verify_band_involution(band, witnesses["involution"])
+
+
+class TestCommandsOnRandomInputs:
+    """The table commands and the ``band`` modes on random magma texts,
+    corpus semigroups and random band texts, irregular ones included: every
+    run ends with a documented exit code, a failure with one stderr line
+    and no stdout, and every emitted witness re-verifies."""
+
+    TABLE_COMMANDS = [["analyze"], ["match"], ["involution"], ["factors"]]
+    BAND_MODES = [["band", "check"], ["band", "harem"], ["band", "involution"]]
+
+    def test_random_texts(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @st.composite
+        def magma_texts(draw):
+            n = draw(st.integers(1, 4))
+            rows = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=n,
+                                          max_size=n), min_size=n, max_size=n))
+            if draw(st.booleans()):  # one entry out of range
+                rows[draw(st.integers(0, n - 1))][0] = draw(st.sampled_from([-1, n]))
+            return f"{n}\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows)
+
+        corpus_texts = st.integers(0, 10_000).map(lambda seed: core.format_cayley(
+            corpus.corpus_semigroup(seed, max_order=10)))
+        cells = st.sampled_from([True, True, True, False])  # mostly regular
+        band_texts = st.integers(1, 4).flatmap(lambda m: st.integers(1, 6).flatmap(
+            lambda n: st.lists(st.lists(cells, min_size=n, max_size=n),
+                               min_size=m, max_size=m))).map(
+            lambda rows: bands.format_band(bands.band_from_rows(rows)))
+        runs = (st.tuples(st.sampled_from(self.TABLE_COMMANDS),
+                          corpus_texts | band_texts | magma_texts())
+                | st.tuples(st.sampled_from(self.BAND_MODES), band_texts))
+
+        # violators, which dense random patterns seldom give
+        counterexample = (GOLDEN / "counterexample.band").read_text(encoding="utf-8")
+
+        @hypothesis.settings(max_examples=500, deadline=None,
+                             derandomize=True, database=None)
+        @hypothesis.given(runs)
+        @hypothesis.example((["match"], counterexample))
+        @hypothesis.example((["analyze"], counterexample))
+        @hypothesis.example((["band", "check"], "2 4\n1000\n1111\n"))
+        def check(run):
+            command, text = run
+            with mock.patch.object(sys, "stdin", io.StringIO(text)):
+                code, out, err = call_in_process(command + ["-", "--json"])
+            assert code in {0, 2, 3, 4, 5}
+            if code != 0:
+                assert out == ""
+                assert err.count("\n") == 1
+                return
+            assert err == ""
+            rep = json.loads(out)
+            if command[0] == "band":
+                reverify_band_witnesses(bands.parse_band(text), command[1], rep)
+            else:
+                sg = (bands.to_semigroup(bands.parse_band(text))
+                      if rep["input"]["kind"] == "band" else core.parse_cayley(text))
+                reverify_table_witnesses(sg, command[0], rep)
+
+        check()

@@ -126,17 +126,17 @@ class TestLightTest:
         # the first bad triple of this table has a middle outside the
         # generating set, so it must come from the scan
         text = (GOLDEN / "o5_corrupted.cayley").read_text(encoding="utf-8")
-        table = core.parse_cayley(text).table
+        s = core.parse_cayley(text)
+        table = s.table
         assert scan_verdict(table) == (NotAssociative, (1, 104, 31))
-        assert 104 not in set(core._generators(table))
+        assert 104 not in s.generators
         assert validate_verdict(table) == (NotAssociative, (1, 104, 31))
 
     @pytest.mark.parametrize("k", [1, 2, 7, 30])
     def test_every_element_a_generator(self, k):
-        null = corpus.null_semigroup(k).table
-        right_zero = corpus.rectangular_band(1, k).table
-        for table in (null, right_zero):
-            assert sorted(core._generators(table)) == list(range(k))
+        for s in (corpus.null_semigroup(k), corpus.rectangular_band(1, k)):
+            table = s.table
+            assert sorted(s.generators) == list(range(k))
             assert validate_verdict(table) == (None, None)
             rng = random.Random(k)
             for _ in range(10):
@@ -171,8 +171,8 @@ def two_sided_closure(table, seed):
 
 
 class TestClosure:
-    """``_close`` closes under right products by the generators only: on a
-    non-associative table it holds the left-normed products alone."""
+    """Closures are taken under right products by the generators only: on
+    a non-associative table they hold the left-normed products alone."""
 
     def test_validate_is_sound_on_every_magma_of_order_at_most_3(self):
         one_sided_misses = 0
@@ -180,11 +180,11 @@ class TestClosure:
             for flat in itertools.product(range(n), repeat=n * n):
                 table = [flat[i:i + n] for i in range(0, n * n, n)]
                 assert validate_verdict(table) == scan_verdict(table), table
-                gens = set(core._generators(table))
+                s = core.semigroup_from_rows(table)
+                gens = set(s.generators)
                 assert two_sided_closure(table, gens) == set(range(n)), table
                 for g in range(n):
-                    inside: set[int] = set()
-                    core._close(table, inside, [], g)
+                    inside = set(core.generated_closure(s, [g]))
                     one_sided_misses += inside != two_sided_closure(table, {g})
         # the one-sided closure is a proper subset on some tables, so the
         # verdicts above cover the case the soundness argument is about
@@ -203,7 +203,7 @@ class TestClosure:
                 return tuple.__getitem__(self, i)
 
         counted = core.FiniteSemigroup(tuple(map(Row, s.table)))
-        gens = list(core._generators(counted.table))
+        gens = counted.generators
         assert reads[0] <= 2 * n * len(gens)
 
         idems = core.idempotents(s)

@@ -82,6 +82,7 @@ def test_analyze_computes_each_structure_once(tmp_path, monkeypatch):
     path = tmp_path / "o4.cayley"
     path.write_text(core.format_cayley(enumerate_family("On", 4).semigroup))
     seen = count_calls(monkeypatch, [
+        "core.generating_set",
         "core.inverse_graph_of",
         "core.green_relations",
         "core.principal_factors",
@@ -89,8 +90,10 @@ def test_analyze_computes_each_structure_once(tmp_path, monkeypatch):
     ])
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["analyze", str(path), "--json"]) == 0
-    # O_4 and its four principal factors
-    for name in ("core.inverse_graph_of", "core.green_relations"):
+    # O_4 and its four principal factors: validate and green_relations
+    # share one generating set
+    for name in ("core.generating_set", "core.inverse_graph_of",
+                 "core.green_relations"):
         per_object = Counter(id(s) for s in seen[name])
         assert len(per_object) == 5 and set(per_object.values()) == {1}, name
     assert len(seen["core.principal_factors"]) == 1
