@@ -26,7 +26,8 @@ class FiniteSemigroup:
     """A finite magma given by its Cayley table; see :func:`validate`.
 
     Its generating set, egg-box, inverse graph and principal factors are
-    computed on first use, each by the function its property calls, and
+    computed on first use, each by the function its property calls (a
+    principal factor's egg-box is set by :func:`principal_factors`), and
     kept on the object: the table never changes, so neither do they.
     """
 
@@ -71,13 +72,16 @@ def semigroup_from_rows(rows, labels=None) -> FiniteSemigroup:
 def validate(s: FiniteSemigroup) -> None:
     """Entry-range and associativity check.
 
-    Associativity is decided by Light's test: (xg)y = x(gy) for all x, y
-    and each g of the generating set ``s.generators``, O(n^2) products per
-    generator.  The g for which the law holds form a submagma, and the
-    generating set's one-sided closure (see :func:`_closure`) lies in the
-    submagma it generates, so a pass proves the table associative.  On a
-    failure the plain scan over all n^3 triples names the first bad one; it
-    stops at or before the triple the test found.
+    The range check is one set inclusion; a row scan names the first bad
+    entry.  Associativity is decided by Light's test: (xg)y = x(gy) for
+    all x, y and each g of the generating set ``s.generators``, O(n^2)
+    products per generator, skipped for a two-sided identity g (found in
+    O(n)), as (xg)y = xy = x(gy).  The g for which the law holds form a
+    submagma, and the generating set's one-sided closure (see
+    :func:`_closure`) lies in the submagma it generates, so a pass proves
+    the table associative.  On a failure the plain scan over all n^3
+    triples names the first bad one; it stops at or before the triple the
+    test found.
 
     Raises EntryOutOfRange or NotAssociative with the first failure in
     lexicographic scan order.
@@ -86,13 +90,15 @@ def validate(s: FiniteSemigroup) -> None:
     t = s.table
     if any(len(row) != n for row in t):
         raise ParseError("table is not square")
-    for a, row in enumerate(t):
-        if min(row) < 0 or max(row) >= n:
-            b = next(b for b, v in enumerate(row) if not 0 <= v < n)
-            raise EntryOutOfRange(a, b, row[b], n)
-    # the one in-range table of order 1 is associative, and an itemgetter
-    # of one index returns an entry, not a row
-    if n > 1 and _first_bad_triple(t, s.generators):
+    every = tuple(range(n))
+    if not set().union(*t) <= set(every):
+        a, b = next((a, b) for a, row in enumerate(t)
+                    for b, v in enumerate(row) if not 0 <= v < n)
+        raise EntryOutOfRange(a, b, t[a][b], n)
+    # the one in-range table of order 1 is its identity, so it scans none
+    middles = [g for g in s.generators
+               if t[g] != every or tuple(row[g] for row in t) != every]
+    if _first_bad_triple(t, middles):
         raise NotAssociative(*_first_bad_triple(t, range(n)))
 
 
@@ -183,16 +189,39 @@ class InverseGraph:
 
 
 def inverse_graph_of(s: FiniteSemigroup) -> InverseGraph:
-    """One scan of the pairs a <= b for aba = a and bab = b.  Use the
-    cached ``s.inverse_graph``."""
+    """V(a) for every a, read off the egg-box ``s.egg_box`` (so the table
+    must be associative) in |V(a)| products and one H-class search per a.
+    Use the cached ``s.inverse_graph``.
+
+    Mutual inverses share a D-class, and one with no idempotent has no
+    regular element.  In a regular one take idempotents e R a and f L a:
+    R_f ∩ L_e holds exactly one x with ax = e, an inverse a0 of a with
+    a0·a = f.  Then V(a) = {f'·a0·e' : idempotents e' R a, f' L a}, one b
+    with ab = e' and ba = f' per pair (Miller and Clifford; Howie 1995,
+    §2.3-2.5).
+    """
     t = s.table
-    n = s.order
-    return InverseGraph.from_pairs(n, (
-        (a, b)
-        for a in range(n)
-        for b in range(a, n)
-        if t[t[a][b]][a] == a and t[t[b][a]][b] == b
-    ))
+    egg = s.egg_box
+    inverses: list[tuple[int, ...]] = [()] * s.order
+    for box in egg.d_classes:
+        if not any(map(any, box.group_h)):
+            continue
+        row_idems = [[x for cell in row for x in cell if t[x][x] == x]
+                     for row in box.grid]
+        col_idems = [[x for cell in col for x in cell if t[x][x] == x]
+                     for col in zip(*box.grid)]
+        for es, row in zip(row_idems, box.grid):
+            e = es[0]
+            for fs, cell in zip(col_idems, row):
+                h = box.grid[egg.r_of[fs[0]]][egg.l_of[e]]
+                # a·x for x in h
+                times = (itemgetter(*h) if len(h) > 1
+                         else lambda row: (row[h[0]],))
+                for a in cell:
+                    a0 = h[times(t[a]).index(e)]
+                    inverses[a] = tuple(sorted(
+                        [t[t[f][a0]][e2] for f in fs for e2 in es]))
+    return InverseGraph(s.order, tuple(inverses))
 
 
 def pattern_inverse_graph(pattern) -> InverseGraph:
@@ -426,21 +455,43 @@ def principal_factors(s: FiniteSemigroup) -> tuple[PrincipalFactor, ...]:
         cols = (itemgetter(*members) if len(members) > 1
                 else lambda row: (row[members[0]],))
         rows = [(*zero, *map(pos.__getitem__, cols(t[x]))) for x in members]
+        egg = _factor_egg_box(s.egg_box, box, pos, zero)
         for x in members:
             pos[x] = 0
         labels = tuple(s.label(x) for x in members)
         if zero_adjoined:
             rows.insert(0, (0,) * (len(members) + 1))
             labels = ("0",) + labels
+        semigroup = FiniteSemigroup(tuple(rows), labels)
+        vars(semigroup)["egg_box"] = egg  # seeds the cached property
         factors.append(
             PrincipalFactor(
-                semigroup=FiniteSemigroup(tuple(rows), labels),
+                semigroup=semigroup,
                 source_d_class=d_idx,
                 zero_adjoined=zero_adjoined,
                 members=members,
             )
         )
     return tuple(factors)
+
+
+def _factor_egg_box(egg: EggBox, box: DClassBox, pos, zero) -> EggBox:
+    """What :func:`green_relations` gives the principal factor of the
+    regular D-class ``box`` of ``egg``, with its members at ``pos`` and the
+    zero ``(0,)`` or ``()``.  R, L and H of a regular D-class are the same
+    in S and in its factor, and ``pos`` keeps the members' order, by which
+    both number classes; an adjoined zero is a D-class of its own, first."""
+    def moved(classes):
+        return tuple(tuple(map(pos.__getitem__, c)) for c in classes)
+
+    members = box.elements
+    zero_box = DClassBox((0,), ((0,),), ((0,),), (((0,),),), ((True,),))
+    boxes = (zero_box,) * len(zero) + (DClassBox(
+        moved([members])[0], moved(box.r_classes), moved(box.l_classes),
+        tuple(map(moved, box.grid)), box.group_h),)
+    return EggBox(boxes, zero + (len(zero),) * len(members),
+                  zero + tuple(egg.r_of[x] for x in members),
+                  zero + tuple(egg.l_of[x] for x in members))
 
 
 def require_zero_simple(f: PrincipalFactor) -> DClassBox:

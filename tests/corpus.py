@@ -345,6 +345,19 @@ def adjoin_identity(s: FiniteSemigroup) -> FiniteSemigroup:
     return semigroup_from_rows(rows)
 
 
+def monogenic_semigroup(index: int, period: int) -> FiniteSemigroup:
+    """The semigroup generated by a with a^(index + period) = a^index, a^k
+    at k - 1; regular only when index is 1, a cyclic group."""
+    size = index + period - 1
+
+    def power(k: int) -> int:
+        return k if k <= size else index + (k - index) % period
+
+    rows = [[power(i + j) - 1 for j in range(1, size + 1)]
+            for i in range(1, size + 1)]
+    return semigroup_from_rows(rows)
+
+
 def null_semigroup(k: int) -> FiniteSemigroup:
     """Zero plus k-1 elements with all products zero; not regular."""
     rows = [[0] * k for _ in range(k)]

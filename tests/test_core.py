@@ -159,6 +159,57 @@ class TestLightTest:
         check()
 
 
+class TestValidateShortcuts:
+    """The range check is one set inclusion and Light's test skips a
+    two-sided identity; the plain scans stay their oracle."""
+
+    def test_out_of_range_entries_are_named_as_the_row_scan_names_them(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        tables = st.integers(1, 6).flatmap(lambda n: st.lists(
+            st.lists(st.integers(-3, n + 2), min_size=n, max_size=n),
+            min_size=n, max_size=n)).filter(
+                lambda rows: not set().union(*rows) <= set(range(len(rows))))
+
+        @hypothesis.settings(max_examples=300, deadline=None,
+                             derandomize=True, database=None)
+        @hypothesis.given(tables)
+        def check(rows):
+            verdict = validate_verdict(rows)
+            assert verdict[0] is EntryOutOfRange
+            assert verdict == scan_verdict(rows)
+
+        check()
+
+    def test_a_corrupted_identity_row_or_column_is_refused(self):
+        monoids = [enumerate_family("Tn", 3).semigroup,
+                   enumerate_family("On", 4).semigroup,
+                   corpus.cyclic_group(5)]
+        monoids += [corpus.adjoin_identity(corpus.corpus_semigroup(seed))
+                    for seed in range(10)]
+        refused = tried = 0
+        for s in monoids:
+            n = s.order
+            (e,) = [e for e in range(n)
+                    if s.table[e] == tuple(range(n))
+                    and all(row[e] == x for x, row in enumerate(s.table))]
+            assert e in s.generators
+            rng = random.Random(n)
+            for _ in range(5):
+                x = rng.randrange(n)
+                v = rng.choice([v for v in range(n) if v != x])
+                for a, b in ((e, x), (x, e)):
+                    rows = [list(row) for row in s.table]
+                    rows[a][b] = v
+                    verdict = scan_verdict(rows)
+                    assert validate_verdict(rows) == verdict
+                    refused += verdict[0] is NotAssociative
+                    tried += 1
+        # a few corrupted tables stay associative, as a semigroup with a
+        # changed identity row can be
+        assert refused > 0.9 * tried
+
+
 def two_sided_closure(table, seed):
     """Submagma generated by ``seed`` under every bracketing: products of
     members on both sides until nothing new appears."""
@@ -181,6 +232,11 @@ class TestClosure:
                 table = [flat[i:i + n] for i in range(0, n * n, n)]
                 assert validate_verdict(table) == scan_verdict(table), table
                 s = core.semigroup_from_rows(table)
+                # with an identity adjoined at 0, picked first and skipped
+                monoid = corpus.adjoin_identity(s)
+                assert monoid.generators[0] == 0
+                assert (validate_verdict(monoid.table)
+                        == scan_verdict(monoid.table)), table
                 gens = set(s.generators)
                 assert two_sided_closure(table, gens) == set(range(n)), table
                 for g in range(n):
@@ -219,9 +275,43 @@ class TestClosure:
         assert reads[0] <= 2 * n * len(picked)
 
 
+def graph_oracle_inputs():
+    """Name -> semigroup: regular and not, with one D-class or many, up to
+    a 1,716-element monoid, a 1,000-element group and a 300-element
+    left-zero semigroup."""
+    inputs = {name: core.FiniteSemigroup(table)
+              for name, table in oracle_tables().items()}
+    inputs.update((f"corpus {seed}", corpus.corpus_semigroup(seed, 30))
+                  for seed in range(40, 140))
+    for family, k in (("Tn", 4), ("On", 6), ("On", 7)):
+        inputs[f"{family} {k}"] = enumerate_family(family, k).semigroup
+    for k, band in enumerate(corpus.all_regular_patterns(3, 4)):
+        inputs[f"band {k}"] = bands.to_semigroup(band)
+    for k in range(1, 6):
+        inputs[f"null {k}"] = corpus.null_semigroup(k)
+        inputs[f"chain {k}"] = corpus.chain_semilattice(k)
+        for index in range(1, k + 1):
+            inputs[f"cyclic {index} {k + 1 - index}"] = (
+                corpus.monogenic_semigroup(index, k + 1 - index))
+    inputs["Z 1000"] = corpus.cyclic_group(1000)
+    inputs["left zero 300"] = corpus.rectangular_band(300, 1)
+    return inputs
+
+
 class TestInverses:
     """V(a) as ``inverses[a]`` of the inverse graph, against the
     brute-force scan ``corpus.inverses_of``."""
+
+    def test_egg_box_read_equals_the_oracle_on_large_and_irregular_inputs(self):
+        # read off the egg-box: V(a) from one inverse and the idempotents of
+        # R_a and L_a, empty on a D-class without an idempotent
+        inputs = graph_oracle_inputs()
+        regular = 0
+        for name, s in inputs.items():
+            expected = tuple(tuple(corpus.inverses_of(s, a)) for a in range(s.order))
+            assert s.inverse_graph == core.InverseGraph(s.order, expected), name
+            regular += all(expected)
+        assert 0 < regular < len(inputs)
 
     def test_counterexample_cell_has_unique_inverse(self):
         sg = bands.to_semigroup(bands.no_matching_band())
@@ -353,10 +443,12 @@ class TestGreenRelations:
                 assert (f.zero_adjoined, f.members) == (zero, box.elements)
                 assert f.semigroup.table == corpus.factor_table(
                     s, box.elements, zero)
-                # D read off R and L on the factor too, where {0} is a
-                # D-class of its own, and on a zero-free minimal ideal
-                factor_egg = core.green_relations(f.semigroup)
-                assert factor_egg == corpus.ideal_egg_box(f.semigroup)
+                # the factor's egg-box is S's D-class reindexed, and it is
+                # what Green's relations give the factor's table, where {0}
+                # is a D-class of its own, and a zero-free minimal ideal
+                fresh = core.FiniteSemigroup(f.semigroup.table)
+                assert f.semigroup.egg_box == core.green_relations(fresh)
+                assert f.semigroup.egg_box == corpus.ideal_egg_box(f.semigroup)
 
     def test_h_cells_tile_evenly_and_group_cells_have_one_idempotent(self):
         for seed in range(40):

@@ -10,14 +10,18 @@ changes on purpose, rewrite the files with ``python3 tests/test_golden.py``
 """
 
 import contextlib
+import hashlib
 import io
 import json
+import random
 import sys
 from pathlib import Path
 
 import pytest
 
+from invmatch import core
 from invmatch.cli import main
+from invmatch.transformations import enumerate_family
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -128,6 +132,43 @@ def test_gen_matches_golden(name):
 def test_gen_dict_matches_golden(tmp_path):
     assert written_dict(tmp_path / GEN_DICT) == (
         (GOLDEN / GEN_DICT).read_text(encoding="utf-8"))
+
+
+# The tables the benchmark analyzes are too large to commit as golden
+# files, so their reports are pinned by sha256: stdout of
+# ``analyze - --json`` on the text ``gen`` prints.
+PINNED_SHA256 = {
+    ("Tn", 4): "0a1ae90c9fdd10d91f6fa514dbdd8c276b4e6f3195eeb6960554d9ba77e61d96",
+    ("On", 6): "b95577d8d8dda09279f1a31a77d17a937582fa08a600ecdb12b60daf8d524c07",
+}
+
+
+def analyze_text(text, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["analyze", "-", "--json"])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("family,n", sorted(PINNED_SHA256))
+def test_benchmark_table_report_is_pinned(family, n, monkeypatch):
+    text = core.format_cayley(enumerate_family(family, n).semigroup)
+    code, out, err = analyze_text(text, monkeypatch)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SHA256[family, n]
+
+
+def test_seeded_corrupted_o6_report_is_pinned(monkeypatch):
+    s = enumerate_family("On", 6).semigroup
+    rows = [list(row) for row in s.table]
+    rng = random.Random(6)
+    a, b = rng.randrange(s.order), rng.randrange(s.order)
+    rows[a][b] = rng.choice([v for v in range(s.order) if v != rows[a][b]])
+    text = core.format_cayley(core.FiniteSemigroup(tuple(map(tuple, rows))))
+    assert (a, b) == (406, 293)
+    assert analyze_text(text, monkeypatch) == (3, "", (
+        "invalid algebra: (ab)c != a(bc) for (a, b, c) = (1, 406, 293)\n"))
 
 
 if __name__ == "__main__":

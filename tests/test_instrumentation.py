@@ -4,11 +4,11 @@ The benchmark's tracer (``bench/tracer.py``) wraps the functions it lists
 by rebinding their names in the ``invmatch`` modules.  These tests load it
 by path to check that every listed name still resolves, and count calls
 the same way to check that one ``analyze`` computes each structure once
-per semigroup, that ``match`` runs Hopcroft-Karp once, that the band
-commands build no Cayley table and read their inverse graph off the
-pattern, not a stream of pairs, that only parsed Cayley tables are
-validated, and that ``search-on`` tests maps pairwise only to verify its
-matchings.  Two more check what the matching layer hands the graph
+per semigroup and Green's relations only for its input, that ``match``
+runs Hopcroft-Karp once, that the band commands build no Cayley table,
+that no band path reads its inverse graph off a stream of pairs, that
+only parsed Cayley tables are validated, and that ``search-on`` tests
+maps pairwise only to verify its matchings.  Two more check what the matching layer hands the graph
 algorithms: Hopcroft-Karp gets the inverse graph's own ``inverses``, and
 the involution gadget is built in ascending order, needing no sort.
 """
@@ -90,12 +90,14 @@ def test_analyze_computes_each_structure_once(tmp_path, monkeypatch):
     ])
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["analyze", str(path), "--json"]) == 0
-    # O_4 and its four principal factors: validate and green_relations
-    # share one generating set
-    for name in ("core.generating_set", "core.inverse_graph_of",
-                 "core.green_relations"):
-        per_object = Counter(id(s) for s in seen[name])
-        assert len(per_object) == 5 and set(per_object.values()) == {1}, name
+    # validate and green_relations share one generating set, and the four
+    # principal factors take their egg-boxes from O_4's
+    for name in ("core.generating_set", "core.green_relations"):
+        assert len(seen[name]) == 1, name
+    # one inverse graph for O_4 and one for each factor
+    per_object = Counter(id(s) for s in seen["core.inverse_graph_of"])
+    assert len(per_object) == 5 and set(per_object.values()) == {1}
+    assert seen["core.green_relations"][0] is seen["core.principal_factors"][0]
     assert len(seen["core.principal_factors"]) == 1
     # one run on O_4, then one per factor and one per quotient pattern
     assert len(seen["graphs.hopcroft_karp"]) == 9
@@ -142,10 +144,9 @@ def test_band_paths_build_no_pair_stream(monkeypatch):
     run_quietly(["colour", "reduce", "--band", band])
     run_quietly(["band", "involution", band])
     run_quietly(["search-q4", "--m-max", "2", "--n-max", "3", "--oracle"])
-    assert sizes == []
-    # a band's Cayley table still reads its inverse graph off the pairs
+    # nor does a band's Cayley table, whose graph is read off its egg-box
     run_quietly(["analyze", str(GOLDEN / "counterexample.band")])
-    assert sizes
+    assert sizes == []
 
 
 def test_only_parsed_tables_are_validated(monkeypatch):
