@@ -7,7 +7,7 @@ order, so repeated runs on the same input produce identical results.
 from __future__ import annotations
 
 from collections import deque
-from typing import Sequence
+from typing import Iterator, Sequence
 
 INF = -1  # sentinel distance / unmatched marker
 
@@ -22,66 +22,13 @@ def hopcroft_karp(
     vertices.  The augmenting search is iterative, so left-side paths may
     be as long as the graph without hitting the recursion limit.  The
     greedy first pass reads one list object shared by consecutive u once.
+    Each later phase searches from the vertices its breadth-first search
+    found free, and scans each list at most once through a cursor.
     """
     match_l = [-1] * n_left
     match_r = [-1] * n_right
     dist = [INF] * n_left
-
-    def bfs() -> bool:
-        queue: deque[int] = deque()
-        for u in range(n_left):
-            if match_l[u] == -1:
-                dist[u] = 0
-                queue.append(u)
-            else:
-                dist[u] = INF
-        found = False
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                w = match_r[v]
-                if w == -1:
-                    found = True
-                elif dist[w] == INF:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return found
-
-    ptr = [0] * n_left
     choice = [0] * n_left
-
-    def dfs(root: int) -> bool:
-        stack = [root]
-        while stack:
-            u = stack[-1]
-            step = -1
-            while ptr[u] < len(adj[u]):
-                v = adj[u][ptr[u]]
-                ptr[u] += 1
-                w = match_r[v]
-                if w == -1:
-                    step = v
-                    break
-                if dist[w] == dist[u] + 1:
-                    choice[u] = v
-                    stack.append(w)
-                    step = -2
-                    break
-            if step == -1:
-                dist[u] = INF
-                stack.pop()
-            elif step >= 0:
-                # free right vertex: flip the alternating path on the stack
-                match_l[u] = step
-                match_r[step] = u
-                stack.pop()
-                while stack:
-                    uu = stack.pop()
-                    vv = choice[uu]
-                    match_l[uu] = vv
-                    match_r[vv] = uu
-                return True
-        return False
 
     # with every dist 0, phase 1 reduces to each u taking its first free v;
     # no v is freed in it, so a u holding the previous u's list object goes
@@ -97,12 +44,61 @@ def hopcroft_karp(
                 match_l[u], match_r[v] = v, u
                 size += 1
                 break
-    while bfs():
+    while True:
+        # breadth-first layers from the free left vertices, to exhaustion
+        queue: deque[int] = deque()
         for u in range(n_left):
-            ptr[u] = 0
-        for u in range(n_left):
-            if match_l[u] == -1 and dfs(u):
-                size += 1
+            if match_l[u] == -1:
+                dist[u] = 0
+                queue.append(u)
+            else:
+                dist[u] = INF
+        # no left vertex is freed within a phase: these are its roots
+        roots = list(queue)
+        found = False
+        while queue:
+            u = queue.popleft()
+            for v in adj[u]:
+                w = match_r[v]
+                if w == -1:
+                    found = True
+                elif dist[w] == INF:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        if not found:
+            break
+        # depth-first augmenting paths along the layers; a left vertex
+        # gets its cursor on its first visit in the phase
+        cursor: dict[int, Iterator[int]] = {}
+        for root in roots:
+            stack = [root]
+            while stack:
+                u = stack[-1]
+                edges = cursor.get(u)
+                if edges is None:
+                    edges = cursor[u] = iter(adj[u])
+                layer = dist[u] + 1
+                for v in edges:
+                    w = match_r[v]
+                    if w == -1:
+                        # free right vertex: flip the alternating path
+                        match_l[u] = v
+                        match_r[v] = u
+                        stack.pop()
+                        while stack:
+                            uu = stack.pop()
+                            vv = choice[uu]
+                            match_l[uu] = vv
+                            match_r[vv] = uu
+                        size += 1
+                        break
+                    if dist[w] == layer:
+                        choice[u] = v
+                        stack.append(w)
+                        break
+                else:
+                    dist[u] = INF
+                    stack.pop()
     return size, match_l, match_r
 
 

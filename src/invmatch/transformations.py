@@ -84,12 +84,16 @@ def family_size(family: str, n: int) -> int:
 
 def check_family_cap(family: str, n: int, cap: int) -> None:
     """Raise TooLarge past cap maps; a family holds its n constant maps,
-    so n > cap is refused before the (slow, for huge n) size is computed."""
+    so n > cap is refused before the (slow, for huge n) size is computed.
+    A size of 2,000 bits or more is named by its leading power of two:
+    str() of an int may be refused from 640 digits on."""
     if n > cap:
         raise TooLarge(f"|{family}({n})| >= {n} exceeds cap {cap}")
     size = family_size(family, n)
     if size > cap:
-        raise TooLarge(f"|{family}({n})| = {size} exceeds cap {cap}")
+        bits = size.bit_length()
+        shown = f"= {size}" if bits < 2000 else f">= 2**{bits - 1}"
+        raise TooLarge(f"|{family}({n})| {shown} exceeds cap {cap}")
 
 
 def family_maps(family: str, n: int) -> list[Map]:
@@ -187,51 +191,57 @@ def maps_mutually_inverse(a: Map, b: Map, n: int) -> bool:
 
 
 def family_inverse_graph(maps, n: int) -> InverseGraph:
-    """Mutual-inverse graph over ``maps``, each inverse found directly.
+    """Mutual-inverse graph over ``maps``, as one join on sections.
 
     Every map is extended by the sentinel n as a fixed point, so a partial
-    map is a total map on n + 1 points and both kinds take one path; R is
-    then the kernel and L the image.  By the Miller-Clifford theorem, a has
-    an inverse of kernel K and image I iff I is a transversal of ker(a)
-    and im(a) is a transversal of K, and that inverse b is unique: on
-    im(a), b sends y to the x in I with xa = y, and b is constant on the
-    classes of K.  So each a builds one b per admissible (K, I) among the
-    kernels and images of ``maps``; a b outside ``maps`` means that cell
-    holds no inverse within the set.
+    map is a total map on n + 1 points and both kinds take one path.  Then
+    b is in V(a) iff I = im(b) is a transversal of ker(a) and, for every y
+    in im(a), b(y) is the x in I with a(x) = y (Miller and Clifford;
+    Howie 1995, §2.3).  If so, aba = a as a(b(y)) = y on im(a); and for z
+    in im(b), a(b(a(z))) = a(z) with a injective on I, so bab = b.  The
+    converse is aba = a and the transversal condition.  The two conditions
+    make im(a) a transversal of ker(b), so b's values on im(a) are all of
+    I: that key alone names im(b).
+
+    So each image J indexes, by values on J, the maps c with J a
+    transversal of ker(c), and each a looks up, for each transversal I of
+    ker(a), the key "the point of I in the class over y" for y in im(a),
+    ascending.  A rank-1 itemgetter returns a scalar on both sides.
     """
-    pos = {f: i for i, f in enumerate(maps)}
-    kernels, images = {}, {}
-    kernel_of, image_of = [], []  # per map, indices into kernels, images
-    for f in maps:
+    ext = [f + (n,) for f in maps]
+    by_kernel: dict[tuple[int, ...], list[int]] = {}
+    # points[K]: per transversal I of K, the point of I in each class;
+    # images holds one tuple per image, by size
+    points: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    images: dict[int, dict[tuple[int, ...], tuple[int, ...]]] = {}
+    lookups = []  # per map a: points[ker(a)], im(a), the getter of a's keys
+    for a, f in enumerate(ext):
         first: dict[int, int] = {}
-        kernel = tuple(first.setdefault(v, len(first)) for v in f + (n,))
-        kernel_of.append(kernels.setdefault(kernel, len(kernels)))
-        image_of.append(images.setdefault(tuple(sorted(first)), len(images)))
-    # transversals[k]: the images that are transversals of kernel k;
-    # sections[i]: per kernel K with image i a transversal of K, the getter
-    # that reads b off its values on i (z -> the y in i with K[y] = K[z])
-    transversals = [[] for _ in kernels]
-    sections = [[] for _ in images]
-    for kernel, k in kernels.items():
+        kernel = tuple(first.setdefault(v, len(first)) for v in f)
+        by_kernel.setdefault(kernel, []).append(a)
+        image = tuple(sorted(first))
+        image = images.setdefault(len(image), {}).setdefault(image, image)
+        lookups.append((points.setdefault(kernel, []), image,
+                        itemgetter(*map(first.__getitem__, image))))
+    # index[J]: the maps c with J a transversal of ker(c), by values on J
+    index: dict[tuple[int, ...], dict] = {}
+    for kernel, members in by_kernel.items():
         classes = max(kernel) + 1  # labels run 0, 1, ... by first occurrence
-        for image, i in images.items():
-            if len(image) == classes:
-                rep = {kernel[y]: y for y in image}
-                if len(rep) == classes:
-                    transversals[k].append(image)
-                    sections[i].append(itemgetter(*map(rep.__getitem__, kernel)))
-
-    def pairs():
-        # b fixes the sentinel, so its first n values are the map itself
-        for ia, (a, k, i) in enumerate(zip(maps, kernel_of, image_of)):
-            a += (n,)
-            for image in transversals[k]:
-                values = dict(zip(map(a.__getitem__, image), image))
-                for ib in map(pos.get, [get(values)[:n] for get in sections[i]]):
-                    if ib is not None and ib >= ia:
-                        yield ia, ib
-
-    return InverseGraph.from_pairs(len(maps), pairs())
+        pts = points[kernel]
+        rows = [ext[c] for c in members]
+        for image in images.get(classes, ()):
+            rep = dict(zip(map(kernel.__getitem__, image), image))
+            if len(rep) == classes:
+                pts.append(tuple(map(rep.__getitem__, range(classes))))
+                sections = index.setdefault(image, {})
+                for key, c in zip(map(itemgetter(*image), rows), members):
+                    sections.setdefault(key, []).append(c)
+    inverses = []
+    for pts, image, get in lookups:
+        sections = index.get(image, {})
+        found = [c for key in map(get, pts) for c in sections.get(key, ())]
+        inverses.append(tuple(sorted(found)))
+    return InverseGraph(len(maps), tuple(inverses))
 
 
 # ---------------------------------------------------------------------------

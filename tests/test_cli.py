@@ -479,6 +479,22 @@ class TestSearches:
         assert (transformations.family_size("On", 10) <= cli.ON_MAX_MAPS
                 < transformations.family_size("On", 11))
 
+    @pytest.mark.parametrize("argv, family, n, cap", [
+        (["gen", "Tn", "2000"], "Tn", 2000, transformations.FAMILY_CAP),
+        (["gen", "Tn", "4000"], "Tn", 4000, transformations.FAMILY_CAP),
+        (["search-on", "--n-max", "99999"], "On", 99999, cli.ON_MAX_MAPS),
+    ])
+    def test_a_size_past_the_digit_limit_is_refused_in_one_true_line(
+            self, capsys, argv, family, n, cap):
+        # by default str() refuses an int of more than 4,300 digits
+        size = transformations.family_size(family, n)
+        k = size.bit_length() - 1
+        assert 2**k <= size < 2**(k + 1) and size >= 10**4300
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (4, "")
+        assert err == (f"precondition failed: |{family}({n})| >= 2**{k} "
+                       f"exceeds cap {cap}\n")
+
     def test_search_on_oracle(self, capsys):
         code, out, _ = run(
             capsys, ["search-on", "--n-max", "3", "--json", "--oracle"]

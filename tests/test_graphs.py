@@ -156,6 +156,38 @@ def test_hopcroft_karp_matches_the_plain_first_phase():
     assert any(not any(row) for p in patterns for row in p)
 
 
+def test_hopcroft_karp_matches_the_oracle_over_many_phases(monkeypatch):
+    """Per-phase roots and cursors return what the plain search did on
+    graphs that take several phases: the O_7 and O_8 family graphs, and
+    the table graphs of T_4 and O_6 with those of their principal
+    factors."""
+    searches = []
+
+    class CountedDeque(hk_oracle.deque):
+        # the oracle makes one queue per breadth-first search
+        def __init__(self, *args):
+            searches[-1] += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(hk_oracle, "deque", CountedDeque)
+    inverse_graphs = [
+        transformations.family_inverse_graph(
+            transformations.family_maps("On", n), n)
+        for n in (7, 8)
+    ]
+    for family, n in (("Tn", 4), ("On", 6)):
+        s = transformations.enumerate_family(family, n).semigroup
+        inverse_graphs.append(s.inverse_graph)
+        inverse_graphs += [f.semigroup.inverse_graph for f in s.factors]
+    for g in inverse_graphs:
+        searches.append(0)
+        assert graphs.hopcroft_karp(g.n, g.n, g.inverses) == (
+            hk_oracle.hopcroft_karp(g.n, g.n, g.inverses))
+    assert len(inverse_graphs) == 14
+    # breadth-first searches of the oracle, each phase's and the last
+    assert searches[:2] == [7, 10] and max(searches[2:]) == 6
+
+
 def test_deficiency_certificate_is_a_hall_violator():
     rng = random.Random(11)
     found = 0

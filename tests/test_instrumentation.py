@@ -167,6 +167,23 @@ def test_search_on_tests_pairs_only_to_verify(monkeypatch):
     assert len(seen["transformations.maps_mutually_inverse"]) == 1 + 3 + 10
 
 
+def test_search_on_builds_no_pair_stream_and_matches_once_per_n(monkeypatch):
+    sizes = []
+    from_pairs = core.InverseGraph.from_pairs.__func__
+
+    def counted(cls, n, pairs):
+        sizes.append(n)
+        return from_pairs(cls, n, pairs)
+
+    monkeypatch.setattr(core.InverseGraph, "from_pairs", classmethod(counted))
+    seen = count_calls(monkeypatch, ["graphs.hopcroft_karp"])
+    run_quietly(["search-on", "--n-max", "5"])
+    # each family graph is read off the kernel and image join
+    assert sizes == []
+    # one run per O_n, on the graph of its |O_n| maps
+    assert seen["graphs.hopcroft_karp"] == [1, 3, 10, 35, 126]
+
+
 def test_dispatch_reaches_a_handler_rebound_after_the_first_call(monkeypatch):
     band = str(GOLDEN / "band2x4.band")
     run_quietly(["colour", "reduce", "--band", band])

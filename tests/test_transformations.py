@@ -357,6 +357,43 @@ class TestFamilyInverseGraph:
 
         check()
 
+    @pytest.mark.parametrize("family, n", [("PTn", 4), ("OPn", 5)])
+    def test_equals_the_pair_scan_on_larger_subsets(self, family, n):
+        # up to 150 maps in drawn order: k random maps, then for about
+        # half of them one of their inverses in the whole family, so a
+        # subset holds some inverses and leaves others out
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        universe = tr.family_maps(family, n)
+        whole = tr.enumerate_family(family, n).semigroup.inverse_graph
+        seen = {"ranks": 0, "partial": False, "missing": False, "edges": False}
+
+        @hypothesis.settings(max_examples=40, deadline=None,
+                             derandomize=True, database=None)
+        @hypothesis.given(st.integers(1, 100), st.randoms(use_true_random=False))
+        def check(k, rng):
+            chosen = rng.sample(range(len(universe)), k)
+            for a in chosen[:k]:
+                if whole.inverses[a] and rng.random() < 0.5:
+                    b = rng.choice(whole.inverses[a])
+                    if b not in chosen:
+                        chosen.append(b)
+            maps = [universe[i] for i in chosen]
+            graph = tr.family_inverse_graph(maps, n)
+            assert graph == pair_scan(maps, n)
+            assert all(type(vs) is tuple and list(vs) == sorted(set(vs))
+                       for vs in graph.inverses)
+            seen["ranks"] = max(seen["ranks"],
+                                len({tr.rank_of(f, n) for f in maps}))
+            seen["partial"] |= any(n in f for f in maps)
+            seen["missing"] |= any(not set(whole.inverses[i]) <= set(chosen)
+                                   for i in chosen)
+            seen["edges"] |= any(len(vs) > 1 for vs in graph.inverses)
+
+        check()
+        assert seen["ranks"] >= 3 and seen["missing"] and seen["edges"]
+        assert seen["partial"] == (family == "PTn")
+
     @pytest.mark.parametrize("family, n", [("Tn", 3), ("PTn", 2), ("PTn", 3)])
     def test_pair_test_agrees_with_the_table(self, family, n):
         # anchors the oracle: maps_mutually_inverse against aba = a, bab = b
