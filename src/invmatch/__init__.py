@@ -23,7 +23,6 @@ from .matching import (
     find_involution_matching,
     find_permutation_matching,
     hall_violator,
-    involution_from_cycles,
     is_h_preserving,
     lift_h_matching,
     assemble_global_matching,
@@ -40,7 +39,6 @@ from .bands import (
     involution_from_harem,
     no_matching_band,
     random_band,
-    similarity_check,
     to_semigroup,
 )
 from .colours import (

@@ -4,9 +4,8 @@ A band here is the set {0} plus an m x n grid of cells (i, j) with
 product (i, j)(k, l) = (i, l) when pattern[k][j] holds, else 0.  The
 module hosts the scaled Hall conditions on the pattern, the construction
 of disjoint row-to-column injections covering all columns (Hall's harem
-theorem), the involution matching built from them, the block-similarity
-criterion for orthodox bands, and the canonical 7-element band with no
-permutation matching.
+theorem), the involution matching built from them, and the canonical
+7-element band with no permutation matching.
 """
 
 from __future__ import annotations
@@ -24,17 +23,17 @@ from .core import pattern_inverse_graph
 from .errors import (
     BudgetExhausted,
     NotDivisible,
-    NotOrthodox,
     NotRegularPattern,
     ParameterOutOfRange,
     ParseError,
+    TooLarge,
 )
 from .matching import (
     Matching,
     check_permutation,
-    find_permutation_matching,
     quotient_pattern,
 )
+from .transformations import FAMILY_CAP
 
 
 @dataclass(frozen=True)
@@ -116,10 +115,14 @@ def require_regular_pattern(band: ZeroRectBand) -> None:
 def to_semigroup(band: ZeroRectBand) -> FiniteSemigroup:
     """Cayley table of the band, for the commands that read a table;
     cell (i, j) sits at index 1 + i*n + j and is labelled "(i+1,j+1)"
-    (grids are conventionally displayed 1-based)."""
+    (grids are conventionally displayed 1-based).  Past FAMILY_CAP
+    elements, the bound on a ``gen`` table, it raises TooLarge before
+    allocating."""
     require_regular_pattern(band)
     m, n, pat = band.m, band.n, band.pattern
     size = band.order
+    if size > FAMILY_CAP:
+        raise TooLarge(f"band of order {size} exceeds cap {FAMILY_CAP}")
     rows = [[0] * size for _ in range(size)]
     for i in range(m):
         for j in range(n):
@@ -287,50 +290,6 @@ def involution_from_harem(band: ZeroRectBand) -> HaremInvolution | None:
         image = (r, column_order[t * m + i])
         p[band.cell_index(i, c)] = band.cell_index(*image)
     return HaremInvolution(tuple(p), fam, column_order)
-
-
-# ---------------------------------------------------------------------------
-# Orthodox similarity criterion
-
-
-@dataclass
-class SimilarityReport:
-    """Block decomposition of an orthodox pattern plus both verdicts.
-
-    For orthodox bands the constant column/row ratio across maximal
-    all-true blocks is equivalent to matching existence; the matching
-    verdict is recomputed independently so disagreement would surface."""
-
-    similar: bool
-    matching_present: bool
-    blocks: tuple[tuple[int, int], ...]  # (rows, cols) per block
-
-    @property
-    def agree(self) -> bool:
-        return self.similar == self.matching_present
-
-
-def similarity_check(band: ZeroRectBand) -> SimilarityReport:
-    """Partition the idempotent cells into maximal all-true rectangles and
-    compare their column/row ratios; requires an orthodox band."""
-    require_regular_pattern(band)
-    col_sets: dict[frozenset[int], list[int]] = {}
-    for i in range(band.m):
-        cols = frozenset(j for j in range(band.n) if band.pattern[i][j])
-        col_sets.setdefault(cols, []).append(i)
-    groups = sorted(col_sets.items(), key=lambda kv: kv[1][0])
-    seen: set[int] = set()
-    for cols, _rows in groups:
-        if seen & cols:
-            raise NotOrthodox(
-                "rows share idempotent columns without sharing all of them"
-            )
-        seen |= cols
-    blocks = tuple((len(rows), len(cols)) for cols, rows in groups)
-    r0, c0 = blocks[0]
-    similar = all(c * r0 == c0 * r for r, c in blocks)
-    present = find_permutation_matching(band) is not None
-    return SimilarityReport(similar, present, blocks)
 
 
 # ---------------------------------------------------------------------------

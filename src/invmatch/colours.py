@@ -261,26 +261,3 @@ def format_instance(instance: ColourInstance) -> str:
 def format_plan(plan: ExchangePlan) -> str:
     lines = [f"{i} {j}" for i, j in plan.exchanges()]
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def parse_plan(text: str, n_balls: int) -> ExchangePlan:
-    pairing = list(range(n_balls))
-    touched: set[int] = set()
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ParseError(f"bad plan line: {ln!r}")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise ParseError(f"bad plan line: {ln!r}") from exc
-        if not (0 <= i < n_balls and 0 <= j < n_balls):
-            raise IndexOutOfRange(f"ball index out of range in {ln!r}")
-        if i in touched or j in touched or i == j:
-            raise ParseError(f"ball reused in {ln!r}")
-        touched.update((i, j))
-        pairing[i], pairing[j] = j, i
-    return ExchangePlan(tuple(pairing))

@@ -54,10 +54,6 @@ class NotDivisible(InvmatchError):
         super().__init__(f"{m} does not divide {n}")
 
 
-class NotOrthodox(InvmatchError):
-    """Idempotents are not closed under the product."""
-
-
 class NotAPermutation(InvmatchError):
     """Candidate map is not a bijection of [0, n)."""
 

@@ -201,18 +201,6 @@ def is_h_preserving(s: FiniteSemigroup, p) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Involutions out of permutation matchings (cycle splitting)
-
-
-def involution_from_cycles(s: FiniteSemigroup, p) -> Matching | None:
-    """Split the cycles of a verified matching into an involution
-    (:func:`split_cycles`); None if some odd cycle has no member with
-    a = a^3 -- a verdict about this p only, not about s."""
-    out = split_cycles(s.inverse_graph, p)
-    return None if -1 in out else tuple(out)
-
-
-# ---------------------------------------------------------------------------
 # H-quotient patterns, lifting, assembly
 
 

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from math import comb
 from operator import itemgetter
 
-from .core import FiniteSemigroup, generated_closure
+from .core import FiniteSemigroup
 from .errors import NotPerfect, NotTn, TooLarge
-from .matching import InverseGraph, build_inverse_graph, matching_on_graph
+from .matching import InverseGraph, matching_on_graph
 
 FAMILIES = ("Tn", "PTn", "On", "OPn", "Pn")
 # the default cap on a family's maps: a Cayley table of at most 16 M entries
@@ -131,12 +131,6 @@ class FamilyData:
     n: int
     semigroup: FiniteSemigroup
     maps: tuple[Map, ...]
-
-    def index_of(self, f: Map) -> int:
-        return self._pos[f]
-
-    def __post_init__(self):
-        self._pos = {f: i for i, f in enumerate(self.maps)}
 
 
 def enumerate_family(family: str, n: int, cap: int = FAMILY_CAP) -> FamilyData:
@@ -335,46 +329,3 @@ def tn_matching_via_classes(
             for a, b in phi.items():
                 p[a] = b
     return data, tuple(p)
-
-
-# ---------------------------------------------------------------------------
-# Strong inverses
-
-
-def _is_inverse_subsemigroup(s: FiniteSemigroup, members) -> bool:
-    t = s.table
-    idems = [e for e in members if t[e][e] == e]
-    for e in idems:
-        for f in idems:
-            if t[e][f] != t[f][e]:
-                return False
-    for x in members:
-        if not any(
-            t[t[x][y]][x] == x and t[t[y][x]][y] == y for y in members
-        ):
-            return False
-    return True
-
-
-def strong_inverse_pairs(
-    s: FiniteSemigroup, cap: int = 512
-) -> InverseGraph:
-    """Subgraph of the inverse graph keeping an edge {a, b} only when the
-    subsemigroup generated by {a, b} is inverse (regular with commuting
-    idempotents).  Matchings found on this subgraph map every element to
-    a strong inverse."""
-    if s.order > cap:
-        raise TooLarge(f"|S| = {s.order} exceeds cap {cap}")
-    g = build_inverse_graph(s)
-    return InverseGraph.from_pairs(g.n, (
-        (a, b)
-        for a in range(g.n)
-        for b in g.inverses[a]
-        if b >= a
-        and _is_inverse_subsemigroup(s, generated_closure(s, (a, b)))
-    ))
-
-
-def strong_inverse_matching(s: FiniteSemigroup, cap: int = 512):
-    """Permutation matching restricted to strong-inverse pairs, or None."""
-    return matching_on_graph(strong_inverse_pairs(s, cap))

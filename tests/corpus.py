@@ -16,6 +16,7 @@ from invmatch.core import (
     EggBox,
     FiniteSemigroup,
     InverseGraph,
+    generated_closure,
     semigroup_from_rows,
 )
 from invmatch.matching import build_inverse_graph
@@ -77,6 +78,54 @@ def matching_backtracking(s: FiniteSemigroup) -> tuple[int, ...] | None:
         return False
 
     return tuple(out) if place(0) else None
+
+
+# The block-ratio criterion for orthodox bands, once bands.similarity_check:
+# an orthodox band has a permutation matching iff its maximal all-true
+# rectangles all have the same column/row ratio.
+def orthodox_blocks(band) -> tuple[tuple[int, int], ...] | None:
+    """(rows, cols) of each maximal all-true rectangle of the pattern, in
+    order of first row; None when two rows share some but not all of their
+    idempotent columns, as happens exactly when the band is not orthodox."""
+    col_sets: dict[frozenset[int], list[int]] = {}
+    for i, row in enumerate(band.pattern):
+        col_sets.setdefault(frozenset(j for j, x in enumerate(row) if x),
+                            []).append(i)
+    seen: set[int] = set()
+    for cols in col_sets:
+        if seen & cols:
+            return None
+        seen |= cols
+    return tuple((len(rows), len(cols)) for cols, rows in col_sets.items())
+
+
+def blocks_similar(blocks) -> bool:
+    r0, c0 = blocks[0]
+    return all(c * r0 == c0 * r for r, c in blocks)
+
+
+# The strong-inverse subgraph, once transformations.strong_inverse_pairs:
+# a matching on it maps every a to an inverse b with <a, b> inverse.
+def is_inverse_subsemigroup(s: FiniteSemigroup, members) -> bool:
+    """Regular with commuting idempotents, inverses taken inside members."""
+    t = s.table
+    idems = [e for e in members if t[e][e] == e]
+    return all(t[e][f] == t[f][e] for e in idems for f in idems) and all(
+        any(t[t[x][y]][x] == x and t[t[y][x]][y] == y for y in members)
+        for x in members
+    )
+
+
+def strong_inverse_graph(s: FiniteSemigroup) -> InverseGraph:
+    """The inverse graph less every edge {a, b} whose generated
+    subsemigroup is not inverse."""
+    g = build_inverse_graph(s)
+    return InverseGraph.from_pairs(g.n, (
+        (a, b)
+        for a in range(g.n)
+        for b in g.inverses[a]
+        if b >= a and is_inverse_subsemigroup(s, generated_closure(s, (a, b)))
+    ))
 
 
 # ---------------------------------------------------------------------------

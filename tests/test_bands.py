@@ -1,5 +1,6 @@
 """0-rectangular bands: patterns, Hall conditions, harem construction,
-the induced involution, and the orthodox similarity criterion."""
+the induced involution, and the orthodox similarity criterion, checked
+through its oracle in corpus.py."""
 
 import itertools
 import math
@@ -13,7 +14,6 @@ from invmatch.errors import (
     BudgetExhausted,
     NotAPermutation,
     NotDivisible,
-    NotOrthodox,
     NotRegularPattern,
     ParameterOutOfRange,
     ParseError,
@@ -348,35 +348,35 @@ class TestInvolutionFromHarem:
 
 
 class TestSimilarity:
+    """The block-ratio criterion for orthodox bands (corpus.orthodox_blocks)
+    against find_permutation_matching."""
+
     def test_counterexample_blocks_disagree(self):
-        rep = bands.similarity_check(bands.no_matching_band())
-        assert rep.blocks == ((1, 2), (1, 1))
-        assert not rep.similar
-        assert not rep.matching_present
-        assert rep.agree
+        band = bands.no_matching_band()
+        blocks = corpus.orthodox_blocks(band)
+        assert blocks == ((1, 2), (1, 1))
+        assert not corpus.blocks_similar(blocks)
+        assert matching.find_permutation_matching(band) is None
 
     def test_full_pattern_single_block(self):
-        rep = bands.similarity_check(full_band(2, 5))
-        assert rep.blocks == ((2, 5),)
-        assert rep.similar
-        assert rep.matching_present
+        band = full_band(2, 5)
+        blocks = corpus.orthodox_blocks(band)
+        assert blocks == ((2, 5),)
+        assert corpus.blocks_similar(blocks)
+        assert matching.find_permutation_matching(band) is not None
 
     def test_two_equal_blocks(self):
         band = bands.band_from_rows([[1, 1, 0, 0], [0, 0, 1, 1]])
-        rep = bands.similarity_check(band)
-        assert rep.similar
-        assert rep.matching_present
+        assert corpus.blocks_similar(corpus.orthodox_blocks(band))
+        assert matching.find_permutation_matching(band) is not None
 
     def test_not_orthodox_rejected(self):
         band = bands.band_from_rows([[1, 1], [1, 0]])
         assert not core.structure_report(bands.to_semigroup(band)).orthodox
-        with pytest.raises(NotOrthodox):
-            bands.similarity_check(band)
+        assert corpus.orthodox_blocks(band) is None
 
     def test_orthodox_similarity_equals_matching_existence(self):
-        import random as _random
-
-        rng = _random.Random(99)
+        rng = random.Random(99)
         for _ in range(60):
             # random block-structured (orthodox) pattern with permuted
             # rows and columns
@@ -402,8 +402,9 @@ class TestSimilarity:
             ]
             band = bands.band_from_rows(shuffled)
             assert core.structure_report(bands.to_semigroup(band)).orthodox
-            rep = bands.similarity_check(band)
-            assert rep.agree, f"blocks {rep.blocks}"
+            blocks = corpus.orthodox_blocks(band)
+            present = matching.find_permutation_matching(band) is not None
+            assert corpus.blocks_similar(blocks) == present, f"blocks {blocks}"
 
 
 class TestRandomBand:

@@ -66,6 +66,21 @@ class TestExitCodes:
         assert code == 4
         assert "divide" in err
 
+    @pytest.mark.parametrize("command", ["match", "analyze"])
+    def test_a_band_past_the_table_cap_is_refused_before_its_table(
+            self, tmp_path, capsys, command):
+        # 64 * 63 + 1 = 4,033 elements, one past the bound on a gen table:
+        # its Cayley table would hold 16.3 M entries
+        path = tmp_path / "ones.band"
+        path.write_text(bands.format_band(
+            bands.band_from_rows([[1] * 63 for _ in range(64)])))
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, [command, str(path)])
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out) == (4, "")
+        assert err == (f"precondition failed: band of order 4033 exceeds cap "
+                       f"{transformations.FAMILY_CAP}\n")
+
     def test_budget_exhausted(self, tmp_path, capsys):
         inst = colours.ColourInstance(2, 2, ((0, 0), (0, 0), (1, 1), (1, 1)))
         path = tmp_path / "inst"
@@ -896,5 +911,119 @@ class TestCommandsOnRandomInputs:
                 sg = (bands.to_semigroup(bands.parse_band(text))
                       if rep["input"]["kind"] == "band" else core.parse_cayley(text))
                 reverify_table_witnesses(sg, command[0], rep)
+
+        check()
+
+
+class TestRandomArgv:
+    """Whole argument lists drawn over every command and mode path, option
+    values 0, negative and non-integer among them, inputs from the golden
+    files: every call exits 0, 2, 3, 4 or 5 with no internal error, and a
+    failing call writes no stdout and one stderr line, or argparse's usage
+    and its error line. The one documented exception is ``colour`` past its
+    budget, which reports ``budget_exhausted`` on stdout and exits 5."""
+
+    # inputs that keep each call short: no O_5 under involution --oracle
+    BANDS = ["counterexample.band", "band2x4.band", "band4x6.band",
+             "band1x60.band"]
+    TABLES = ["t3.cayley", "o3.cayley", "o3_out_of_range.cayley",
+              "o5_corrupted.cayley", "rees.cayley", "gen_ptn_2.cayley"]
+    OTHERS = ["band2x4.matching", "missing.cayley"]
+
+    def test_random_argv(self, tmp_path):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        instance = tmp_path / "instance"
+        # solved in a few nodes, so --budget 1 exhausts it
+        instance.write_text(colours.format_instance(colours.ColourInstance(
+            2, 2, ((0, 0), (0, 0), (1, 1), (1, 1)))))
+
+        def mostly(valid, bad=("0", "-1", "1.5", "x", "")):
+            """A valid value four times in five."""
+            return st.integers(0, 4).flatmap(
+                lambda k: st.sampled_from(bad if k == 0 else valid))
+
+        band_files, table_files, other_files = (
+            [str(GOLDEN / name) for name in group]
+            for group in (self.BANDS, self.TABLES, self.OTHERS))
+        other_files.append(str(instance))
+        algebras = mostly(band_files + table_files, other_files)
+        band_inputs = mostly(band_files, table_files + other_files)
+        instances = mostly([str(instance)], band_files + other_files)
+        # the sizes stay small: search-on --n-max at most 6, search-q4
+        # shapes at most 3 x 4, all enumerated at the default
+        # --exhaustive-limit, and gen families of at most 64 maps
+        ints = mostly(["1", "2", "3", "1000"])
+        sizes = mostly(["1", "2", "3"])
+        report = {"--json": None, "--timing": None,
+                  "--seed": mostly(["0", "7", "-1"])}
+        oracle = {**report, "--oracle": None}
+        budget = {**report, "--budget": ints}
+        # path -> (positionals, options always given, options maybe given)
+        paths = {
+            ("analyze",): ([algebras], {}, report),
+            ("match",): ([algebras], {}, report),
+            ("involution",): ([algebras], {}, oracle),
+            ("factors",): ([algebras], {}, report),
+            ("band", "check"): ([band_inputs], {}, oracle),
+            ("band", "harem"): ([band_inputs], {}, report),
+            ("band", "involution"): ([band_inputs], {}, report),
+            ("colour", "solve"): ([instances], {}, budget),
+            ("colour", "reduce"): ([], {"--band": band_inputs}, {
+                **budget, "--matching": mostly(
+                    [str(GOLDEN / "band2x4.matching")], band_files)}),
+            ("gen",): ([mostly(transformations.FAMILIES, ["Xn", "tn"]),
+                        sizes], {},
+                       {"--cap": ints, "--dict": st.just(
+                           str(tmp_path / "maps.json"))}),
+            ("search-q4",): ([], {"--m-max": sizes,
+                                  "--n-max": mostly(["1", "2", "4"])},
+                             {**oracle, "--samples": ints,
+                              "--densities": mostly(
+                                  ["0.5", "0.3,0.7"], ["", "x", "0.3,2"])}),
+            ("search-on",): ([], {"--n-max": mostly(["1", "3", "6"])},
+                             oracle),
+        }
+
+        @st.composite
+        def argvs(draw):
+            path = draw(st.sampled_from(sorted(paths)))
+            positionals, given, maybe = paths[path]
+            argv = list(path) + [draw(s) for s in positionals]
+            names = list(given) + draw(st.lists(
+                st.sampled_from(sorted(maybe)), unique=True))
+            options = {**given, **maybe}
+            for name in draw(st.permutations(names)):
+                argv.append(name)
+                if options[name] is not None:
+                    argv.append(draw(options[name]))
+            if draw(st.integers(0, 9)) == 0 and len(argv) > len(path):
+                # a missing argument
+                del argv[draw(st.integers(len(path), len(argv) - 1))]
+            elif draw(st.integers(0, 9)) == 0:  # a stray one
+                argv.insert(draw(st.integers(0, len(argv))), "--bogus")
+            return argv
+
+        @hypothesis.settings(max_examples=400, deadline=None,
+                             derandomize=True, database=None)
+        @hypothesis.given(argvs())
+        @hypothesis.example(["colour", "solve", str(instance), "--budget", "1"])
+        def check(argv):
+            code, out, err = call_in_process(argv)
+            assert code in {0, 2, 3, 4, 5}, argv
+            lines = err.splitlines()
+            assert not any(ln.startswith("internal error:") for ln in lines)
+            if code == 0:
+                return
+            if code == 5 and argv[0] == "colour" and out:
+                assert "budget_exhausted" in out and err == ""
+                return
+            assert out == "", argv
+            if len(lines) > 1:
+                assert code == 2 and lines[0].startswith("usage: invmatch")
+                assert ": error: " in lines[-1], argv
+            else:
+                assert err.endswith("\n") and lines, argv
 
         check()

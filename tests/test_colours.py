@@ -538,12 +538,10 @@ class TestFormats:
         back = colours.parse_instance(colours.format_instance(inst))
         assert back.m == inst.m and back.balls == inst.balls
 
-    def test_plan_round_trip(self):
+    def test_plan_format(self):
         plan = colours.ExchangePlan((1, 0, 2, 3))
-        text = colours.format_plan(plan)
-        assert colours.parse_plan(text, 4) == plan
+        assert colours.format_plan(plan) == "0 1\n"
 
     def test_all_vacuous_plan_serializes_empty(self):
         plan = colours.ExchangePlan((0, 1, 2))
         assert colours.format_plan(plan) == ""
-        assert colours.parse_plan("", 3) == plan

@@ -4,7 +4,9 @@ leak into it. And no function calls itself by name: a recursive search
 overflows the stack on a large enough input, so every search keeps an
 explicit stack instead. And every function and lambda reads each of its
 parameters but self and cls: one that none reads is dead weight that every
-caller still has to pass."""
+caller still has to pass. And every module-level function and class, and
+every method, is read by some other code in the package or exported: code
+that only tests reach belongs in the tests."""
 
 import ast
 import sys
@@ -67,3 +69,55 @@ def test_every_parameter_is_read():
                        for p in params
                        if p not in ("self", "cls") and p not in read]
     assert unread == []
+
+
+# Read by no package code, kept for a reader the scan cannot see.
+UNREAD_BUT_KEPT = {
+    # the reference test_composed_table_composes checks tables against,
+    # and named in bench/tracer.py's docstring
+    "transformations.py: compose",
+    # tests/corpus.py's oracles and pair_scan build graphs with it, and two
+    # instrumentation tests patch it
+    "core.py: InverseGraph.from_pairs",
+    # the signature-class route that the acceptance tests read
+    "transformations.py: signature_class_degree",
+    "transformations.py: tn_matching_via_classes",
+}
+
+
+def test_every_definition_is_read_in_the_package():
+    modules = dict(parsed_modules())
+    exported = {alias.asname or alias.name
+                for node in ast.walk(modules["__init__.py"])
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    defs = []
+    for name, tree in modules.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                continue
+            defs.append((f"{name}: {node.name}", node.name, node))
+            if isinstance(node, ast.ClassDef):
+                defs += [(f"{name}: {node.name}.{m.name}", m.name, m)
+                         for m in node.body
+                         if isinstance(m, (ast.FunctionDef,
+                                           ast.AsyncFunctionDef))
+                         and not (m.name.startswith("__")
+                                  and m.name.endswith("__"))]
+    # every name read anywhere, with the nodes it is read at
+    reads: dict[str, list[ast.AST]] = {}
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.setdefault(node.id, []).append(node)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                reads.setdefault(node.attr, []).append(node)
+    unread = []
+    for label, short, node in defs:
+        if short in exported or short.startswith("cmd_"):
+            continue
+        inside = {id(n) for n in ast.walk(node)}
+        if all(id(n) in inside for n in reads.get(short, ())):
+            unread.append(label)
+    assert set(unread) == UNREAD_BUT_KEPT

@@ -95,7 +95,7 @@ class TestEnumeration:
 
     def test_partial_composition_and_empty_map(self):
         data = tr.enumerate_family("PTn", 2)
-        empty = data.index_of((2, 2))
+        empty = data.maps.index((2, 2))
         for x in range(data.semigroup.order):
             assert data.semigroup.table[empty][x] == empty
             assert data.semigroup.table[x][empty] == empty
@@ -258,42 +258,40 @@ class TestCycleChase:
 
 
 class TestStrongInverses:
+    """The strong-inverse subgraph (corpus.strong_inverse_graph)."""
+
     def test_idempotents_stay_eligible(self):
         s = corpus.chain_semilattice(4)
-        g = tr.strong_inverse_pairs(s)
+        g = corpus.strong_inverse_graph(s)
         assert {a for a in range(g.n) if a in g.inverses[a]} == set(range(4))
 
     def test_group_inverses_are_strong(self):
         s = corpus.cyclic_group(4)
-        g = tr.strong_inverse_pairs(s)
+        g = corpus.strong_inverse_graph(s)
         assert g.inverses[1] == (3,)
         assert g.inverses[3] == (1,)
-        p = tr.strong_inverse_matching(s)
+        p = matching.matching_on_graph(g)
         assert p == (0, 3, 2, 1)
 
     def test_strong_edges_generate_inverse_subsemigroups(self):
         data = tr.enumerate_family("Tn", 3)
         s = data.semigroup
-        g = tr.strong_inverse_pairs(s)
+        g = corpus.strong_inverse_graph(s)
         for a in range(g.n):
             for b in g.inverses[a]:
                 members = core.generated_closure(s, (a, b))
-                assert tr._is_inverse_subsemigroup(s, members)
+                assert corpus.is_inverse_subsemigroup(s, members)
 
     def test_t3_strong_matching_decision_reported(self):
         # exact decision; only n >= 8 is settled in the negative elsewhere,
         # so both outcomes are acceptable but must be internally verified
         data = tr.enumerate_family("Tn", 3)
-        p = tr.strong_inverse_matching(data.semigroup)
+        g = corpus.strong_inverse_graph(data.semigroup)
+        p = matching.matching_on_graph(g)
         if p is not None:
             assert matching.verify_permutation_matching(data.semigroup, p)
-            g = tr.strong_inverse_pairs(data.semigroup)
             for a in range(27):
                 assert p[a] in g.inverses[a]
-
-    def test_cap_guard(self):
-        with pytest.raises(TooLarge):
-            tr.strong_inverse_pairs(corpus.cyclic_group(5), cap=3)
 
 
 def pair_scan(maps, n):
@@ -470,6 +468,7 @@ class TestOpenQuestionProbes:
         # settled negatively only from n = 8 upward; at n = 3 the strong
         # subgraph still supports a matching
         data = tr.enumerate_family("Tn", 3)
-        p = tr.strong_inverse_matching(data.semigroup)
+        p = matching.matching_on_graph(
+            corpus.strong_inverse_graph(data.semigroup))
         assert p is not None
         assert matching.verify_permutation_matching(data.semigroup, p)
