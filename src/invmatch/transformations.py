@@ -175,13 +175,12 @@ def enumerate_family(family: str, n: int, cap: int = FAMILY_CAP) -> FamilyData:
 
 
 def maps_mutually_inverse(a: Map, b: Map, n: int) -> bool:
-    """b in V(a), i.e. aba = a and bab = b under left-to-right products:
-    b sections a on im(a) and a sections b on im(b), with both maps
-    extended by the sentinel n as a fixed point."""
+    """b in V(a), i.e. aba = a and bab = b under left-to-right products,
+    with both maps extended by the sentinel n as a fixed point.  Extended,
+    ab is ``itemgetter(*a)(b)``: a tuple, as a has n + 1 >= 2 entries."""
     a, b = a + (n,), b + (n,)
-    return all(a[b[y]] == y for y in set(a)) and all(
-        b[a[z]] == z for z in set(b)
-    )
+    ab, ba = itemgetter(*a)(b), itemgetter(*b)(a)
+    return itemgetter(*ab)(a) == a and itemgetter(*ba)(b) == b
 
 
 def family_inverse_graph(maps, n: int) -> InverseGraph:
@@ -236,6 +235,34 @@ def family_inverse_graph(maps, n: int) -> InverseGraph:
         found = [c for key in map(get, pts) for c in sections.get(key, ())]
         inverses.append(tuple(sorted(found)))
     return InverseGraph(len(maps), tuple(inverses))
+
+
+def on_d_classes(n: int):
+    """The D-classes of O_n, rank 1 to n, each as (pattern, cells).
+
+    O_n is H-trivial, so the rank-k class is a grid of one map per cell.
+    Its rows are the convex kernels with k blocks, cut at k - 1 of the
+    points 1..n-1, and its columns the k-subsets c of 0..n-1, the images;
+    the map in cell (r, c) sends the i-th block onto the i-th point of c.
+    ``cells`` lists the maps row by row, and ``pattern[r][c]`` says whether
+    that map is idempotent: whether each point of c lies in its own block,
+    i.e. c is a transversal of the kernel.  Mutual inverses share a D-class
+    and, in one, a in (r, c) and b in (r', c') are mutual inverses iff the
+    cells (r, c') and (r', c) hold idempotents (Miller-Clifford; Howie
+    1995, §2.3), so ``core.pattern_inverse_graph(pattern)`` less its zero
+    is the class's inverse graph, cell i at vertex 1 + i.
+    """
+    for k in range(1, n + 1):
+        images = list(itertools.combinations(range(n), k))
+        own = tuple(range(k))
+        pattern, cells = [], []
+        for cuts in itertools.combinations(range(1, n), k - 1):
+            bounds = (0, *cuts, n)
+            block = [i for i in own for _ in range(bounds[i], bounds[i + 1])]
+            cells += [tuple(map(c.__getitem__, block)) for c in images]
+            pattern.append(
+                [tuple(map(block.__getitem__, c)) == own for c in images])
+        yield pattern, cells
 
 
 # ---------------------------------------------------------------------------

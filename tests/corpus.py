@@ -31,6 +31,17 @@ def inverses_of(s: FiniteSemigroup, a: int) -> list[int]:
     ]
 
 
+def maps_mutually_inverse(a, b, n: int) -> bool:
+    """b in V(a) for maps as image tuples, the sentinel n marking
+    "undefined": b sections a on im(a) and a sections b on im(b), with both
+    maps extended by n as a fixed point.  The oracle for
+    transformations.maps_mutually_inverse."""
+    a, b = a + (n,), b + (n,)
+    return all(a[b[y]] == y for y in set(a)) and all(
+        b[a[z]] == z for z in set(b)
+    )
+
+
 # The pair-stream construction that core.pattern_inverse_graph replaced:
 # the oracle for band graphs too large for a Cayley table.
 def pattern_inverse_graph(pattern) -> InverseGraph:

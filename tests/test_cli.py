@@ -4,6 +4,7 @@ round-trips."""
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -521,6 +522,44 @@ class TestSearches:
         assert all(r["has_matching"] for r in rows)
         assert all(r["oracle_agrees"] for r in rows)
         assert all(r["size"] == r["size_formula"] for r in rows)
+
+    def search_on_rows(self, capsys, n_max):
+        code, out, err = run(capsys, ["search-on", "--n-max", str(n_max),
+                                      "--json"])
+        assert (code, err) == (0, "")
+        return [(r["has_matching"], r["matching_verified"])
+                for r in json.loads(out)["verdicts"]["families"]]
+
+    def test_search_on_reports_a_wrong_matching_unverified(self, capsys,
+                                                           monkeypatch):
+        # every cell matched to itself: all maps of O_1 and O_2 are
+        # idempotent, but O_3 holds 001, which is not
+        monkeypatch.setattr(matching, "matching_on_graph",
+                            lambda g: tuple(range(g.n)))
+        assert self.search_on_rows(capsys, 3) == [
+            (True, True), (True, True), (True, False)]
+        code, out, _ = run(capsys, ["search-on", "--n-max", "3"])
+        assert out.splitlines()[-1] == (
+            "O_3: size 10, matching present (UNVERIFIED)")
+
+    def test_search_on_reports_a_matching_that_is_no_permutation_unverified(
+            self, capsys, monkeypatch):
+        # every cell sent to the first: in O_2's rank-1 class, 00 and 11
+        # are idempotents and mutual inverses, yet 00 is matched twice
+        monkeypatch.setattr(matching, "matching_on_graph",
+                            lambda g: (0,) + (1,) * (g.n - 1))
+        assert self.search_on_rows(capsys, 2) == [(True, True), (True, False)]
+
+    @pytest.mark.parametrize("listed", [
+        lambda real, n: itertools.chain(real(n), itertools.islice(real(n), 1)),
+        lambda real, n: itertools.islice(real(n), n - 1),
+    ], ids=["a class twice", "a class missing"])
+    def test_search_on_reports_cells_that_miss_the_maps_unverified(
+            self, capsys, monkeypatch, listed):
+        real = transformations.on_d_classes
+        monkeypatch.setattr(transformations, "on_d_classes",
+                            lambda n: listed(real, n))
+        assert self.search_on_rows(capsys, 3) == [(True, False)] * 3
 
 
 def q4_report(capsys, argv):

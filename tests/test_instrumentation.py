@@ -7,8 +7,10 @@ the same way to check that one ``analyze`` computes each structure once
 per semigroup and Green's relations only for its input, that ``match``
 runs Hopcroft-Karp once, that the band commands build no Cayley table,
 that no band path reads its inverse graph off a stream of pairs, that
-only parsed Cayley tables are validated, and that ``search-on`` tests
-maps pairwise only to verify its matchings.  Two more check what the matching layer hands the graph
+only parsed Cayley tables are validated, that ``search-on`` matches each
+D-class of O_n on its pattern and tests maps pairwise only to verify its
+matchings, and that ``colour reduce`` verifies its involution once.  Two
+more check what the matching layer hands the graph
 algorithms: Hopcroft-Karp gets the inverse graph's own ``inverses``, and
 the involution gadget is built in ascending order, needing no sort.
 """
@@ -20,6 +22,7 @@ import importlib.util
 import io
 import sys
 from collections import Counter
+from math import comb
 from pathlib import Path
 
 import corpus
@@ -167,7 +170,7 @@ def test_search_on_tests_pairs_only_to_verify(monkeypatch):
     assert len(seen["transformations.maps_mutually_inverse"]) == 1 + 3 + 10
 
 
-def test_search_on_builds_no_pair_stream_and_matches_once_per_n(monkeypatch):
+def test_search_on_matches_each_d_class_on_its_pattern(monkeypatch):
     sizes = []
     from_pairs = core.InverseGraph.from_pairs.__func__
 
@@ -176,12 +179,15 @@ def test_search_on_builds_no_pair_stream_and_matches_once_per_n(monkeypatch):
         return from_pairs(cls, n, pairs)
 
     monkeypatch.setattr(core.InverseGraph, "from_pairs", classmethod(counted))
-    seen = count_calls(monkeypatch, ["graphs.hopcroft_karp"])
+    seen = count_calls(monkeypatch, ["graphs.hopcroft_karp",
+                                     "transformations.family_inverse_graph"])
     run_quietly(["search-on", "--n-max", "5"])
-    # each family graph is read off the kernel and image join
-    assert sizes == []
-    # one run per O_n, on the graph of its |O_n| maps
-    assert seen["graphs.hopcroft_karp"] == [1, 3, 10, 35, 126]
+    # no map-level graph: neither the join nor a stream of pairs
+    assert sizes == [] and seen["transformations.family_inverse_graph"] == []
+    # one run per D-class of O_n, on its |D| cells and the zero
+    assert seen["graphs.hopcroft_karp"] == [
+        comb(n - 1, k - 1) * comb(n, k) + 1
+        for n in range(1, 6) for k in range(1, n + 1)]
 
 
 def test_dispatch_reaches_a_handler_rebound_after_the_first_call(monkeypatch):
@@ -213,6 +219,12 @@ def test_tracer_installed_after_a_call_records_the_command():
         tracer.uninstall()
     names = [span[0] for span in tracer.spans]
     assert names.count("cli.colour") == 1 and "colours.solve" in names
+
+
+def test_colour_reduce_verifies_its_involution_once(monkeypatch):
+    seen = count_calls(monkeypatch, ["bands.verify_band_involution"])
+    run_quietly(["colour", "reduce", "--band", str(GOLDEN / "band2x4.band")])
+    assert len(seen["bands.verify_band_involution"]) == 1
 
 
 def test_colour_reduce_scans_the_pattern_once():

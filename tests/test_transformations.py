@@ -420,6 +420,64 @@ class TestFamilyInverseGraph:
         assert tr.family_inverse_graph(maps, n) == core.inverse_graph_of(table)
 
 
+class TestMapsMutuallyInverse:
+    @pytest.mark.parametrize("family, n", [
+        ("Tn", 3), ("PTn", 3), ("On", 4), ("OPn", 4), ("Pn", 4),
+    ])
+    def test_agrees_with_the_set_based_oracle_on_every_ordered_pair(
+            self, family, n):
+        maps = tr.family_maps(family, n)
+        for f in maps:
+            assert [tr.maps_mutually_inverse(f, g, n) for g in maps] == [
+                corpus.maps_mutually_inverse(f, g, n) for g in maps]
+
+
+class TestOnDClasses:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_cells_list_the_maps_of_on_once(self, n):
+        classes = list(tr.on_d_classes(n))
+        assert len(classes) == n
+        listed = [f for _, cells in classes for f in cells]
+        assert len(listed) == len(set(listed))
+        assert sorted(listed) == tr.family_maps("On", n)
+        for k, (pattern, cells) in enumerate(classes, 1):
+            rows, cols = comb(n - 1, k - 1), comb(n, k)
+            assert [len(row) for row in pattern] == [cols] * rows
+            assert len(cells) == rows * cols
+            assert {tr.rank_of(f, n) for f in cells} == {k}
+            # a row is one kernel, a column one image
+            for r in range(rows):
+                row = cells[r * cols:(r + 1) * cols]
+                assert len({tr.kernel_of(f) for f in row}) == 1
+            for c in range(cols):
+                assert len({frozenset(f) for f in cells[c::cols]}) == 1
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_pattern_marks_the_idempotent_cells(self, n):
+        for pattern, cells in tr.on_d_classes(n):
+            entries = [e for row in pattern for e in row]
+            assert all(type(e) is bool for e in entries)
+            assert entries == [tr.compose(f, f, n) == f for f in cells]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_pattern_graph_is_the_family_graph_on_each_class(self, n):
+        maps = tr.family_maps("On", n)
+        pos = {f: i for i, f in enumerate(maps)}
+        whole = tr.family_inverse_graph(maps, n)
+        edges = 0
+        for pattern, cells in tr.on_d_classes(n):
+            graph = core.pattern_inverse_graph(pattern)
+            assert graph.n == len(cells) + 1 and graph.inverses[0] == (0,)
+            members = {pos[f] for f in cells}
+            for f, vs in zip(cells, graph.inverses[1:]):
+                assert 0 not in vs
+                expected = [b for b in whole.inverses[pos[f]] if b in members]
+                assert sorted(pos[cells[v - 1]] for v in vs) == expected
+                edges += len(vs)
+        # mutual inverses share a D-class: no edge leaves one
+        assert edges == sum(map(len, whole.inverses))
+
+
 class TestSignatureProperties:
     def test_kernel_signature_shape(self):
         for n in (2, 3, 4):
