@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import combinations_with_replacement, permutations
-from math import factorial, prod
+from math import factorial, lcm, prod
 from operator import or_
 
 from . import graphs
@@ -172,33 +172,43 @@ def h_quotient(factor: PrincipalFactor) -> ZeroRectBand:
 
 
 # ---------------------------------------------------------------------------
-# Scaled Hall conditions and the harem construction
-#
-# With n = a*m, a permutation matching forces every t rows to meet at
-# least a*t columns.  That reduces to a perfect matching on the graph with
-# each row cloned a times (unit-capacity flow), which is also exactly what
-# the harem family needs; by Hall's theorem the matched clones then make
-# every t columns meet at least t/a rows as well.
+# The scaled Hall condition and the harem construction
 
 
 def _clone_matching(band: ZeroRectBand) -> tuple[list[int], tuple | None]:
-    """Maximum matching of the a*m = n row clones (clone u is row u % m)
-    onto the columns: ``match_l`` and the deficiency certificate, which is
-    None exactly when every clone is matched."""
+    """Maximum matching of lcm(m, n) row clones onto as many column clones,
+    with g = gcd(m, n): n/g per row (clone u is row u % m) and m/g per
+    column (clone v is column v % n), so for m | n no column is cloned.
+    Returns ``match_l`` and the deficiency certificate, which is None
+    exactly when every clone is matched.
+
+    That happens iff every row set T has n|T| <= m|N(T)|, and iff the band
+    has a permutation matching.  Necessity: the n|T| cells in the rows T
+    map to distinct cells in the columns N(T), and there are m|N(T)|.
+    Sufficiency: Hall on the clones; a perfect clone matching, counted per
+    cell and scaled by g, gives integer weights w on the 1-cells with row
+    sums n and column sums m, and w[k][j]·w[i][l]/(mn) on each edge
+    (i, j) -> (k, l) of the inverse graph is a fractional perfect
+    matching, so by König the graph has a perfect one.  Certificate: the
+    clones of a row share one list and those of a column one set of
+    neighbours, so alternating reachability takes every clone of a row or
+    column it reaches, and the rows of the deficient set break the bound.
+    """
     require_regular_pattern(band)
-    a, n = band.aspect_ratio, band.n
-    adj = [[j for j in range(n) if row[j]] for row in band.pattern] * a
-    _size, match_l, match_r = graphs.hopcroft_karp(n, n, adj)
-    return match_l, graphs.deficiency_certificate(n, n, adj, match_l, match_r)
+    n, size = band.n, lcm(band.m, band.n)
+    adj = [[v for v in range(size) if row[v % n]] for row in band.pattern]
+    adj *= size // band.m
+    _size, match_l, match_r = graphs.hopcroft_karp(size, size, adj)
+    return match_l, graphs.deficiency_certificate(size, size, adj, match_l, match_r)
 
 
 def check_harem_condition(
     band: ZeroRectBand,
 ) -> tuple[bool, tuple[str, tuple[int, ...]] | None]:
-    """Decide the scaled Hall conditions by matching feasibility.
+    """Decide the scaled Hall condition by matching feasibility.
 
     Returns (True, None) or (False, ("rows", T)) where the row set T
-    meets fewer than a*|T| columns.  Exhaustive subset checking lives in
+    breaks n|T| <= m|N(T)|.  Exhaustive subset checking lives in
     :func:`check_harem_condition_exhaustive` as the small-m oracle.
     """
     _, cert = _clone_matching(band)
@@ -210,14 +220,13 @@ def check_harem_condition(
 def check_harem_condition_exhaustive(
     band: ZeroRectBand,
 ) -> tuple[bool, tuple[str, tuple[int, ...]] | None]:
-    """Subset-scan oracle for the scaled Hall conditions over the 2^m row
+    """Subset-scan oracle for the scaled Hall condition over the 2^m row
     sets; the column condition follows from the row one."""
-    a = band.aspect_ratio
     m, n, pat = band.m, band.n, band.pattern
     for mask in range(1, 1 << m):
         rows = [i for i in range(m) if mask >> i & 1]
         cols = {j for j in range(n) for i in rows if pat[i][j]}
-        if len(cols) < a * len(rows):
+        if m * len(cols) < n * len(rows):
             return False, ("rows", tuple(rows))
     return True, None
 
@@ -236,11 +245,14 @@ class HaremFamily:
 
 
 def harem_family(band: ZeroRectBand) -> HaremFamily | None:
-    """Constructs the family whenever the scaled Hall conditions hold.
+    """Constructs the family whenever the scaled Hall condition holds.
 
     Each row's matched columns are assigned to slots in increasing column
-    order, which makes the output deterministic.
+    order, which makes the output deterministic.  Raises NotDivisible
+    before any matching when m does not divide n.
     """
+    require_regular_pattern(band)
+    a = band.aspect_ratio
     match_l, cert = _clone_matching(band)
     if cert is not None:
         return None
@@ -249,7 +261,7 @@ def harem_family(band: ZeroRectBand) -> HaremFamily | None:
         per_row[u % band.m].append(col)
     functions = tuple(
         tuple(sorted(cols)[t] for cols in per_row)
-        for t in range(band.aspect_ratio)
+        for t in range(a)
     )
     return HaremFamily(functions)
 

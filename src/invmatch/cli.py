@@ -407,9 +407,10 @@ def cmd_search_q4(args) -> int:
         densities = [float(d) for d in args.densities.split(",") if d]
     except ValueError as exc:
         raise ParseError(f"bad --densities: {args.densities!r}") from exc
-    # only sampled shapes read the densities; the largest shape is sampled
-    # when any is
-    if not densities and 2 ** (args.m_max * args.n_max) > args.exhaustive_limit:
+    # 2**c <= limit iff c <= top, so no 2**c is built; only sampled shapes
+    # read the densities, and the largest shape is sampled when any is
+    top = max(args.exhaustive_limit, 0).bit_length() - 1
+    if not densities and args.m_max * args.n_max > top:
         raise ParseError(
             f"--densities is empty, but shape {args.m_max}x{args.n_max} is sampled"
         )
@@ -422,7 +423,7 @@ def cmd_search_q4(args) -> int:
     separators = []
     for shape_index, (m, n) in enumerate(shapes):
         cells = m * n
-        exhaustive = 2**cells <= args.exhaustive_limit
+        exhaustive = cells <= top
         # one band at a time: each keeps its inverse graph while it lives
         if exhaustive:
             total, orbits = 2**cells, bands.pattern_orbits(m, n)

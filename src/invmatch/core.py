@@ -172,17 +172,6 @@ class InverseGraph:
     n: int
     inverses: tuple[tuple[int, ...], ...]
 
-    @classmethod
-    def from_pairs(cls, n: int, pairs) -> InverseGraph:
-        """The graph on [0, n) of the mutual-inverse pairs (a, b), a <= b,
-        read once (a generator will do); (a, a) puts a in V(a)."""
-        inverses: list[list[int]] = [[] for _ in range(n)]
-        for a, b in pairs:
-            inverses[a].append(b)
-            if a != b:
-                inverses[b].append(a)
-        return cls(n, tuple(tuple(sorted(vs)) for vs in inverses))
-
     def degree(self, a: int) -> int:
         """|V(a)|: the number of inverses of a."""
         return len(self.inverses[a])

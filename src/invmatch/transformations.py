@@ -26,11 +26,6 @@ FAMILY_CAP = 4_000
 Map = tuple[int, ...]
 
 
-def compose(f: Map, g: Map, n: int) -> Map:
-    """Apply f, then g; the sentinel n absorbs."""
-    return tuple(g[v] if v < n else n for v in f)
-
-
 def rank_of(f: Map, n: int) -> int:
     return len({v for v in f if v < n})
 

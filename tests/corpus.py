@@ -31,6 +31,25 @@ def inverses_of(s: FiniteSemigroup, a: int) -> list[int]:
     ]
 
 
+def inverse_graph_from_pairs(n: int, pairs) -> InverseGraph:
+    """The graph on [0, n) of the mutual-inverse pairs (a, b), a <= b,
+    read once (a generator will do); (a, a) puts a in V(a).  Once
+    core.InverseGraph.from_pairs, the pair-stream constructor every graph
+    oracle here builds with."""
+    inverses: list[list[int]] = [[] for _ in range(n)]
+    for a, b in pairs:
+        inverses[a].append(b)
+        if a != b:
+            inverses[b].append(a)
+    return InverseGraph(n, tuple(tuple(sorted(vs)) for vs in inverses))
+
+
+def compose(f, g, n: int):
+    """Apply the map f, then g, as image tuples; the sentinel n absorbs.
+    Once transformations.compose, the reference for composed tables."""
+    return tuple(g[v] if v < n else n for v in f)
+
+
 def maps_mutually_inverse(a, b, n: int) -> bool:
     """b in V(a) for maps as image tuples, the sentinel n marking
     "undefined": b sections a on im(a) and a sections b on im(b), with both
@@ -62,7 +81,8 @@ def pattern_inverse_graph(pattern) -> InverseGraph:
         for k in rows[j] if k >= i
         for l in cols[i] if k > i or l >= j
     )
-    return InverseGraph.from_pairs(m * n + 1, itertools.chain([(0, 0)], pairs))
+    return inverse_graph_from_pairs(m * n + 1,
+                                    itertools.chain([(0, 0)], pairs))
 
 
 # The recursive search that matching.matching_backtracking replaced, kept
@@ -131,7 +151,7 @@ def strong_inverse_graph(s: FiniteSemigroup) -> InverseGraph:
     """The inverse graph less every edge {a, b} whose generated
     subsemigroup is not inverse."""
     g = build_inverse_graph(s)
-    return InverseGraph.from_pairs(g.n, (
+    return inverse_graph_from_pairs(g.n, (
         (a, b)
         for a in range(g.n)
         for b in g.inverses[a]
@@ -444,24 +464,24 @@ def pattern_by_pattern(m, n):
 
 
 # The two-sided subset scan that bands.check_harem_condition_exhaustive
-# cut to its row half, kept as its oracle: once every t rows meet a*t
-# columns, Hall's theorem matches the a*m = n row clones onto the columns,
-# so every t columns meet t/a rows and the column scan never fires.
+# cut to its row half, kept as its oracle: once every row set T meets
+# columns N(T) with n|T| <= m|N(T)|, Hall's theorem matches the n/g clones
+# of each row onto the m/g clones of each column (g = gcd(m, n)), so the
+# clones of any column set C land on clones of its rows N(C), giving
+# m|C| <= n|N(C)|, and the column scan never fires.
 def harem_condition_two_sided(band):
-    """(True, None), or (False, (side, T)) for the first row set T that
-    meets fewer than a*|T| columns or column set T that meets fewer than
-    |T|/a rows."""
-    a = band.aspect_ratio
+    """(True, None), or (False, (side, T)) for the first row set T with
+    n|T| > m|N(T)| or column set T with m|T| > n|N(T)|."""
     m, n, pat = band.m, band.n, band.pattern
     for mask in range(1, 1 << m):
         rows = [i for i in range(m) if mask >> i & 1]
         cols = {j for j in range(n) for i in rows if pat[i][j]}
-        if len(cols) < a * len(rows):
+        if m * len(cols) < n * len(rows):
             return False, ("rows", tuple(rows))
     for mask in range(1, 1 << n):
         cols = [j for j in range(n) if mask >> j & 1]
         rows = {i for i in range(m) for j in cols if pat[i][j]}
-        if len(rows) * a < len(cols):
+        if n * len(rows) < m * len(cols):
             return False, ("cols", tuple(cols))
     return True, None
 

@@ -2,6 +2,7 @@
 the induced involution, and the orthodox similarity criterion, checked
 through its oracle in corpus.py."""
 
+import functools
 import itertools
 import math
 import random
@@ -22,6 +23,31 @@ from invmatch.errors import (
 
 def full_band(m, n):
     return bands.band_from_rows([[1] * n for _ in range(m)])
+
+
+@functools.cache
+def small_regular_patterns():
+    """Every regular pattern of at most 12 cells, all shapes: 6,761."""
+    return tuple(band for m, n in itertools.product(range(1, 13), repeat=2)
+                 if m * n <= 12 for band in corpus.regular_patterns(m, n))
+
+
+def breaks_the_bound(band, rows):
+    """The row set meets too few columns: n|T| > m|N(T)|."""
+    cols = {j for i in rows for j in range(band.n) if band.pattern[i][j]}
+    return band.n * len(rows) > band.m * len(cols)
+
+
+def agrees_with_the_oracles(band):
+    """The scaled Hall verdict, after checking that the clone matching,
+    the subset scan and the band's inverse graph agree on it."""
+    ok, cert = bands.check_harem_condition(band)
+    scan_ok, scan_cert = bands.check_harem_condition_exhaustive(band)
+    assert ok == scan_ok == (matching.find_permutation_matching(band)
+                             is not None), band.pattern
+    for found in filter(None, (cert, scan_cert)):
+        assert found[0] == "rows" and breaks_the_bound(band, found[1])
+    return ok
 
 
 class TestCounterexampleBand:
@@ -217,8 +243,21 @@ class TestHaremCondition:
         assert bands.check_harem_condition(full_band(2, 4)) == (True, None)
 
     def test_not_divisible(self):
-        with pytest.raises(NotDivisible):
-            bands.check_harem_condition(bands.no_matching_band())
+        # 2 does not divide 3, and the condition is still decided: row 1
+        # meets one column, 3 * 1 > 2 * 1
+        band = bands.no_matching_band()
+        assert bands.check_harem_condition(band) == (False, ("rows", (1,)))
+        assert bands.check_harem_condition_exhaustive(band) == (
+            False, ("rows", (1,)))
+
+    def test_harem_paths_refuse_before_matching(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(bands.graphs, "hopcroft_karp",
+                            lambda *args: calls.append(args))
+        for build in (bands.harem_family, bands.involution_from_harem):
+            with pytest.raises(NotDivisible):
+                build(bands.no_matching_band())
+        assert calls == []
 
     def test_irregular_pattern_rejected_upstream(self):
         band = bands.band_from_rows([[1, 1, 1, 1], [0, 0, 0, 0]])
@@ -234,27 +273,38 @@ class TestHaremCondition:
             if not flow_ok:
                 side, rows = flow_viol
                 assert side == "rows"
-                a = band.aspect_ratio
-                cols = {
-                    j
-                    for i in rows
-                    for j in range(band.n)
-                    if band.pattern[i][j]
-                }
-                assert len(cols) < a * len(rows)
+                assert breaks_the_bound(band, rows)
 
     def test_row_scan_agrees_with_the_two_sided_scan(self):
-        # every regular pattern of up to 12 cells with m dividing n
-        checked = 0
-        for m, n in itertools.product(range(1, 13), repeat=2):
-            if m * n > 12 or n % m:
-                continue
-            for band in corpus.regular_patterns(m, n):
-                expected = corpus.harem_condition_two_sided(band)
-                assert bands.check_harem_condition_exhaustive(band) == expected
-                assert bands.check_harem_condition(band)[0] == expected[0]
-                checked += 1
-        assert checked == 1090
+        # every regular pattern of up to 12 cells, 1,090 of them with m
+        # dividing n
+        checked = divisible = 0
+        for band in small_regular_patterns():
+            expected = corpus.harem_condition_two_sided(band)
+            assert bands.check_harem_condition_exhaustive(band) == expected
+            assert bands.check_harem_condition(band)[0] == expected[0]
+            checked += 1
+            divisible += band.n % band.m == 0
+        assert (checked, divisible) == (6761, 1090)
+
+    def test_clone_matching_decides_every_small_pattern(self):
+        # the clone verdict, the subset scan and a matching of the band's
+        # own inverse graph agree, and every certificate breaks the bound
+        failing = 0
+        for band in small_regular_patterns():
+            failing += not agrees_with_the_oracles(band)
+        assert failing == 2866
+
+    def test_clone_matching_decides_seeded_random_patterns(self):
+        # a seeded share of the 2,000-pattern sweep from 2x2 to 8x10
+        rng = random.Random(2025)
+        failing = 0
+        for _ in range(1000):
+            m, n = rng.randint(2, 8), rng.randint(2, 10)
+            band = bands.random_band(m, n, rng.uniform(0.25, 0.75),
+                                     rng.randrange(1 << 30))
+            failing += not agrees_with_the_oracles(band)
+        assert failing == 293
 
     def test_matching_implies_condition(self):
         # one direction of the row/column counting argument, never assumed

@@ -16,7 +16,8 @@ from unittest import mock
 import pytest
 
 import corpus
-from invmatch import bands, cli, colours, core, matching, transformations
+from invmatch import (bands, cli, colours, core, graphs, matching,
+                      transformations)
 from invmatch.cli import build_parser, main
 
 
@@ -62,10 +63,20 @@ class TestExitCodes:
         code, _, _ = run(capsys, ["analyze", str(path)])
         assert code == 4
 
-    def test_precondition_not_divisible(self, cex_file, capsys):
-        code, _, err = run(capsys, ["band", "check", cex_file])
-        assert code == 4
-        assert "divide" in err
+    def test_band_check_decides_a_shape_that_does_not_divide(self, cex_file,
+                                                             capsys):
+        assert run(capsys, ["band", "check", cex_file]) == (
+            0, "fails on rows [1]\n", "")
+
+    def test_precondition_not_divisible(self, cex_file, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(graphs, "hopcroft_karp",
+                            lambda *args: calls.append(args))
+        for mode in ("harem", "involution"):
+            assert run(capsys, ["band", mode, cex_file]) == (
+                4, "", "precondition failed: 2 does not divide 3\n")
+        # refused before any matching runs
+        assert calls == []
 
     @pytest.mark.parametrize("command", ["match", "analyze"])
     def test_a_band_past_the_table_cap_is_refused_before_its_table(
@@ -463,6 +474,35 @@ class TestSearches:
         report.pop("input"), default.pop("input")
         assert report == default
 
+    @pytest.mark.parametrize("limit", [-5, 0, 1, 2, 3, 4, 5, 4095, 4096, 4097])
+    def test_q4_shape_is_exhaustive_iff_its_pattern_count_fits(self, capsys,
+                                                              limit):
+        # shapes 1x1 .. 1x20 hold 1 .. 20 cells; density 1 covers a sampled
+        # line at the first draw
+        code, out, _ = run(capsys, [
+            "search-q4", "--m-max", "1", "--n-max", "20", "--samples", "1",
+            "--densities", "1", "--exhaustive-limit", str(limit), "--json"])
+        assert code == 0
+        modes = [s["mode"] for s in json.loads(out)["verdicts"]["shapes"]]
+        assert modes == ["exhaustive" if 2**cells <= limit else "sampled"
+                         for cells in range(1, 21)]
+        # the empty-densities check makes the same choice for the last shape
+        for cells in range(1, 21):
+            code, _, _ = run(capsys, [
+                "search-q4", "--m-max", "1", "--n-max", str(cells),
+                "--densities", "", "--exhaustive-limit", str(limit)])
+            assert code == (0 if 2**cells <= limit else 2)
+
+    def test_q4_empty_densities_on_a_huge_shape_fail_fast(self, capsys):
+        # 2**(10**10) is never built
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["search-q4", "--m-max", "100000",
+                                      "--n-max", "100000", "--densities", ""])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == ("parse error: --densities is empty, but shape "
+                       "100000x100000 is sampled\n")
+
     def test_search_on_refuses_a_family_past_its_cap(self, capsys,
                                                      monkeypatch):
         def never(*args):
@@ -671,6 +711,7 @@ class TestOracleBounds:
 
     @pytest.mark.parametrize("m, n, checked", [
         (1, 16, True), (5, 5, True), (4, 8, True), (1, 17, False), (1, 40, False),
+        (16, 1, True), (17, 1, False),
     ])
     def test_band_check_oracle_is_a_side_bound(self, tmp_path, capsys,
                                                m, n, checked):

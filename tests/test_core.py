@@ -450,6 +450,21 @@ class TestGreenRelations:
                 assert f.semigroup.egg_box == core.green_relations(fresh)
                 assert f.semigroup.egg_box == corpus.ideal_egg_box(f.semigroup)
 
+    def test_egg_box_does_not_depend_on_the_generating_set(self):
+        # components are numbered by least vertex, so every element as a
+        # generator gives the same egg-box as the greedy pick
+        inputs = [enumerate_family("Tn", 4).semigroup,
+                  enumerate_family("On", 5).semigroup,
+                  bands.to_semigroup(bands.no_matching_band())]
+        inputs += [corpus.corpus_semigroup(seed) for seed in range(200)]
+        differ = 0
+        for s in inputs:
+            fresh = core.FiniteSemigroup(s.table, s.labels)
+            vars(fresh)["generators"] = tuple(range(s.order))
+            assert core.green_relations(fresh) == core.green_relations(s)
+            differ += fresh.generators != s.generators
+        assert differ > len(inputs) // 2
+
     def test_h_cells_tile_evenly_and_group_cells_have_one_idempotent(self):
         for seed in range(40):
             s = corpus.corpus_semigroup(seed)

@@ -44,6 +44,10 @@ CASES = {
     "band_harem_2x4.json": ["band", "harem", "{}/band2x4.band"],
     "colour_reduce_1x60.json": ["colour", "reduce", "--band", "{}/band1x60.band"],
     "match_band4x6.json": ["match", "{}/band4x6.band"],
+    # shapes where m does not divide n, decided by the clone matching
+    "band_check_counterexample.json": [
+        "band", "check", "{}/counterexample.band", "--oracle"],
+    "band_check_4x6.json": ["band", "check", "{}/band4x6.band", "--oracle"],
     # shapes 2x5 and 2x6 are sampled, so this pins the seeded patterns
     "search_q4_sampled.json": [
         "search-q4", "--m-max", "2", "--n-max", "6",
@@ -59,10 +63,13 @@ CASES = {
 
 # failure report file -> argv; the input is O_5 with table[73][31] changed
 # from 3 to 1, whose first bad triple (1, 104, 31) comes before any triple
-# with a generator in the middle, and O_3 with table[6][2] = 10
+# with a generator in the middle, O_3 with table[6][2] = 10, and the 2x3
+# counterexample under ``band harem``, which needs m to divide n
 FAILURES = {
     "analyze_o5_corrupted.json": ["analyze", "{}/o5_corrupted.cayley"],
     "analyze_o3_out_of_range.json": ["analyze", "{}/o3_out_of_range.cayley"],
+    "band_harem_counterexample.json": [
+        "band", "harem", "{}/counterexample.band"],
 }
 
 

@@ -134,24 +134,6 @@ def test_band_paths_build_no_cayley_table(monkeypatch):
     assert len(seen["bands.to_semigroup"]) == 1
 
 
-def test_band_paths_build_no_pair_stream(monkeypatch):
-    sizes = []
-    from_pairs = core.InverseGraph.from_pairs.__func__
-
-    def counted(cls, n, pairs):
-        sizes.append(n)
-        return from_pairs(cls, n, pairs)
-
-    monkeypatch.setattr(core.InverseGraph, "from_pairs", classmethod(counted))
-    band = str(GOLDEN / "band2x4.band")
-    run_quietly(["colour", "reduce", "--band", band])
-    run_quietly(["band", "involution", band])
-    run_quietly(["search-q4", "--m-max", "2", "--n-max", "3", "--oracle"])
-    # nor does a band's Cayley table, whose graph is read off its egg-box
-    run_quietly(["analyze", str(GOLDEN / "counterexample.band")])
-    assert sizes == []
-
-
 def test_only_parsed_tables_are_validated(monkeypatch):
     seen = count_calls(monkeypatch, ["core.validate"])
     # a band file's table is associative and in range by construction
@@ -171,19 +153,11 @@ def test_search_on_tests_pairs_only_to_verify(monkeypatch):
 
 
 def test_search_on_matches_each_d_class_on_its_pattern(monkeypatch):
-    sizes = []
-    from_pairs = core.InverseGraph.from_pairs.__func__
-
-    def counted(cls, n, pairs):
-        sizes.append(n)
-        return from_pairs(cls, n, pairs)
-
-    monkeypatch.setattr(core.InverseGraph, "from_pairs", classmethod(counted))
     seen = count_calls(monkeypatch, ["graphs.hopcroft_karp",
                                      "transformations.family_inverse_graph"])
     run_quietly(["search-on", "--n-max", "5"])
-    # no map-level graph: neither the join nor a stream of pairs
-    assert sizes == [] and seen["transformations.family_inverse_graph"] == []
+    # no map-level graph
+    assert seen["transformations.family_inverse_graph"] == []
     # one run per D-class of O_n, on its |D| cells and the zero
     assert seen["graphs.hopcroft_karp"] == [
         comb(n - 1, k - 1) * comb(n, k) + 1

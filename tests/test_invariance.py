@@ -69,6 +69,19 @@ def test_verdicts_survive_permutations_and_the_transpose():
     assert moved > checked // 2
 
 
+def test_band_check_verdict_survives_the_transpose():
+    # the transpose swaps m and n, and off the square shapes m | n holds on
+    # one side at most; the scaled Hall verdict must not notice
+    patterns = failing = 0
+    for band in corpus.all_regular_patterns(3, 4):
+        ok, _ = bands.check_harem_condition(band)
+        transpose = bands.band_from_rows(zip(*band.pattern))
+        assert bands.check_harem_condition(transpose)[0] == ok, band.pattern
+        patterns += 1
+        failing += not ok
+    assert patterns == 2_568 and 0 < failing < patterns
+
+
 def relabel(s, perm):
     """The table of s with element a renamed perm[a]."""
     t = [[0] * s.order for _ in range(s.order)]

@@ -73,12 +73,6 @@ def test_every_parameter_is_read():
 
 # Read by no package code, kept for a reader the scan cannot see.
 UNREAD_BUT_KEPT = {
-    # the reference test_composed_table_composes checks tables against,
-    # and named in bench/tracer.py's docstring
-    "transformations.py: compose",
-    # tests/corpus.py's oracles and pair_scan build graphs with it, and two
-    # instrumentation tests patch it
-    "core.py: InverseGraph.from_pairs",
     # the signature-class route that the acceptance tests read
     "transformations.py: signature_class_degree",
     "transformations.py: tn_matching_via_classes",

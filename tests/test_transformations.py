@@ -82,7 +82,7 @@ class TestEnumeration:
             data = tr.enumerate_family(family, n)
             pos = {f: i for i, f in enumerate(data.maps)}
             assert composed_table(data) == tuple(
-                tuple(pos[tr.compose(f, g, n)] for g in data.maps)
+                tuple(pos[corpus.compose(f, g, n)] for g in data.maps)
                 for f in data.maps
             )
 
@@ -300,7 +300,7 @@ def pair_scan(maps, n):
     by_rank = {}
     for idx, f in enumerate(maps):
         by_rank.setdefault(tr.rank_of(f, n), []).append(idx)
-    return core.InverseGraph.from_pairs(len(maps), (
+    return corpus.inverse_graph_from_pairs(len(maps), (
         (ia, ib)
         for members in by_rank.values()
         for pos, ia in enumerate(members)
@@ -312,7 +312,7 @@ def pair_scan(maps, n):
 def composed_table(data):
     """The Cayley table of ``data`` composed one pair at a time: with both
     maps extended by the sentinel n as a fixed point, fg is
-    ``itemgetter(*f)(g)``, which is ``compose`` at C speed (see
+    ``itemgetter(*f)(g)``, which is ``corpus.compose`` at C speed (see
     test_composed_table_composes)."""
     ext = [f + (data.n,) for f in data.maps]
     pos = {f: i for i, f in enumerate(ext)}
@@ -457,7 +457,7 @@ class TestOnDClasses:
         for pattern, cells in tr.on_d_classes(n):
             entries = [e for row in pattern for e in row]
             assert all(type(e) is bool for e in entries)
-            assert entries == [tr.compose(f, f, n) == f for f in cells]
+            assert entries == [corpus.compose(f, f, n) == f for f in cells]
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_pattern_graph_is_the_family_graph_on_each_class(self, n):
