@@ -101,6 +101,11 @@ def _emit(args, report: dict, human_lines) -> None:
             print(line)
 
 
+def _disagreement(verdicts: dict) -> str:
+    """The text marker for a verdict its --oracle cross-check refutes."""
+    return " (ORACLE DISAGREES)" if verdicts.get("oracle_agrees") is False else ""
+
+
 def _violator_payload(sg, viol) -> dict | None:
     if viol is None:
         return None
@@ -199,7 +204,7 @@ def cmd_involution(args) -> int:
         with contextlib.suppress(BudgetExhausted):
             oracle = matching.involution_backtracking(sg)
             payload["verdicts"]["oracle_agrees"] = (oracle is None) == (p is None)
-    human = ["present" if p else "absent"]
+    human = [("present" if p else "absent") + _disagreement(payload["verdicts"])]
     if p:
         human.append(matching.format_matching(p).rstrip())
     _emit(args, _report(args, "involution", payload), human)
@@ -256,7 +261,8 @@ def cmd_band(args) -> int:
         if args.oracle and max(band.m, band.n) <= BAND_ORACLE_MAX_SIDE:
             ok2, _ = bands.check_harem_condition_exhaustive(band)
             payload["verdicts"]["oracle_agrees"] = ok == ok2
-        human = ["holds" if ok else f"fails on {violator[0]} {list(violator[1])}"]
+        human = [("holds" if ok else f"fails on {violator[0]} {list(violator[1])}")
+                 + _disagreement(payload["verdicts"])]
     elif args.mode == "harem":
         fam = bands.harem_family(band)
         payload["verdicts"] = {"family_exists": fam is not None}
@@ -503,10 +509,10 @@ def cmd_search_on(args) -> int:
     for n in range(1, args.n_max + 1):
         maps = transformations.family_maps("On", n)
         # mutual inverses share a D-class, so O_n has a matching iff each
-        # class has one; each is matched on its pattern's band graph
+        # class has one; each is matched on its pattern's row masks
         found, verified, listed = True, True, []
         for pattern, cells in transformations.on_d_classes(n):
-            p = matching.matching_on_graph(core.pattern_inverse_graph(pattern))
+            p = matching.band_matching(pattern)
             if p is None:
                 found = False
                 break
@@ -537,6 +543,7 @@ def cmd_search_on(args) -> int:
         f"O_{r['n']}: size {r['size']}, matching "
         f"{'present' if r['has_matching'] else 'absent'}"
         + ("" if r["matching_verified"] or not r["has_matching"] else " (UNVERIFIED)")
+        + _disagreement(r)
         for r in results
     ]
     _emit(args, _report(args, "search-on", payload), human)

@@ -12,6 +12,8 @@ implements all of those routes plus the cross-checking report.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from . import graphs
 from .core import (  # noqa: F401  (green_relations stays matching.green_relations)
@@ -223,6 +225,120 @@ def pattern_matching(pattern) -> Matching | None:
     idempotent pattern, indexed as :func:`lift_h_matching` takes it; None
     if there is none."""
     return matching_on_graph(pattern_inverse_graph(pattern))
+
+
+def _take_cells(pool, rows, cols, n: int):
+    """Yield the cells (k, l) of ``pool[k] & cols``, k in ``rows``, as
+    k * n + l, clearing each from ``pool`` as it is yielded."""
+    for k in rows:
+        bits = pool[k] & cols
+        while bits:
+            bit = bits & -bits
+            bits ^= bit
+            pool[k] ^= bit
+            yield k * n + bit.bit_length() - 1
+
+
+def band_matching(pattern) -> Matching | None:
+    """Permutation matching of the 0-rectangular band with the given
+    idempotent pattern, indexed as :func:`pattern_matching`'s, or None;
+    found without building the band's inverse graph.
+
+    V((i, j)) is K_j x L_i, K_j the rows with an entry in column j and
+    L_i the columns with one in row i (Miller-Clifford), so row k's part
+    of it is one AND of L_i with an int mask of row k's cells.  This is
+    Hopcroft-Karp (SIAM J. Comput. 1973) on such masks, after a greedy
+    pass.  A phase's breadth-first search ORs the L_i of a layer's cells
+    per column j and spreads that over K_j, and keeps per layer the masks
+    of the matched right cells it reached first.  A backward pass keeps
+    only the cells whose mates reach a free cell (a left cell (i, j) meets
+    a set of masks iff L_i meets their union over K_j), and depth-first
+    searches from the roots left take cells of those masks, free cells at
+    the last layer, clearing each.  The augmenting paths it picks are not
+    those of Hopcroft-Karp on the cell graph.
+    """
+    m = len(pattern)
+    n = len(pattern[0]) if m else 0
+    rows_of = [[k for k in range(m) if pattern[k][j]] for j in range(n)]
+    cols_of = [sum(1 << j for j, e in enumerate(row) if e) for row in pattern]
+    # cell u = i * n + j on either side: its column j, K_j and L_i
+    col_at = list(range(n)) * m
+    rows_at = rows_of * m
+    cols_at = [cols for cols in cols_of for _ in range(n)]
+    free = [(1 << n) - 1] * m
+    match_l = [-1] * (m * n)
+    match_r = [-1] * (m * n)
+    for u in range(m * n):
+        v = next(_take_cells(free, rows_at[u], cols_at[u], n), -1)
+        if v != -1:
+            match_l[u], match_r[v] = v, u
+    while True:
+        roots = [u for u in range(m * n) if match_l[u] == -1]
+        if not roots:
+            return (0, *(1 + v for v in match_l))
+        # breadth-first layers of left cells, up to the first that reaches
+        # a free right cell; masks[d][k]: matched cells first reached from
+        # layer d, whose mates make layer d + 1
+        unseen = [(1 << n) - 1] * m
+        masks, layers = [], [roots]
+        while True:
+            span = [0] * n
+            for u in layers[-1]:
+                span[col_at[u]] |= cols_at[u]
+            reached = [0] * m
+            for rows, cols in zip(rows_of, span):
+                if cols:
+                    for k in rows:
+                        reached[k] |= cols
+            found = False
+            for k, bits in enumerate(reached):
+                bits &= unseen[k]
+                unseen[k] ^= bits
+                found = found or bits & free[k] != 0
+                reached[k] = bits & ~free[k]
+            masks.append(reached)
+            if found:
+                break
+            layer = []
+            for k, bits in enumerate(reached):
+                while bits:
+                    bit = bits & -bits
+                    bits ^= bit
+                    layer.append(match_r[k * n + bit.bit_length() - 1])
+            if not layer:
+                return None  # no augmenting path: the matching is maximum
+            layers.append(layer)
+        masks[-1] = free
+        for d in range(len(layers) - 1, -1, -1):
+            union = [reduce(or_, map(masks[d].__getitem__, rows), 0)
+                     for rows in rows_of]
+            roots = [u for u in layers[d] if union[col_at[u]] & cols_at[u]]
+            if d:
+                masks[d - 1] = [0] * m
+                for v in map(match_l.__getitem__, roots):
+                    masks[d - 1][v // n] |= 1 << v % n
+        # depth-first augmenting paths: path[d] is a left cell of layer d,
+        # took[d] the right cell it took
+        for root in roots:
+            path, took = [root], []
+            stack = [_take_cells(masks[0], rows_at[root], cols_at[root], n)]
+            while stack:
+                v = next(stack[-1], -1)
+                if v == -1:
+                    stack.pop()
+                    path.pop()
+                    if took:
+                        took.pop()
+                    continue
+                took.append(v)
+                if len(stack) == len(masks):
+                    for u, v in zip(path, took):
+                        match_l[u], match_r[v] = v, u
+                    break
+                u = match_r[v]
+                path.append(u)
+                stack.append(_take_cells(masks[len(stack)], rows_at[u],
+                                         cols_at[u], n))
 
 
 def lift_h_matching(f: PrincipalFactor, q) -> Matching:

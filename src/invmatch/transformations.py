@@ -249,14 +249,16 @@ def on_d_classes(n: int):
     """
     for k in range(1, n + 1):
         images = list(itertools.combinations(range(n), k))
-        own = tuple(range(k))
+        # a one-index itemgetter returns the item, not a 1-tuple: at rank 1
+        # each image reads block 0; at rank n the one cell is the identity
+        getters = [itemgetter(*c) for c in images]
+        own = tuple(range(k)) if k > 1 else 0
         pattern, cells = [], []
         for cuts in itertools.combinations(range(1, n), k - 1):
             bounds = (0, *cuts, n)
-            block = [i for i in own for _ in range(bounds[i], bounds[i + 1])]
-            cells += [tuple(map(c.__getitem__, block)) for c in images]
-            pattern.append(
-                [tuple(map(block.__getitem__, c)) == own for c in images])
+            block = [i for i in range(k) for _ in range(bounds[i], bounds[i + 1])]
+            cells += images if k == n else map(itemgetter(*block), images)
+            pattern.append([g(block) == own for g in getters])
         yield pattern, cells
 
 

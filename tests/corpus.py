@@ -7,6 +7,7 @@ groups, products and adjunctions, all regular by construction.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -453,6 +454,13 @@ def regular_patterns(m, n):
         )
         if band.empty_line is None:
             yield band
+
+
+@functools.cache
+def small_regular_patterns():
+    """Every regular pattern of at most 12 cells, all shapes: 6,761."""
+    return tuple(band for m, n in itertools.product(range(1, 13), repeat=2)
+                 if m * n <= 12 for band in regular_patterns(m, n))
 
 
 # The per-pattern loop that bands.pattern_orbits replaced in search-q4,

@@ -2,7 +2,6 @@
 the induced involution, and the orthodox similarity criterion, checked
 through its oracle in corpus.py."""
 
-import functools
 import itertools
 import math
 import random
@@ -23,13 +22,6 @@ from invmatch.errors import (
 
 def full_band(m, n):
     return bands.band_from_rows([[1] * n for _ in range(m)])
-
-
-@functools.cache
-def small_regular_patterns():
-    """Every regular pattern of at most 12 cells, all shapes: 6,761."""
-    return tuple(band for m, n in itertools.product(range(1, 13), repeat=2)
-                 if m * n <= 12 for band in corpus.regular_patterns(m, n))
 
 
 def breaks_the_bound(band, rows):
@@ -279,7 +271,7 @@ class TestHaremCondition:
         # every regular pattern of up to 12 cells, 1,090 of them with m
         # dividing n
         checked = divisible = 0
-        for band in small_regular_patterns():
+        for band in corpus.small_regular_patterns():
             expected = corpus.harem_condition_two_sided(band)
             assert bands.check_harem_condition_exhaustive(band) == expected
             assert bands.check_harem_condition(band)[0] == expected[0]
@@ -291,7 +283,7 @@ class TestHaremCondition:
         # the clone verdict, the subset scan and a matching of the band's
         # own inverse graph agree, and every certificate breaks the bound
         failing = 0
-        for band in small_regular_patterns():
+        for band in corpus.small_regular_patterns():
             failing += not agrees_with_the_oracles(band)
         assert failing == 2866
 

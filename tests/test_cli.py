@@ -574,8 +574,8 @@ class TestSearches:
                                                            monkeypatch):
         # every cell matched to itself: all maps of O_1 and O_2 are
         # idempotent, but O_3 holds 001, which is not
-        monkeypatch.setattr(matching, "matching_on_graph",
-                            lambda g: tuple(range(g.n)))
+        monkeypatch.setattr(matching, "band_matching",
+                            lambda pat: tuple(range(len(pat) * len(pat[0]) + 1)))
         assert self.search_on_rows(capsys, 3) == [
             (True, True), (True, True), (True, False)]
         code, out, _ = run(capsys, ["search-on", "--n-max", "3"])
@@ -586,8 +586,8 @@ class TestSearches:
             self, capsys, monkeypatch):
         # every cell sent to the first: in O_2's rank-1 class, 00 and 11
         # are idempotents and mutual inverses, yet 00 is matched twice
-        monkeypatch.setattr(matching, "matching_on_graph",
-                            lambda g: (0,) + (1,) * (g.n - 1))
+        monkeypatch.setattr(matching, "band_matching",
+                            lambda pat: (0,) + (1,) * (len(pat) * len(pat[0])))
         assert self.search_on_rows(capsys, 2) == [(True, True), (True, False)]
 
     @pytest.mark.parametrize("listed", [
@@ -724,6 +724,47 @@ class TestOracleBounds:
         verdicts = json.loads(out)["verdicts"]
         assert verdicts["condition_holds"] is True
         assert verdicts.get("oracle_agrees") is (True if checked else None)
+
+
+class TestOracleDisagreement:
+    """A refuted verdict is flagged in text as in JSON: each oracle is
+    patched to disagree, so ``oracle_agrees`` reads false and the verdict
+    line ends with the marker."""
+
+    def both(self, capsys, argv):
+        code, out, err = run(capsys, argv + ["--json"])
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        code, text, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        return report, text.splitlines()
+
+    def test_search_on(self, capsys, monkeypatch):
+        monkeypatch.setattr(matching, "matching_backtracking", lambda s: None)
+        report, lines = self.both(capsys, ["search-on", "--n-max", "2",
+                                           "--oracle"])
+        rows = report["verdicts"]["families"]
+        assert [r["oracle_agrees"] for r in rows] == [False, False]
+        assert lines == ["O_1: size 1, matching present (ORACLE DISAGREES)",
+                         "O_2: size 3, matching present (ORACLE DISAGREES)"]
+
+    def test_involution(self, capsys, monkeypatch, t3_file):
+        monkeypatch.setattr(matching, "involution_backtracking",
+                            lambda s: None)
+        report, lines = self.both(capsys, ["involution", t3_file, "--oracle"])
+        assert report["verdicts"]["oracle_agrees"] is False
+        assert lines[0] == "present (ORACLE DISAGREES)"
+        assert lines[1:] == [matching.format_matching(
+            report["witnesses"]["involution"]).rstrip()]
+
+    def test_band_check(self, capsys, monkeypatch):
+        monkeypatch.setattr(bands, "check_harem_condition_exhaustive",
+                            lambda band: (False, ("rows", (0,))))
+        report, lines = self.both(
+            capsys, ["band", "check", str(GOLDEN / "band4x6.band"), "--oracle"])
+        assert report["verdicts"] == {"condition_holds": True,
+                                      "oracle_agrees": False}
+        assert lines == ["holds (ORACLE DISAGREES)"]
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"

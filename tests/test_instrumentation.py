@@ -154,13 +154,18 @@ def test_search_on_tests_pairs_only_to_verify(monkeypatch):
 
 def test_search_on_matches_each_d_class_on_its_pattern(monkeypatch):
     seen = count_calls(monkeypatch, ["graphs.hopcroft_karp",
-                                     "transformations.family_inverse_graph"])
+                                     "core.pattern_inverse_graph",
+                                     "transformations.family_inverse_graph",
+                                     "matching.band_matching"])
     run_quietly(["search-on", "--n-max", "5"])
-    # no map-level graph
+    # no map-level graph, no cell graph and no Hopcroft-Karp on either
     assert seen["transformations.family_inverse_graph"] == []
-    # one run per D-class of O_n, on its |D| cells and the zero
-    assert seen["graphs.hopcroft_karp"] == [
-        comb(n - 1, k - 1) * comb(n, k) + 1
+    assert seen["core.pattern_inverse_graph"] == []
+    assert seen["graphs.hopcroft_karp"] == []
+    # one matching per D-class of O_n, on its pattern: the convex kernels
+    # with k blocks by the k-subsets
+    assert [(len(p), len(p[0])) for p in seen["matching.band_matching"]] == [
+        (comb(n - 1, k - 1), comb(n, k))
         for n in range(1, 6) for k in range(1, n + 1)]
 
 

@@ -6,7 +6,7 @@ import random
 import pytest
 
 import corpus
-from invmatch import bands, core, matching
+from invmatch import bands, cli, core, matching, transformations
 from invmatch.errors import (
     BudgetExhausted,
     DomainMismatch,
@@ -190,6 +190,53 @@ class TestHPreserving:
         a1, a2 = cell[0], cell[1]
         p[a1], p[a2] = p[a2], p[a1]
         assert matching.is_h_preserving(s, tuple(p))
+
+
+def pairs_inverse_cells(pattern, p):
+    """Whether p fixes the zero, permutes the cells and pairs cell (i, j)
+    with (k, l) only where pattern[k][j] and pattern[i][l]."""
+    n = len(pattern[0])
+    return p[0] == 0 and sorted(p) == list(range(len(p))) and all(
+        pattern[k][j] and pattern[i][l]
+        for u, v in enumerate(p[1:])
+        for (i, j), (k, l) in [(divmod(u, n), divmod(v - 1, n))])
+
+
+class TestBandMatching:
+    """The matching read off the pattern's row masks against Hopcroft-Karp
+    on the band's cell graph: the same verdict, and a valid matching."""
+
+    def matched(self, pattern):
+        p = matching.band_matching(pattern)
+        assert (p is None) == (matching.pattern_matching(pattern) is None)
+        assert p is None or pairs_inverse_cells(pattern, p)
+        return p is not None
+
+    def test_every_small_regular_pattern(self):
+        assert sum(map(self.matched, (
+            band.pattern for band in corpus.small_regular_patterns()))) == 3895
+
+    def test_seeded_random_patterns(self):
+        rng = random.Random(2026)
+        found = 0
+        for _ in range(2000):
+            m, n = rng.randint(2, 9), rng.randint(2, 11)
+            band = bands.random_band(m, n, rng.uniform(0.25, 0.75),
+                                     rng.randrange(1 << 30))
+            found += self.matched(band.pattern)
+        assert found == 1426
+
+    @pytest.mark.parametrize("rows", [
+        [[0, 0], [1, 1]], [[1, 0], [1, 0]], [[0]],
+        bands.no_matching_band().pattern])
+    def test_no_matching(self, rows):
+        assert not self.matched(rows)
+
+    def test_every_d_class_of_o1_to_o8(self):
+        for n in range(1, 9):
+            for pattern, cells in transformations.on_d_classes(n):
+                p = matching.band_matching(pattern)
+                assert p is not None and cli._class_witness_holds(cells, p, n)
 
 
 class TestLift:
