@@ -175,6 +175,10 @@ def h_quotient(factor: PrincipalFactor) -> ZeroRectBand:
 # The scaled Hall condition and the harem construction
 
 
+# Most clone-list entries m·lcm(m, n): the full 158 x 159 band takes ~8 s.
+CLONE_CAP = 4_000_000
+
+
 def _clone_matching(band: ZeroRectBand) -> tuple[list[int], tuple | None]:
     """Maximum matching of lcm(m, n) row clones onto as many column clones,
     with g = gcd(m, n): n/g per row (clone u is row u % m) and m/g per
@@ -195,9 +199,12 @@ def _clone_matching(band: ZeroRectBand) -> tuple[list[int], tuple | None]:
     column it reaches, and the rows of the deficient set break the bound.
     """
     require_regular_pattern(band)
-    n, size = band.n, lcm(band.m, band.n)
+    m, n, size = band.m, band.n, lcm(band.m, band.n)
+    if m * size > CLONE_CAP:
+        raise TooLarge(f"clone matching of {m * size} entries exceeds cap "
+                       f"{CLONE_CAP}")
     adj = [[v for v in range(size) if row[v % n]] for row in band.pattern]
-    adj *= size // band.m
+    adj *= size // m
     _size, match_l, match_r = graphs.hopcroft_karp(size, size, adj)
     return match_l, graphs.deficiency_certificate(size, size, adj, match_l, match_r)
 

@@ -514,27 +514,21 @@ class StructureReport:
     d_class_count: int
 
 
-def generated_closure(s: FiniteSemigroup, seed) -> list[int]:
-    """Subsemigroup generated by ``seed``, in |S|·|X| products for the X
-    of its elements that the closure of those before them misses; see
-    :func:`_closure`."""
-    return sorted(_closure(s.table, seed)[0])
-
-
-def _is_union_of_groups_subset(s: FiniteSemigroup, subset) -> bool:
-    """Completely regular test relative to the subsemigroup ``subset``:
-    every a has an inverse x in the subset with ax = xa."""
-    t = s.table
-    members = list(subset)
-    for a in members:
-        if not any(
-            t[t[a][x]][a] == a and t[a][x] == t[x][a] for x in members
-        ):
-            return False
-    return True
-
-
 def structure_report(s: FiniteSemigroup) -> StructureReport:
+    """The class predicates of ``s``; ``e_solid`` and ``rectangular_band``
+    are read off the egg-box, with no closure and no product scan.
+
+    ``e_solid`` (<E> completely regular) holds for regular ``s`` iff
+    idempotents e L f R g always have an idempotent h with e R h L g
+    (T. E. Hall): in each D-class, the distinct rows of ``group_h`` are
+    pairwise disjoint.  Easy direction: x = eg has x R e (x = e·g,
+    e = x·f) and x L g (x = x·g, g = f·x); if <E> is completely regular,
+    x lies in a group H-class, whose idempotent is the h.
+
+    ``rectangular_band`` (xyx = x): x^3 = x^4 = x gives x^2 = x, and
+    x R xy L y makes ``s`` one D-class.  Conversely, in a band with one
+    D-class (= J) x = a·xyx·b, so ax = x = xb and x = (ax)yx·b = xyx.
+    """
     n = s.order
     t = s.table
     egg = s.egg_box
@@ -550,10 +544,10 @@ def structure_report(s: FiniteSemigroup) -> StructureReport:
     orthodox = regular and all(
         t[e][f] in idem_set for e in idems for f in idems
     )
-    e_solid = regular and _is_union_of_groups_subset(
-        s, generated_closure(s, idems)
+    e_solid = regular and all(
+        sum(column) <= 1
+        for box in egg.d_classes for column in zip(*set(box.group_h))
     )
-    rect = all(t[t[x][y]][x] == x for x in range(n) for y in range(n))
     xcubed = all(t[t[x][x]][x] == x for x in range(n))
     return StructureReport(
         regular=regular,
@@ -561,7 +555,7 @@ def structure_report(s: FiniteSemigroup) -> StructureReport:
         union_of_groups=union_of_groups,
         orthodox=orthodox,
         e_solid=e_solid,
-        rectangular_band=rect,
+        rectangular_band=len(egg.d_classes) == 1 and len(idems) == n,
         x_equals_x_cubed=xcubed,
         idempotent_count=len(idems),
         d_class_count=len(egg.d_classes),

@@ -537,11 +537,9 @@ def equivalence_report(s: FiniteSemigroup) -> EquivalenceReport:
     }
     if len(set(verdicts.values())) != 1:
         raise EquivalenceViolation(f"verdicts disagree: {verdicts}")
-    if h_preserving is not None:
-        if not verify_permutation_matching(s, h_preserving):
-            raise EquivalenceViolation("lifted matching failed verification")
-        if not is_h_preserving(s, h_preserving):
-            raise EquivalenceViolation("lifted matching is not H-preserving")
+    # assemble_global_matching has verified the lift as a matching
+    if h_preserving is not None and not is_h_preserving(s, h_preserving):
+        raise EquivalenceViolation("lifted matching is not H-preserving")
     return EquivalenceReport(
         has_matching=direct,
         matching=matching,

@@ -17,7 +17,7 @@ from invmatch.core import (
     EggBox,
     FiniteSemigroup,
     InverseGraph,
-    generated_closure,
+    _closure,
     semigroup_from_rows,
 )
 from invmatch.matching import build_inverse_graph
@@ -134,6 +134,28 @@ def orthodox_blocks(band) -> tuple[tuple[int, int], ...] | None:
 def blocks_similar(blocks) -> bool:
     r0, c0 = blocks[0]
     return all(c * r0 == c0 * r for r, c in blocks)
+
+
+# The closure and the pair scan that core.structure_report once decided
+# e_solid with: the oracle for its egg-box read.
+def generated_closure(s: FiniteSemigroup, seed) -> list[int]:
+    """Subsemigroup generated by ``seed``, in |S|·|X| products for the X
+    of its elements that the closure of those before them misses; see
+    core._closure."""
+    return sorted(_closure(s.table, seed)[0])
+
+
+def is_union_of_groups_subset(s: FiniteSemigroup, subset) -> bool:
+    """Completely regular test relative to the subsemigroup ``subset``:
+    every a has an inverse x in the subset with ax = xa."""
+    t = s.table
+    members = list(subset)
+    for a in members:
+        if not any(
+            t[t[a][x]][a] == a and t[a][x] == t[x][a] for x in members
+        ):
+            return False
+    return True
 
 
 # The strong-inverse subgraph, once transformations.strong_inverse_pairs:

@@ -93,6 +93,20 @@ class TestExitCodes:
         assert err == (f"precondition failed: band of order 4033 exceeds cap "
                        f"{transformations.FAMILY_CAP}\n")
 
+    def test_a_band_past_the_clone_cap_is_refused_before_its_clones(
+            self, tmp_path, capsys):
+        # 159 * lcm(159, 160) = 4,044,960 clone-list entries, one full
+        # m x (m + 1) shape past the 158 x 159 band that the cap admits
+        path = tmp_path / "ones.band"
+        path.write_text(bands.format_band(
+            bands.band_from_rows([[1] * 160 for _ in range(159)])))
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, ["band", "check", str(path)])
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out) == (4, "")
+        assert err == (f"precondition failed: clone matching of 4044960 "
+                       f"entries exceeds cap {bands.CLONE_CAP}\n")
+
     def test_budget_exhausted(self, tmp_path, capsys):
         inst = colours.ColourInstance(2, 2, ((0, 0), (0, 0), (1, 1), (1, 1)))
         path = tmp_path / "inst"

@@ -240,7 +240,7 @@ class TestClosure:
                 gens = set(s.generators)
                 assert two_sided_closure(table, gens) == set(range(n)), table
                 for g in range(n):
-                    inside = set(core.generated_closure(s, [g]))
+                    inside = set(corpus.generated_closure(s, [g]))
                     one_sided_misses += inside != two_sided_closure(table, {g})
         # the one-sided closure is a proper subset on some tables, so the
         # verdicts above cover the case the soundness argument is about
@@ -268,9 +268,9 @@ class TestClosure:
         for e in idems:
             if e not in inside:
                 picked.append(e)
-                inside = set(core.generated_closure(s, picked))
+                inside = set(corpus.generated_closure(s, picked))
         reads[0] = 0
-        closure = core.generated_closure(counted, idems)
+        closure = corpus.generated_closure(counted, idems)
         assert closure == sorted(two_sided_closure(s.table, idems))
         assert reads[0] <= 2 * n * len(picked)
 
@@ -638,8 +638,36 @@ class TestStructureReport:
         for seed in range(30):
             s = corpus.corpus_semigroup(seed)
             rep = core.structure_report(s)
-            scan = core._is_union_of_groups_subset(s, range(s.order))
+            scan = corpus.is_union_of_groups_subset(s, range(s.order))
             assert rep.union_of_groups == scan
+
+    def test_egg_box_predicates_equal_their_product_scans(self):
+        inputs = [corpus.corpus_semigroup(seed) for seed in range(500)]
+        inputs += [corpus.corpus_semigroup(seed, 16)
+                   for seed in range(1000, 1300)]
+        inputs += [enumerate_family(family, k).semigroup
+                   for family, top in (("Tn", 4), ("On", 6), ("PTn", 3),
+                                       ("OPn", 4), ("Pn", 4))
+                   for k in range(1, top + 1)]
+        inputs += map(bands.to_semigroup, corpus.all_regular_patterns(3, 3))
+        # not regular, so neither predicate may hold
+        inputs += [corpus.null_semigroup(k) for k in range(2, 5)]
+        inputs += [corpus.monogenic_semigroup(2, 3),
+                   corpus.adjoin_zero(corpus.null_semigroup(3))]
+        seen = set()
+        for s in inputs:
+            rep = core.structure_report(s)
+            t, every = s.table, range(s.order)
+            closure = corpus.generated_closure(s, core.idempotents(s))
+            assert rep.e_solid == (
+                rep.regular and corpus.is_union_of_groups_subset(s, closure))
+            assert rep.rectangular_band == all(
+                t[t[x][y]][x] == x for x in every for y in every)
+            seen.add((rep.e_solid, rep.rectangular_band, rep.regular))
+        # each value of each predicate occurs, and E-solidity fails both
+        # on regular and on non-regular inputs
+        assert {(True, True, True), (True, False, True), (False, False, True),
+                (False, False, False)} <= seen
 
 
 class TestCayleyFormat:

@@ -279,7 +279,7 @@ class TestStrongInverses:
         g = corpus.strong_inverse_graph(s)
         for a in range(g.n):
             for b in g.inverses[a]:
-                members = core.generated_closure(s, (a, b))
+                members = corpus.generated_closure(s, (a, b))
                 assert corpus.is_inverse_subsemigroup(s, members)
 
     def test_t3_strong_matching_decision_reported(self):
