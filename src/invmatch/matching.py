@@ -248,14 +248,18 @@ def band_matching(pattern) -> Matching | None:
     L_i the columns with one in row i (Miller-Clifford), so row k's part
     of it is one AND of L_i with an int mask of row k's cells.  This is
     Hopcroft-Karp (SIAM J. Comput. 1973) on such masks, after a greedy
-    pass.  A phase's breadth-first search ORs the L_i of a layer's cells
-    per column j and spreads that over K_j, and keeps per layer the masks
-    of the matched right cells it reached first.  A backward pass keeps
-    only the cells whose mates reach a free cell (a left cell (i, j) meets
-    a set of masks iff L_i meets their union over K_j), and depth-first
-    searches from the roots left take cells of those masks, free cells at
-    the last layer, clearing each.  The augmenting paths it picks are not
-    those of Hopcroft-Karp on the cell graph.
+    pass that visits cells of least degree |K_j| |L_i| first (after Karp
+    and Sipser, FOCS 1981).  Hopcroft-Karp reaches a maximum matching from
+    any initial one, so the greedy's order decides only which perfect
+    matching is returned, never whether there is one.  A phase's
+    breadth-first search ORs the L_i of a layer's cells per column j and
+    spreads that over K_j, and keeps per layer the masks of the matched
+    right cells it reached first.  A backward pass keeps only the cells
+    whose mates reach a free cell (a left cell (i, j) meets a set of masks
+    iff L_i meets their union over K_j), and depth-first searches from the
+    roots left take cells of those masks, free cells at the last layer,
+    clearing each.  The augmenting paths it picks are not those of
+    Hopcroft-Karp on the cell graph.
     """
     m = len(pattern)
     n = len(pattern[0]) if m else 0
@@ -265,13 +269,33 @@ def band_matching(pattern) -> Matching | None:
     col_at = list(range(n)) * m
     rows_at = rows_of * m
     cols_at = [cols for cols in cols_of for _ in range(n)]
-    free = [(1 << n) - 1] * m
     match_l = [-1] * (m * n)
     match_r = [-1] * (m * n)
-    for u in range(m * n):
-        v = next(_take_cells(free, rows_at[u], cols_at[u], n), -1)
+    # greedy pass: each left cell, least degree first, takes a free cell in
+    # the row k of K_j with least |L_k|, and there the column l with least
+    # |K_l|; bit b of the ``ranked`` and ``pool`` masks stands for column
+    # order[b], so the lowest bit is that column
+    order = sorted(range(n), key=lambda l: len(rows_of[l]))
+    width = [cols.bit_count() for cols in cols_of]
+    rows_ranked = [sorted(rows, key=width.__getitem__) for rows in rows_of]
+    ranked = [sum(1 << b for b, l in enumerate(order) if row[l])
+              for row in pattern]
+    pool = [(1 << n) - 1] * m
+    degree = [len(rows) * w for w in width for rows in rows_of]
+    for u in sorted(range(m * n), key=degree.__getitem__):
+        cols = ranked[u // n]
+        for k in rows_ranked[u % n]:
+            bits = pool[k] & cols
+            if bits:
+                bits &= -bits
+                pool[k] ^= bits
+                v = k * n + order[bits.bit_length() - 1]
+                match_l[u], match_r[v] = v, u
+                break
+    free = [(1 << n) - 1] * m
+    for v in match_l:
         if v != -1:
-            match_l[u], match_r[v] = v, u
+            free[v // n] ^= 1 << v % n
     while True:
         roots = [u for u in range(m * n) if match_l[u] == -1]
         if not roots:

@@ -54,6 +54,8 @@ CASES = {
         "--exhaustive-limit", "256", "--samples", "4", "--oracle",
     ],
     "search_on_oracle_6.json": ["search-on", "--n-max", "6", "--oracle"],
+    # every D-class of O_1 to O_8 through the row-mask matcher
+    "search_on_8.json": ["search-on", "--n-max", "8"],
     # every 4x4 pattern, decided one orbit at a time; zero separators
     "search_q4_4x4.json": [
         "search-q4", "--m-max", "4", "--n-max", "4",

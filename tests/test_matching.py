@@ -226,6 +226,35 @@ class TestBandMatching:
             found += self.matched(band.pattern)
         assert found == 1426
 
+    def test_verdict_survives_permuting_and_transposing(self):
+        """The greedy pass's order depends on the labels, the verdict must
+        not: it is the same on the pattern with its rows and columns
+        permuted and on its transpose (the scaled Hall condition is
+        symmetric), irregular patterns included."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+
+        @st.composite
+        def cases(draw):
+            m, n = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+            rows = draw(st.lists(st.lists(st.sampled_from([1, 1, 1, 0]),
+                                          min_size=n, max_size=n),
+                                 min_size=m, max_size=m))
+            return (rows, draw(st.permutations(range(m))),
+                    draw(st.permutations(range(n))))
+
+        @hypothesis.settings(max_examples=300, deadline=None,
+                             derandomize=True, database=None)
+        @hypothesis.given(cases())
+        def check(case):
+            rows, sigma, tau = case
+            shuffled = [[rows[k][l] for l in tau] for k in sigma]
+            transposed = [list(col) for col in zip(*rows)]
+            assert self.matched(rows) == self.matched(shuffled) == (
+                self.matched(transposed))
+
+        check()
+
     @pytest.mark.parametrize("rows", [
         [[0, 0], [1, 1]], [[1, 0], [1, 0]], [[0]],
         bands.no_matching_band().pattern])
