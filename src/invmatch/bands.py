@@ -80,9 +80,6 @@ class ZeroRectBand:
         """Semigroup index of cell (i, j); the zero sits at index 0."""
         return 1 + i * self.n + j
 
-    def cell_of(self, index: int) -> tuple[int, int]:
-        return divmod(index - 1, self.n)
-
     def cells(self) -> list[tuple[int, int]]:
         return [(i, j) for i in range(self.m) for j in range(self.n)]
 
@@ -135,28 +132,26 @@ def to_semigroup(band: ZeroRectBand) -> FiniteSemigroup:
     return FiniteSemigroup(tuple(map(tuple, rows)), labels)
 
 
-def are_mutual_inverses(
-    band: ZeroRectBand, x: tuple[int, int], y: tuple[int, int]
-) -> bool:
-    """Cells (i, j) and (k, l) are mutual inverses iff pattern[k][j] and
-    pattern[i][l] (both sandwich products are then idempotent)."""
-    (i, j), (k, l) = x, y
-    return band.pattern[k][j] and band.pattern[i][l]
-
-
 def verify_band_matching(band: ZeroRectBand, p) -> bool:
     """``verify_permutation_matching(to_semigroup(band), p)`` read off the
     pattern, except that a p moving 0 is rejected before the permutation
-    check: 0 is the only inverse of 0, and cells pair as in
-    :func:`are_mutual_inverses`."""
+    check: 0 is the only inverse of 0, and cells (i, j) and (k, l) are
+    mutual inverses iff pattern[k][j] and pattern[i][l] (both sandwich
+    products are then idempotent)."""
     require_regular_pattern(band)
     if p[0] != 0:
         return False
     check_permutation(band.order, p)
-    return all(
-        are_mutual_inverses(band, band.cell_of(x), band.cell_of(p[x]))
-        for x in range(1, band.order)
-    )
+    # cell (i, j) sits at 1 + i*n + j: with u = x - 1 and v = p[x] - 1,
+    # pattern[k][j] is flat[v - l + j] and pattern[i][l] is flat[u - j + l]
+    n = band.n
+    flat = [v for row in band.pattern for v in row]
+    for u, v in enumerate(p[1:]):
+        v -= 1
+        shift = v % n - u % n
+        if not (flat[v - shift] and flat[u + shift]):
+            return False
+    return True
 
 
 def verify_band_involution(band: ZeroRectBand, p) -> bool:

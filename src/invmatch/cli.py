@@ -31,6 +31,8 @@ from .errors import (
 )
 
 SCHEMA = "invmatch/report-v1"
+# the escaper json.dumps uses at its default ensure_ascii=True
+_escape = json.encoder.encode_basestring_ascii
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -93,9 +95,55 @@ def _report(args, command: str, payload: dict) -> dict:
     return report
 
 
+def _dumps(obj) -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte, but
+    with each list of ints written by one ``str.join``: json's indented
+    encoder is pure Python and visits every entry.  Lists and str-keyed
+    dicts are laid out here, iteratively; strings go through json's own
+    escaper, and any other value through json itself, re-indented (json
+    escapes the newlines inside strings, so each raw newline is layout)."""
+    out = []
+    todo = [(obj, 0)]  # (value, depth) pairs and literal str chunks
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        value, depth = item
+        kind = type(value)
+        close = "\n" + "  " * depth
+        pad = close + "  "
+        if kind is str:
+            out.append(_escape(value))
+        elif kind is int:
+            out.append(str(value))
+        elif value is None or kind is bool:
+            out.append("null" if value is None else "true" if value else "false")
+        elif (isinstance(value, dict) and value
+              and all(type(k) is str for k in value)):
+            parts = ["{", pad]
+            for k, x in sorted(value.items()):
+                parts += [_escape(k) + ": ", (x, depth + 1), "," + pad]
+            parts[-1] = close + "}"
+            todo.extend(reversed(parts))
+        elif isinstance(value, (list, tuple)) and value:
+            if all(type(x) is int for x in value):
+                out.append(f"[{pad}{(',' + pad).join(map(str, value))}{close}]")
+                continue
+            parts = ["[", pad]
+            for x in value:
+                parts += [(x, depth + 1), "," + pad]
+            parts[-1] = close + "]"
+            todo.extend(reversed(parts))
+        else:
+            text = json.dumps(value, sort_keys=True, indent=2)
+            out.append(text.replace("\n", close))
+    return "".join(out)
+
+
 def _emit(args, report: dict, human_lines) -> None:
     if args.json:
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(_dumps(report))
     else:
         for line in human_lines:
             print(line)

@@ -81,12 +81,13 @@ def instance_from_matching(band: ZeroRectBand, phi) -> ColourInstance:
     second coordinate of the matching's image of (i, x)."""
     if not verify_band_matching(band, phi):
         raise NotAMatching("phi is not a matching of the band fixing 0")
-    balls = []
-    for a in range(band.m):
-        for x in range(band.n):
-            image = band.cell_of(phi[band.cell_index(a, x)])
-            balls.append((a, image[1]))
-    inst = ColourInstance(band.m, band.n, tuple(balls))
+    # cell (a, x) sits at 1 + a*n + x, so its image's column is read off
+    # the image's index mod n
+    n = band.n
+    balls = tuple(
+        (a, (phi[1 + a * n + x] - 1) % n) for a in range(band.m) for x in range(n)
+    )
+    inst = ColourInstance(band.m, n, balls)
     inst.validate()
     return inst
 
@@ -121,56 +122,74 @@ def solve(instance: ColourInstance, budget: int | None = None) -> SolveResult:
     none.  ``budget`` caps that count, None meaning
     ``matching.BACKTRACKING_BUDGET``; exceeding it yields the explicit
     "budget_exhausted" status, which is not a solvability verdict.
+
+    Partners are read off int bitmasks over the balls: ``free`` (the
+    unpaired balls), ``wants[g]`` (the balls of the colours girl g still
+    needs) and ``wanted[c]`` (the balls whose girl still needs colour c).
+    Ball j may trade with ball i iff girl i needs j's colour and girl j
+    needs i's, so the candidates are ``free & wants[gi] & wanted[ci]``;
+    ball i itself is among them iff its girl needs its own colour, which
+    is when keeping it is admissible.  Admissibility depends only on j's
+    (girl, colour) class, so taking the lowest candidate and then dropping
+    its whole class tries the first ball of each admissible class in
+    index order.  The class of i itself can yield only i: i is its lowest
+    free ball, and handing a girl the colour of her own ball twice would
+    leave her short.
     """
     instance.validate()
     if budget is None:
         budget = matching.BACKTRACKING_BUDGET
-    total = instance.m * instance.n
+    m, n = instance.m, instance.n
+    total = m * n
     owner = [g for g, _ in instance.balls]
     colour = [c for _, c in instance.balls]
-    # need[g][c]: girl g still lacks colour c among her post-exchange balls
-    need = [[True] * instance.n for _ in range(instance.m)]
+    of_girl = [0] * m
+    of_colour = [0] * n
+    for j, (g, c) in enumerate(instance.balls):
+        of_girl[g] |= 1 << j
+        of_colour[c] |= 1 << j
+    free = (1 << total) - 1
+    # every girl still needs every colour: all balls, one shared int
+    wants = [free] * m
+    wanted = [free] * n
     pairing = [-1] * total
     state = 0
     failed: set[int] = set()
 
     def pair(i: int, j: int, on: bool) -> None:
-        nonlocal state
+        """Toggle the exchange of i and j: girl owner[i] gains or gives up
+        colour[j], and girl owner[j] colour[i]; each was needed before."""
+        nonlocal state, free
         pairing[i], pairing[j] = (j, i) if on else (-1, -1)
-        need[owner[i]][colour[j]] = not on
-        state ^= 1 << i | 1 << (total + owner[i] * instance.n + colour[j])
+        gi, cj = owner[i], colour[j]
+        wants[gi] ^= of_colour[cj]
+        wanted[cj] ^= of_girl[gi]
+        bits = 1 << i | 1 << j
+        state ^= bits | 1 << (total + gi * n + cj)
         if i != j:
-            need[owner[j]][colour[i]] = not on
-            state ^= 1 << j | 1 << (total + owner[j] * instance.n + colour[i])
+            gj, ci = owner[j], colour[i]
+            wants[gj] ^= of_colour[ci]
+            wanted[ci] ^= of_girl[gj]
+            state ^= 1 << (total + gj * n + ci)
+        free ^= bits
 
     def partners(i: int):
-        """Pair ball i with each admissible partner in index order, one per
-        (owner, colour), and unpair it when resumed; each partner is checked
-        against the state when it is reached.  A failed state yields none,
-        and a state whose partners all failed is recorded as failed."""
+        """Pair ball i with the first free ball of each admissible class in
+        index order, and unpair it when resumed.  The state is the same at
+        every resumption, so the candidates are read once.  A failed state
+        yields none, and a state whose partners all failed is recorded as
+        failed."""
         if state in failed:
             return
-        gi, ci = owner[i], colour[i]
-        tried: set[tuple[int, int]] = set()
-        for j in range(i, total):
-            if pairing[j] != -1:
-                continue
-            gj, cj = owner[j], colour[j]
-            if (gj, cj) in tried:
-                continue
-            if i == j:
-                ok = need[gi][cj]
-            elif gi == gj and ci == cj:
-                # pairing two same-colour balls of one girl hands her that
-                # colour twice; both reads below would hit one need cell
-                ok = False
-            else:
-                ok = need[gi][cj] and need[gj][ci]
-            if ok:
-                tried.add((gj, cj))
-                pair(i, j, True)
-                yield j
-                pair(i, j, False)
+        # every ball below i is paired: the candidates are held shifted
+        # down by i, so the open frames of a deep search hold half as much
+        cand = (free & wants[owner[i]] & wanted[colour[i]]) >> i
+        while cand:
+            j = i + (cand & -cand).bit_length() - 1
+            cand &= ~((of_colour[colour[j]] & of_girl[owner[j]]) >> i)
+            pair(i, j, True)
+            yield j
+            pair(i, j, False)
         failed.add(state)
 
     try:
@@ -212,10 +231,11 @@ def involution_from_plan(
         )
     if not verify_plan(instance, plan):
         raise WellDefinednessViolation("plan does not align the instance")
+    n, balls = band.n, instance.balls
     p = [0] * band.order
-    for (a, cx), y in zip(instance.balls, plan.pairing):
-        b, cy = instance.balls[y]
-        p[band.cell_index(a, cy)] = band.cell_index(b, cx)
+    for (a, cx), y in zip(balls, plan.pairing):
+        b, cy = balls[y]
+        p[1 + a * n + cy] = 1 + b * n + cx
     if not verify_band_involution(band, p):
         raise WellDefinednessViolation("induced map is not an involution matching")
     return tuple(p)
@@ -238,12 +258,16 @@ def parse_instance(text: str) -> ColourInstance:
         raise ParseError(f"bad instance header: {lines[0]!r}")
     try:
         m, n = int(head[0]), int(head[1])
-        balls = []
-        for ln in lines[1:]:
-            g, c = ln.split()
-            balls.append((int(g), int(c)))
     except ValueError as exc:
-        raise ParseError(f"bad instance line: {exc}") from exc
+        raise ParseError(f"bad instance header: {lines[0]!r}") from exc
+    balls = []
+    for ln in lines[1:]:
+        try:
+            # a wrong field count fails the unpacking with ValueError too
+            g, c = map(int, ln.split())
+        except ValueError as exc:
+            raise ParseError(f"bad instance line: {ln!r}") from exc
+        balls.append((g, c))
     inst = ColourInstance(m, n, tuple(balls))
     try:
         inst.validate()

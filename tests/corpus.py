@@ -62,6 +62,15 @@ def maps_mutually_inverse(a, b, n: int) -> bool:
     )
 
 
+# The per-cell test that bands.verify_band_matching reads off a flat copy
+# of the pattern: the tests' oracle for which cells are mutual inverses.
+def are_mutual_inverses(band, x: tuple[int, int], y: tuple[int, int]) -> bool:
+    """Cells (i, j) and (k, l) are mutual inverses iff pattern[k][j] and
+    pattern[i][l] (both sandwich products are then idempotent)."""
+    (i, j), (k, l) = x, y
+    return band.pattern[k][j] and band.pattern[i][l]
+
+
 # The pair-stream construction that core.pattern_inverse_graph replaced:
 # the oracle for band graphs too large for a Cayley table.
 def pattern_inverse_graph(pattern) -> InverseGraph:
@@ -465,6 +474,24 @@ def null_semigroup(k: int) -> FiniteSemigroup:
     """Zero plus k-1 elements with all products zero; not regular."""
     rows = [[0] * k for _ in range(k)]
     return semigroup_from_rows(rows)
+
+
+def covering_band(rng: random.Random, m: int, n: int, density: float):
+    """An m x n band with an idempotent in every row and column by
+    construction: one random row per column, one random column per row
+    still empty, then ``round(density * k)`` of the k cells still empty.
+    Unlike ``bands.random_band``'s rejection sampling it takes one draw
+    on any shape, 1 x 12 at density 0.35 included."""
+    pat = [[False] * n for _ in range(m)]
+    for j in range(n):
+        pat[rng.randrange(m)][j] = True
+    for row in pat:
+        if not any(row):
+            row[rng.randrange(n)] = True
+    empty = [(i, j) for i in range(m) for j in range(n) if not pat[i][j]]
+    for i, j in rng.sample(empty, round(density * len(empty))):
+        pat[i][j] = True
+    return bands.band_from_rows(pat)
 
 
 def regular_patterns(m, n):

@@ -338,6 +338,14 @@ class TestColour:
         assert (code, out) == (2, "")
         assert err == "parse error: instance dimensions must be positive\n"
 
+    @pytest.mark.parametrize("line", ["0 0 0", "0"])
+    def test_solve_names_a_bad_instance_line(self, tmp_path, capsys, line):
+        path = tmp_path / "inst"
+        path.write_text(f"1 1\n{line}\n")
+        code, out, err = run(capsys, ["colour", "solve", str(path)])
+        assert (code, out) == (2, "")
+        assert err == f"parse error: bad instance line: {line!r}\n"
+
     def test_reduce_band(self, tmp_path, capsys):
         band = bands.band_from_rows([[1, 1], [1, 1]])
         path = tmp_path / "full.band"
@@ -985,6 +993,61 @@ def reverify_band_witnesses(band, mode, rep):
     if mode == "involution" and witnesses["involution"] is not None:
         assert rep["verdicts"]["verified"] is True
         assert bands.verify_band_involution(band, witnesses["involution"])
+
+
+class TestReportWriter:
+    """``cli._dumps`` writes what ``json.dumps(obj, sort_keys=True,
+    indent=2)`` writes, byte for byte."""
+
+    def test_matches_json_dumps(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        ints = st.integers(min_value=-2**70, max_value=2**70)
+        # control characters, quotes and non-ASCII letters all escape
+        keys = st.text(st.characters(max_codepoint=0x3FF), max_size=6)
+        leaves = st.one_of(
+            st.none(), st.booleans(), ints, st.floats(), keys,
+            st.lists(ints, max_size=6),
+            st.lists(st.lists(ints, max_size=4), max_size=4),
+            st.lists(st.one_of(st.booleans(), keys, st.none()), max_size=4),
+            st.tuples(ints, ints),
+        )
+        values = st.recursive(leaves, lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.tuples(inner, inner),
+            st.dictionaries(keys, inner, max_size=4),
+        ), max_leaves=12)
+
+        @hypothesis.settings(max_examples=200, deadline=None,
+                             derandomize=True, database=None)
+        @hypothesis.given(st.dictionaries(keys, values, max_size=4))
+        def check(obj):
+            assert cli._dumps(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+        check()
+
+    @pytest.mark.parametrize("obj", [
+        {}, [], (), [[]], {"a": {}}, 7, "x\ny", 2**64, -1.5, float("nan"),
+        {"k": [1, True]}, {1: "int key", 2: [3]}, [{2: {"a": [1]}}],
+    ], ids=repr)
+    def test_edge_values(self, obj):
+        assert cli._dumps(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+    def test_unsortable_keys_raise_as_json_does(self):
+        with pytest.raises(TypeError):
+            json.dumps({1: 0, "2": 0}, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            cli._dumps({1: 0, "2": 0})
+
+    def test_timing_report_matches_the_untimed_one(self, capsys):
+        argv = ["colour", "reduce", "--band", str(GOLDEN / "band1x60.band"),
+                "--json"]
+        _, plain, _ = run(capsys, argv)
+        code, timed, _ = run(capsys, argv + ["--timing"])
+        assert code == 0
+        timed = json.loads(timed)
+        assert timed.pop("timing_ms") >= 0
+        assert timed == json.loads(plain)
 
 
 class TestCommandsOnRandomInputs:

@@ -11,6 +11,8 @@ from unittest import mock
 
 import pytest
 
+import corpus
+import solve_oracle
 from invmatch import bands, colours, matching
 from invmatch.cli import main
 from invmatch.errors import (
@@ -285,6 +287,59 @@ class TestSolve:
         assert result.status == status
         assert result.plan.pairing == plan
         assert result.nodes == memo_nodes <= nodes
+
+
+# the shapes of the colour-reduce benchmark: m divides n, n <= 12, not 1x1
+REDUCE_SHAPES = [(m, a * m) for m in range(1, 7) for a in range(1, 13)
+                 if a * m <= 12 and (m, a) != (1, 1)]
+
+
+class TestSolverOracle:
+    """The bitmask partner search against the per-ball search it replaced
+    (``solve_oracle``): same status, node count and plan."""
+
+    @staticmethod
+    def outcome(solver, inst, budget):
+        result = solver(inst, budget)
+        return result.status, result.nodes, result.plan
+
+    def assert_same(self, inst, budget):
+        got = self.outcome(colours.solve, inst, budget)
+        assert got == self.outcome(solve_oracle.solve, inst, budget)
+        return got
+
+    def test_every_reduce_shape_and_density(self):
+        rng = random.Random(31)
+        instances = [colours.instance_from_matching(band, phi)
+                     for band in [bands.parse_band(HARD_6X12)] + [
+                         corpus.covering_band(rng, m, n, density)
+                         for m, n in REDUCE_SHAPES
+                         for density in (0.35, 0.55, 0.75)
+                         for _ in range(3)]
+                     if (phi := matching.find_permutation_matching(band))]
+        assert len(instances) > 200
+        # the hard band takes 1,947 nodes, so the lower budget cuts it short
+        statuses = {self.assert_same(inst, budget)[0]
+                    for inst in instances for budget in (200_000, 1_000)}
+        assert statuses == {"solved", "budget_exhausted"}
+
+    def test_random_6x12_bands_and_ball_shuffled_copies(self):
+        rng = random.Random(35)
+        statuses = []
+        for seed in range(200):
+            band = bands.random_band(6, 12, 0.35, seed)
+            phi = matching.find_permutation_matching(band)
+            if phi is None:
+                continue
+            inst = colours.instance_from_matching(band, phi)
+            shuffled = list(inst.balls)
+            rng.shuffle(shuffled)
+            for balls in (inst.balls, tuple(shuffled)):
+                copy = colours.ColourInstance(6, 12, balls)
+                statuses.append(self.assert_same(copy, 2_000)[0])
+        assert len(statuses) > 250
+        assert statuses.count("solved") > 100
+        assert statuses.count("budget_exhausted") > 50
 
 
 class TestVerifyPlan:
