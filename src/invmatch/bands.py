@@ -58,8 +58,8 @@ class ZeroRectBand:
         for i, row in enumerate(self.pattern):
             if not any(row):
                 return f"row {i}"
-        for j in range(self.n):
-            if not any(row[j] for row in self.pattern):
+        for j, column in enumerate(zip(*self.pattern)):
+            if not any(column):
                 return f"column {j}"
         return None
 
@@ -401,13 +401,11 @@ def parse_band(text: str) -> ZeroRectBand:
     for ln in lines[1:]:
         if len(ln) != n or any(ch not in "01" for ch in ln):
             raise ParseError(f"bad pattern row: {ln!r}")
-        rows.append([ch == "1" for ch in ln])
-    return band_from_rows(rows)
+        rows.append(tuple(map("1".__eq__, ln)))
+    return ZeroRectBand(m, n, tuple(rows))
 
 
 def format_band(band: ZeroRectBand) -> str:
     out = [f"{band.m} {band.n}"]
-    out.extend(
-        "".join("1" if v else "0" for v in row) for row in band.pattern
-    )
+    out.extend("".join(map("01".__getitem__, row)) for row in band.pattern)
     return "\n".join(out) + "\n"

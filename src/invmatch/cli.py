@@ -403,7 +403,8 @@ def cmd_colour(args) -> int:
         payload["witnesses"]["involution"] = list(inv)
         # involution_from_plan raised unless the band verifier passed it
         payload["verdicts"]["involution_verified"] = True
-        human.append(matching.format_matching(inv).rstrip())
+        if not args.json:
+            human.append(matching.format_matching(inv).rstrip())
     _emit(args, _report(args, "colour reduce", payload), human)
     return EXIT_BUDGET if result.status == "budget_exhausted" else EXIT_OK
 
@@ -415,8 +416,7 @@ def cmd_colour(args) -> int:
 def cmd_gen(args) -> int:
     _require_positive(args, "n", "--cap")
     data = transformations.enumerate_family(args.family, args.n, cap=args.cap)
-    sys.stdout.write(core.format_cayley(data.semigroup))
-    if args.dict:
+    if args.dict:  # first: a path it cannot write leaves stdout empty
         mapping = {
             str(i): [None if v >= data.n else v for v in f]
             for i, f in enumerate(data.maps)
@@ -424,6 +424,7 @@ def cmd_gen(args) -> int:
         with open(args.dict, "w", encoding="utf-8") as fh:
             json.dump(mapping, fh, sort_keys=True, indent=1)
             fh.write("\n")
+    sys.stdout.write(core.format_cayley(data.semigroup))
     return EXIT_OK
 
 
@@ -603,7 +604,10 @@ def cmd_search_on(args) -> int:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def _parsers() -> dict[tuple[str, ...], argparse.ArgumentParser]:
+    """Every parser of the command tree by its command words: ``()``, then
+    ``("colour",)``, ``("colour", "reduce")`` and so on.  A command or mode
+    holds its words as its ``cmd`` and ``mode`` defaults, so it parses alone."""
     # option parents: each command and mode takes only what its handler reads
     report = argparse.ArgumentParser(add_help=False)
     report.add_argument("--json", action="store_true", help="emit a JSON report")
@@ -623,41 +627,50 @@ def build_parser() -> argparse.ArgumentParser:
         description="permutation and involution matchings on finite regular "
         "semigroups",
     )
-    sub = parser.add_subparsers(dest="cmd", required=True)
+    parsers = {(): parser}
+    below = {(): parser.add_subparsers(dest="cmd", required=True)}
+
+    def leaf(words, text, *parents):
+        p = below[words[:-1]].add_parser(words[-1], parents=list(parents),
+                                         help=text)
+        p.set_defaults(**dict(zip(("cmd", "mode"), words)))
+        parsers[words] = p
+        return p
+
     for name, parent, text in [
         ("analyze", report, "full structural and matching report"),
         ("match", report, "decide permutation matching"),
         ("involution", oracle, "decide involution matching"),
         ("factors", report, "list principal factors"),
     ]:
-        sub.add_parser(name, parents=[parent], help=text).add_argument("path")
+        leaf((name,), text, parent).add_argument("path")
+    for name, text in [("band", "idempotent-pattern operations"),
+                       ("colour", "ball-exchange alignment")]:
+        group = parsers[(name,)] = below[()].add_parser(name, help=text)
+        below[(name,)] = group.add_subparsers(dest="mode", required=True)
 
-    modes = sub.add_parser("band", help="idempotent-pattern operations"
-                           ).add_subparsers(dest="mode", required=True)
     for name, parent, text in [
         ("check", oracle, "decide the scaled Hall conditions"),
         ("harem", report, "build the harem family"),
         ("involution", report, "build an involution matching from it"),
     ]:
-        modes.add_parser(name, parents=[parent], help=text).add_argument("path")
+        leaf(("band", name), text, parent).add_argument("path")
 
-    modes = sub.add_parser("colour", help="ball-exchange alignment"
-                           ).add_subparsers(dest="mode", required=True)
-    p = modes.add_parser("solve", parents=[budget], help="solve an instance")
+    p = leaf(("colour", "solve"), "solve an instance", budget)
     p.add_argument("path", help="instance file")
-    p = modes.add_parser("reduce", parents=[budget],
-                         help="solve the instance of a band matching")
+    p = leaf(("colour", "reduce"), "solve the instance of a band matching",
+             budget)
     p.add_argument("--band", required=True, help="band file")
     p.add_argument("--matching", help="matching file (found when omitted)")
 
-    p = sub.add_parser("gen", help="emit a transformation family table")
+    p = leaf(("gen",), "emit a transformation family table")
     p.add_argument("family", choices=list(transformations.FAMILIES))
     p.add_argument("n", type=int)
     p.add_argument("--cap", type=int, default=transformations.FAMILY_CAP)
     p.add_argument("--dict", help="write an index -> images JSON sidecar")
 
-    p = sub.add_parser("search-q4", parents=[oracle],
-                       help="hunt bands with a matching but no involution")
+    p = leaf(("search-q4",), "hunt bands with a matching but no involution",
+             oracle)
     p.add_argument("--m-max", type=int, default=3)
     p.add_argument("--n-max", type=int, default=4)
     p.add_argument("--exhaustive-limit", type=int, default=4096,
@@ -665,31 +678,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--densities", default="0.3,0.5,0.7")
     p.add_argument("--samples", type=int, default=20)
 
-    p = sub.add_parser("search-on", parents=[oracle],
-                       help="matching existence for order-preserving maps")
+    p = leaf(("search-on",), "matching existence for order-preserving maps",
+             oracle)
     p.add_argument("--n-max", type=int, default=8)
 
-    return parser
+    return parsers
 
 
-def _usage_parser(parser, argv, args) -> argparse.ArgumentParser:
-    """The deepest command or mode parser named at the start of ``argv``.
-    argparse reports leftover arguments with the top-level usage, but
-    each was left over by that parser or one below it."""
-    for depth, name in enumerate([args.cmd, getattr(args, "mode", None)]):
-        if argv[depth:depth + 1] != [name]:
-            break
-        parser = next(a for a in parser._actions
-                      if isinstance(a, argparse._SubParsersAction)).choices[name]
-    return parser
+def build_parser() -> argparse.ArgumentParser:
+    """The root of the command tree, built once per process."""
+    return _parsers()[()]
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args, extras = build_parser().parse_known_args(argv)
+    parsers = _parsers()
+    # the longest prefix of argv that names a parser: the tree is two deep
+    words = next(w for w in (tuple(argv[:2]), tuple(argv[:1]), ()) if w in parsers)
+    parser = parsers[words]
+    if parser.get_default("cmd"):
+        # a command or mode: the parsers above it would hand it the rest
+        # of argv as it stands, so it parses that alone
+        args, extras = parser.parse_known_args(argv[len(words):])
+    else:  # argv does not start with a command or mode: the whole tree
+        args, extras = build_parser().parse_known_args(argv)
     if extras:
-        _usage_parser(build_parser(), argv, args).error(
-            "unrecognized arguments: " + " ".join(extras))
+        # argparse reports them with the root's usage, but each was left
+        # over by this parser or one below it
+        parser.error("unrecognized arguments: " + " ".join(extras))
     args._t0 = time.perf_counter()
     try:
         # looked up per call: the parser is shared, its handlers rebindable

@@ -13,6 +13,7 @@ the instances derived from a permutation matching of the band do.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import matching
 from .bands import ZeroRectBand, verify_band_involution, verify_band_matching
@@ -35,24 +36,30 @@ class ColourInstance:
     n: int  # colours
     balls: tuple[Ball, ...]
 
-    def validate(self) -> None:
+    @cached_property
+    def _defect(self) -> str | None:
+        """What makes the instance malformed, None when nothing does:
+        :meth:`validate` scans the balls once, though every reader calls it."""
         if self.m < 1 or self.n < 1:
-            raise MalformedInstance("instance dimensions must be positive")
+            return "instance dimensions must be positive"
         if len(self.balls) != self.m * self.n:
-            raise MalformedInstance(
-                f"{len(self.balls)} balls for an {self.m} x {self.n} instance"
-            )
+            return f"{len(self.balls)} balls for an {self.m} x {self.n} instance"
         per_girl = [0] * self.m
         per_colour = [0] * self.n
         for girl, colour in self.balls:
             if not (0 <= girl < self.m and 0 <= colour < self.n):
-                raise MalformedInstance(f"ball ({girl}, {colour}) out of range")
+                return f"ball ({girl}, {colour}) out of range"
             per_girl[girl] += 1
             per_colour[colour] += 1
         if any(c != self.n for c in per_girl):
-            raise MalformedInstance("some girl does not hold exactly n balls")
+            return "some girl does not hold exactly n balls"
         if any(c != self.m for c in per_colour):
-            raise MalformedInstance("some colour does not have exactly m balls")
+            return "some colour does not have exactly m balls"
+        return None
+
+    def validate(self) -> None:
+        if self._defect is not None:
+            raise MalformedInstance(self._defect)
 
 
 @dataclass(frozen=True)

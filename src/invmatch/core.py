@@ -247,9 +247,10 @@ def pattern_inverse_graph(pattern) -> InverseGraph:
 
 def regularity_check(s: FiniteSemigroup) -> tuple[bool, int | None]:
     """True when every element has an inverse; else the first without one."""
-    g = s.inverse_graph
-    witness = next((a for a in range(g.n) if not g.inverses[a]), None)
-    return witness is None, witness
+    inverses = s.inverse_graph.inverses
+    if all(inverses):
+        return True, None
+    return False, next(a for a, v in enumerate(inverses) if not v)
 
 
 def require_regular(s: FiniteSemigroup) -> None:

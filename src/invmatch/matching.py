@@ -60,12 +60,11 @@ class HallViolator:
 def hall_on_graph(g: InverseGraph) -> tuple[Matching | None, HallViolator | None]:
     """One maximum matching of the two-copy bipartite graph, read as a
     perfect matching or, when it is not perfect, as a Hall violator."""
-    _, match_l, match_r = graphs.hopcroft_karp(g.n, g.n, g.inverses)
-    cert = graphs.deficiency_certificate(
-        g.n, g.n, g.inverses, match_l, match_r)
-    if cert is None:
+    size, match_l, match_r = graphs.hopcroft_karp(g.n, g.n, g.inverses)
+    if size == g.n:
         return tuple(match_l), None
-    violator, image = cert
+    violator, image = graphs.deficiency_certificate(
+        g.n, g.n, g.inverses, match_l, match_r)
     return None, HallViolator(tuple(violator), tuple(image))
 
 

@@ -7,6 +7,7 @@ import io
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -16,6 +17,7 @@ from unittest import mock
 import pytest
 
 import corpus
+import dispatch_oracle
 from invmatch import (bands, cli, colours, core, graphs, matching,
                       transformations)
 from invmatch.cli import build_parser, main
@@ -266,6 +268,13 @@ class TestGen:
         mapping = json.loads(sidecar.read_text())
         assert len(mapping) == 27
         assert mapping["0"] == [0, 0, 0]
+
+    def test_gen_to_a_sidecar_it_cannot_write_prints_no_table(self, capsys,
+                                                             tmp_path):
+        sidecar = tmp_path / "missing" / "maps.json"
+        code, out, err = run(capsys, ["gen", "Tn", "1", "--dict", str(sidecar)])
+        assert (code, out) == (2, "")
+        assert err.startswith("io error: ") and err.count("\n") == 1
 
     def test_gen_partial_has_nulls(self, capsys, tmp_path):
         sidecar = tmp_path / "maps.json"
@@ -794,7 +803,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 ALONE = "import sys; from invmatch.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
-def call_in_process(argv):
+def call_in_process(argv, main=main):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -1128,10 +1137,10 @@ class TestRandomArgv:
               "o5_corrupted.cayley", "rees.cayley", "gen_ptn_2.cayley"]
     OTHERS = ["band2x4.matching", "missing.cayley"]
 
-    def test_random_argv(self, tmp_path):
-        hypothesis = pytest.importorskip("hypothesis")
-        st = pytest.importorskip("hypothesis.strategies")
-
+    @classmethod
+    def argvs(cls, st, tmp_path):
+        """The strategy of argument lists, with an instance file written
+        to ``tmp_path / "instance"``."""
         instance = tmp_path / "instance"
         # solved in a few nodes, so --budget 1 exhausts it
         instance.write_text(colours.format_instance(colours.ColourInstance(
@@ -1144,7 +1153,7 @@ class TestRandomArgv:
 
         band_files, table_files, other_files = (
             [str(GOLDEN / name) for name in group]
-            for group in (self.BANDS, self.TABLES, self.OTHERS))
+            for group in (cls.BANDS, cls.TABLES, cls.OTHERS))
         other_files.append(str(instance))
         algebras = mostly(band_files + table_files, other_files)
         band_inputs = mostly(band_files, table_files + other_files)
@@ -1203,9 +1212,16 @@ class TestRandomArgv:
                 argv.insert(draw(st.integers(0, len(argv))), "--bogus")
             return argv
 
+        return argvs()
+
+    def test_random_argv(self, tmp_path):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        instance = tmp_path / "instance"
+
         @hypothesis.settings(max_examples=400, deadline=None,
                              derandomize=True, database=None)
-        @hypothesis.given(argvs())
+        @hypothesis.given(self.argvs(st, tmp_path))
         @hypothesis.example(["colour", "solve", str(instance), "--budget", "1"])
         def check(argv):
             code, out, err = call_in_process(argv)
@@ -1223,5 +1239,177 @@ class TestRandomArgv:
                 assert ": error: " in lines[-1], argv
             else:
                 assert err.endswith("\n") and lines, argv
+
+        check()
+
+
+def record_handlers(monkeypatch):
+    """Rebind every ``cmd_*`` handler of the CLI to one that records its
+    name and its arguments, ``_t0`` aside, and returns 0; return the
+    record."""
+    seen = []
+
+    def recorder(name):
+        def record(args):
+            seen.append((name, {k: v for k, v in vars(args).items()
+                                if k != "_t0"}))
+            return 0
+        return record
+
+    for name in vars(cli):
+        if name.startswith("cmd_"):
+            monkeypatch.setattr(cli, name, recorder(name))
+    return seen
+
+
+def random_argvs(rng, count):
+    """``count`` argument lists of command and mode names, stray words,
+    every option (abbreviated, as ``--opt=value`` and with its value
+    missing), values and ``-h``, ``--`` and ``-``, in random order."""
+    parsers = cli._parsers()
+    paths = [words for words in parsers if words]
+    names = sorted({w for words in paths for w in words})
+    # the options of each parser but help, and every option
+    own = {words: sorted(s for a in p._actions for s in a.option_strings
+                         if a.dest != "help")
+           for words, p in parsers.items()}
+    options = sorted({s for p in parsers.values()
+                      for a in p._actions for s in a.option_strings})
+    values = ["0", "1", "3", "-1", "1.5", "x", "", "-", "Tn", "On", "a b",
+              "0.3,0.7", str(GOLDEN / "band2x4.band")]
+    strays = ["bogus", "-x", "--bogus", "--bogus=1", "-", "--", "-h",
+              "--help", "--h", "-jx"]
+    needs = {("gen",): ["On", "2"], ("colour", "reduce"): ["--band", "B"],
+             ("search-q4",): [], ("search-on",): []}
+
+    def option(path):
+        name = rng.choice(own.get(path) or options if rng.random() < 0.6
+                          else options)
+        if name.startswith("--") and rng.random() < 0.3:
+            name = name[:rng.randrange(3, len(name))]  # a proper prefix
+        kind = rng.randrange(3)
+        if kind == 0:  # a flag, or an option without its value
+            return [name]
+        if kind == 1:
+            return [f"{name}={rng.choice(values)}"]
+        return [name, rng.choice(values)]
+
+    def token(path=()):
+        kind = rng.randrange(4)
+        if kind == 0:
+            return option(path)
+        if kind == 1:
+            return [rng.choice(values)]
+        if kind == 2:
+            return [rng.choice(strays)]
+        return [rng.choice(names)]
+
+    argvs = []
+    for _ in range(count):
+        start = rng.randrange(5)
+        if start < 3:  # a whole command or mode path, mostly with what it needs
+            argv = list(rng.choice(paths))
+            if rng.random() < 0.7:
+                argv += needs.get(tuple(argv), ["P"])
+        elif start == 3:  # a command without its mode, or a wrong mode
+            argv = [rng.choice(["band", "colour"])] + [
+                rng.choice(names)][:rng.randrange(2)]
+        else:
+            argv = []
+        path = tuple(argv[:2]) if tuple(argv[:2]) in own else tuple(argv[:1])
+        for _ in range(rng.randrange(6)):
+            argv += token(path)
+        if rng.random() < 0.2:  # something before or inside the path
+            k = rng.randrange(min(len(argv), 2) + 1)
+            argv[k:k] = token()
+        argvs.append(argv)
+    return argvs
+
+
+class TestDispatch:
+    """``cli.main`` parses argv with the parser of the command words it
+    starts with; ``dispatch_oracle`` parses every argv with the whole
+    tree, as ``main`` did before.  They must agree on the exit code, the
+    handler and its arguments, stdout and stderr."""
+
+    DRAWN = 4000
+
+    @staticmethod
+    def outcomes(seen, argv):
+        both = []
+        for parse in (main, dispatch_oracle.main):
+            seen.clear()
+            code, out, err = call_in_process(argv, parse)
+            both.append((code, list(seen), out, err))
+        return both
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["bogus"], ["band"], ["band", "bogus", "B"],
+        ["band", "--json", "harem", "B"], ["--bogus", "analyze", "T"],
+        ["--", "analyze", "T"], ["band", "--", "check", "B"],
+        ["colour", "reduce", "--", "--band", "B"], ["colour", "-h"],
+        ["colour", "reduce", "-h"], ["colour", "reduce", "--bud", "3"],
+        ["colour", "reduce", "--band=B", "--budget"], ["gen", "Tn", "-"],
+        ["search-q4", "--n", "2"], ["analyze", "T", "U"],
+    ], ids=lambda argv: " ".join(argv) or "(empty)")
+    def test_chosen_argv(self, monkeypatch, argv):
+        new, old = self.outcomes(record_handlers(monkeypatch), argv)
+        assert new == old
+
+    @pytest.mark.parametrize("argv, parsed", [
+        (["colour", "reduce", "--band", "B"],
+         ("invmatch colour reduce", ["--band", "B"])),
+        (["analyze", "T", "--json"], ("invmatch analyze", ["T", "--json"])),
+        (["band", "check", "-h"], ("invmatch band check", ["-h"])),
+        (["band", "--json", "harem", "B"],
+         ("invmatch", ["band", "--json", "harem", "B"])),
+        (["colour"], ("invmatch", ["colour"])),
+        (["bogus", "analyze"], ("invmatch", ["bogus", "analyze"])),
+    ])
+    def test_a_command_or_mode_parses_its_arguments_alone(
+            self, monkeypatch, argv, parsed):
+        """The parser of the command words argv starts with parses the rest
+        alone; any other argv goes to the whole tree."""
+        calls = []
+        parse = argparse.ArgumentParser.parse_known_args
+
+        def spy(parser, args=None, namespace=None):
+            calls.append((parser.prog, list(args)))
+            return parse(parser, args, namespace)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spy)
+        record_handlers(monkeypatch)
+        call_in_process(argv)
+        assert calls[0] == parsed
+        assert len(calls) == 1 or parsed[0] == "invmatch"
+
+    def test_seeded_random_argv(self, monkeypatch):
+        seen = record_handlers(monkeypatch)
+        kinds = {"dispatched": 0, "help": 0, "usage error": 0}
+        handled = set()
+        for argv in random_argvs(random.Random(33), self.DRAWN):
+            new, old = self.outcomes(seen, argv)
+            assert new == old, argv
+            code, record, out, _ = new
+            if record:
+                kinds["dispatched"] += 1
+                handled.add(record[0][0])
+            else:
+                kinds["help" if code == 0 and out else "usage error"] += 1
+        # the draw reaches every handler and every kind of outcome
+        assert handled == {name for name in vars(cli) if name.startswith("cmd_")}
+        assert min(kinds.values()) >= self.DRAWN // 20, kinds
+
+    def test_random_argv_strategy(self, monkeypatch, tmp_path):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        seen = record_handlers(monkeypatch)
+
+        @hypothesis.settings(max_examples=300, deadline=None,
+                             derandomize=True, database=None)
+        @hypothesis.given(TestRandomArgv.argvs(st, tmp_path))
+        def check(argv):
+            new, old = self.outcomes(seen, argv)
+            assert new == old, argv
 
         check()

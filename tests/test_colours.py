@@ -183,6 +183,15 @@ class TestSolve:
         with pytest.raises(MalformedInstance):
             colours.solve(inst)
 
+    def test_a_malformed_instance_is_rejected_by_every_check(self):
+        # the verdict is found once and kept on the instance
+        inst = colours.ColourInstance(2, 2, ((0, 0), (0, 0), (0, 1), (1, 1)))
+        plan = colours.ExchangePlan((0, 1, 2, 3))
+        for check in (inst.validate, lambda: colours.solve(inst),
+                      lambda: colours.verify_plan(inst, plan), inst.validate):
+            with pytest.raises(MalformedInstance, match="some girl"):
+                check()
+
     def test_decision_matches_unpruned_search(self):
         import random as _random
 

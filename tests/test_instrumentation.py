@@ -26,7 +26,8 @@ from math import comb
 from pathlib import Path
 
 import corpus
-from invmatch import bands, cli, core, graphs, matching, transformations
+from invmatch import (bands, cli, colours, core, graphs, matching,
+                      transformations)
 from invmatch.transformations import enumerate_family
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
@@ -206,25 +207,37 @@ def test_colour_reduce_verifies_its_involution_once(monkeypatch):
     assert len(seen["bands.verify_band_involution"]) == 1
 
 
-def test_colour_reduce_scans_the_pattern_once():
-    # counted through the interpreter's profiling hook, which sees every
-    # run of the regularity scan's code
-    scanned = []
+def runs_of(module, name, argv) -> int:
+    """How often the code named ``name`` in ``module`` runs in one CLI
+    call, counted through the interpreter's profiling hook, which sees
+    every run of it."""
+    runs = []
 
     def profile(frame, event, _arg):
         code = frame.f_code
-        if (event == "call" and code.co_name == "empty_line"
-                and code.co_filename == bands.__file__):
-            scanned.append(code)
+        if (event == "call" and code.co_name == name
+                and code.co_filename == module.__file__):
+            runs.append(code)
 
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
-        run_quietly(["colour", "reduce", "--band", str(GOLDEN / "band2x4.band")])
+        run_quietly(argv)
     finally:
         sys.setprofile(previous)
+    return len(runs)
+
+
+def test_colour_reduce_scans_the_pattern_once():
     # the command, the inverse graph and four verifications all ask
-    assert len(scanned) == 1
+    assert runs_of(bands, "empty_line", [
+        "colour", "reduce", "--band", str(GOLDEN / "band2x4.band")]) == 1
+
+
+def test_colour_reduce_checks_its_instance_once():
+    # instance_from_matching, solve and verify_plan all validate it
+    assert runs_of(colours, "_defect", [
+        "colour", "reduce", "--band", str(GOLDEN / "band2x4.band")]) == 1
 
 
 def recorded_calls(monkeypatch, name):
@@ -244,11 +257,13 @@ def recorded_calls(monkeypatch, name):
 def test_hall_on_graph_hands_over_the_graph_itself(monkeypatch):
     hk = recorded_calls(monkeypatch, "hopcroft_karp")
     cert = recorded_calls(monkeypatch, "deficiency_certificate")
-    for g in (bands.no_matching_band().inverse_graph,
-              enumerate_family("Tn", 3).semigroup.inverse_graph):
+    for g, perfect in ((bands.no_matching_band().inverse_graph, False),
+                       (enumerate_family("Tn", 3).semigroup.inverse_graph, True)):
         matching.hall_on_graph(g)
         assert hk.pop()[2] is g.inverses
-        assert cert.pop()[2] is g.inverses
+        # a perfect matching needs no certificate
+        assert [args[2] is g.inverses for args in cert] == [True] * (not perfect)
+        cert.clear()
 
 
 def sorted_gadget(g):
