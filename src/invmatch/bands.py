@@ -200,8 +200,8 @@ def _clone_matching(band: ZeroRectBand) -> tuple[list[int], tuple | None]:
                        f"{CLONE_CAP}")
     adj = [[v for v in range(size) if row[v % n]] for row in band.pattern]
     adj *= size // m
-    _size, match_l, match_r = graphs.hopcroft_karp(size, size, adj)
-    return match_l, graphs.deficiency_certificate(size, size, adj, match_l, match_r)
+    _, match_l, _, reached = graphs.hopcroft_karp(size, size, adj)
+    return match_l, graphs.deficiency_certificate(adj, reached)
 
 
 def check_harem_condition(

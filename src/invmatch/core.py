@@ -516,8 +516,14 @@ class StructureReport:
 
 
 def structure_report(s: FiniteSemigroup) -> StructureReport:
-    """The class predicates of ``s``; ``e_solid`` and ``rectangular_band``
-    are read off the egg-box, with no closure and no product scan.
+    """The class predicates of ``s``, read off the egg-box and the inverse
+    graph, with no closure and no product scan.
+
+    ``orthodox`` (E a subsemigroup) holds for regular ``s`` iff every
+    inverse of an idempotent is an idempotent.  If x ∈ V(e), then
+    x = (xe)(ex), a product of two idempotents.  Conversely, if
+    x ∈ V(ef), then fxe is an idempotent inverse of ef, so
+    ef ∈ V(fxe) ⊆ E.  ``x_equals_x_cubed``: x = x^3 iff x ∈ V(x).
 
     ``e_solid`` (<E> completely regular) holds for regular ``s`` iff
     idempotents e L f R g always have an idempotent h with e R h L g
@@ -531,9 +537,9 @@ def structure_report(s: FiniteSemigroup) -> StructureReport:
     D-class (= J) x = a·xyx·b, so ax = x = xb and x = (ax)yx·b = xyx.
     """
     n = s.order
-    t = s.table
     egg = s.egg_box
-    degrees = [len(vs) for vs in s.inverse_graph.inverses]
+    inverses = s.inverse_graph.inverses
+    degrees = [len(vs) for vs in inverses]
     regular = all(degrees)
     inverse = all(d == 1 for d in degrees)
     union_of_groups = all(
@@ -543,13 +549,13 @@ def structure_report(s: FiniteSemigroup) -> StructureReport:
     idems = idempotents(s)
     idem_set = set(idems)
     orthodox = regular and all(
-        t[e][f] in idem_set for e in idems for f in idems
+        idem_set.issuperset(inverses[e]) for e in idems
     )
     e_solid = regular and all(
         sum(column) <= 1
         for box in egg.d_classes for column in zip(*set(box.group_h))
     )
-    xcubed = all(t[t[x][x]][x] == x for x in range(n))
+    xcubed = all(x in vs for x, vs in enumerate(inverses))
     return StructureReport(
         regular=regular,
         inverse=inverse,

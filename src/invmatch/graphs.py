@@ -14,16 +14,18 @@ INF = -1  # sentinel distance / unmatched marker
 
 def hopcroft_karp(
     n_left: int, n_right: int, adj: Sequence[Sequence[int]]
-) -> tuple[int, list[int], list[int]]:
+) -> tuple[int, list[int], list[int], list[int]]:
     """Maximum matching of a bipartite graph.
 
     ``adj[u]`` lists the right-neighbours of left vertex ``u``.  Returns
-    ``(size, match_left, match_right)`` with ``-1`` marking unmatched
-    vertices.  The augmenting search is iterative, so left-side paths may
-    be as long as the graph without hitting the recursion limit.  The
-    greedy first pass reads one list object shared by consecutive u once.
-    Each later phase searches from the vertices its breadth-first search
-    found free, and scans each list at most once through a cursor.
+    ``(size, match_left, match_right, reached)`` with ``-1`` marking
+    unmatched vertices; ``reached`` lists, ascending, the left vertices the
+    last breadth-first search reached, ``[]`` when none is unmatched.  The
+    augmenting search is iterative, so left-side paths may be as long as
+    the graph without hitting the recursion limit.  The greedy first pass
+    reads one list object shared by consecutive u once.  Each later phase
+    searches from the vertices its breadth-first search found free, and
+    scans each list at most once through a cursor.
     """
     match_l = [-1] * n_left
     match_r = [-1] * n_right
@@ -99,46 +101,25 @@ def hopcroft_karp(
                 else:
                     dist[u] = INF
                     stack.pop()
-    return size, match_l, match_r
+    # no depth-first search followed the last one: dist holds its layers
+    if size == n_left:
+        return size, match_l, match_r, []
+    return size, match_l, match_r, [u for u, d in enumerate(dist) if d != INF]
 
 
 def deficiency_certificate(
-    n_left: int,
-    n_right: int,
-    adj: Sequence[Sequence[int]],
-    match_l: Sequence[int],
-    match_r: Sequence[int],
+    adj: Sequence[Sequence[int]], reached: list[int]
 ) -> tuple[list[int], list[int]] | None:
-    """Hall-condition violator extracted from a maximum matching.
+    """Hall-condition violator ``(A, N(A))`` read off the ``reached`` list
+    of :func:`hopcroft_karp` on ``adj``, or None when that list is empty.
 
-    Alternating reachability from the unmatched left vertices yields a set
-    ``A`` of left vertices whose joint neighbourhood is smaller than ``A``
-    (Koenig duality).  Returns ``(A, N(A))``, or None when the matching
-    saturates the left side.
+    A is that list and N(A) its neighbours, ascending.  The last search met
+    no free right vertex, so N(A) is matched into A, and |A| - |N(A)| is
+    the number of unmatched vertices in A (Koenig duality).
     """
-    free = [u for u in range(n_left) if match_l[u] == -1]
-    if not free:
+    if not reached:
         return None
-    seen_l = [False] * n_left
-    seen_r = [False] * n_right
-    queue: deque[int] = deque()
-    for u in free:
-        seen_l[u] = True
-        queue.append(u)
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if seen_r[v]:
-                continue
-            seen_r[v] = True
-            w = match_r[v]
-            # v is matched, else the matching was not maximum
-            if w != -1 and not seen_l[w]:
-                seen_l[w] = True
-                queue.append(w)
-    violator = [u for u in range(n_left) if seen_l[u]]
-    image = [v for v in range(n_right) if seen_r[v]]
-    return violator, image
+    return reached, sorted({v for u in reached for v in adj[u]})
 
 
 def max_matching_general(

@@ -60,11 +60,10 @@ class HallViolator:
 def hall_on_graph(g: InverseGraph) -> tuple[Matching | None, HallViolator | None]:
     """One maximum matching of the two-copy bipartite graph, read as a
     perfect matching or, when it is not perfect, as a Hall violator."""
-    size, match_l, match_r = graphs.hopcroft_karp(g.n, g.n, g.inverses)
+    size, match_l, _, reached = graphs.hopcroft_karp(g.n, g.n, g.inverses)
     if size == g.n:
         return tuple(match_l), None
-    violator, image = graphs.deficiency_certificate(
-        g.n, g.n, g.inverses, match_l, match_r)
+    violator, image = graphs.deficiency_certificate(g.inverses, reached)
     return None, HallViolator(tuple(violator), tuple(image))
 
 

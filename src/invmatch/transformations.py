@@ -334,12 +334,11 @@ def permutation_from_perfect_matching(
     return dict(pm)
 
 
-def tn_matching_via_classes(
-    n: int, cap: int = FAMILY_CAP
-) -> tuple[FamilyData, tuple[int, ...]]:
+def tn_matching_via_classes(n: int) -> tuple[FamilyData, tuple[int, ...]]:
     """Permutation matching of the full transformation monoid assembled
-    from one matching per signature class."""
-    data = enumerate_family("Tn", n, cap)
+    from one matching per signature class; T_n past ``FAMILY_CAP`` maps
+    is refused."""
+    data = enumerate_family("Tn", n)
     p = [-1] * data.semigroup.order
     for rank in range(1, n + 1):
         for cls in signature_class_partition(data, rank):

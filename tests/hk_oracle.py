@@ -4,6 +4,10 @@ This is the search as it stood before its first phase became a greedy
 pass: every phase, the first included, starts with a breadth-first search
 over all edges.  The greedy start must return the same
 ``(size, match_left, match_right)`` for the same input.
+
+``deficiency_certificate`` is the Hall violator as it was found before
+Hopcroft-Karp handed over its last breadth-first search: a second
+alternating search from the unmatched left vertices of a maximum matching.
 """
 
 from __future__ import annotations
@@ -92,3 +96,42 @@ def hopcroft_karp(
             if match_l[u] == -1 and dfs(u):
                 size += 1
     return size, match_l, match_r
+
+
+def deficiency_certificate(
+    n_left: int,
+    n_right: int,
+    adj: Sequence[Sequence[int]],
+    match_l: Sequence[int],
+    match_r: Sequence[int],
+) -> tuple[list[int], list[int]] | None:
+    """Hall-condition violator extracted from a maximum matching.
+
+    Alternating reachability from the unmatched left vertices yields a set
+    ``A`` of left vertices whose joint neighbourhood is smaller than ``A``
+    (Koenig duality).  Returns ``(A, N(A))``, or None when the matching
+    saturates the left side.
+    """
+    free = [u for u in range(n_left) if match_l[u] == -1]
+    if not free:
+        return None
+    seen_l = [False] * n_left
+    seen_r = [False] * n_right
+    queue: deque[int] = deque()
+    for u in free:
+        seen_l[u] = True
+        queue.append(u)
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if seen_r[v]:
+                continue
+            seen_r[v] = True
+            w = match_r[v]
+            # v is matched, else the matching was not maximum
+            if w != -1 and not seen_l[w]:
+                seen_l[w] = True
+                queue.append(w)
+    violator = [u for u in range(n_left) if seen_l[u]]
+    image = [v for v in range(n_right) if seen_r[v]]
+    return violator, image

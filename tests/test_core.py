@@ -654,7 +654,7 @@ class TestStructureReport:
         inputs += [corpus.null_semigroup(k) for k in range(2, 5)]
         inputs += [corpus.monogenic_semigroup(2, 3),
                    corpus.adjoin_zero(corpus.null_semigroup(3))]
-        seen = set()
+        seen, seen_inverse = set(), set()
         for s in inputs:
             rep = core.structure_report(s)
             t, every = s.table, range(s.order)
@@ -663,11 +663,22 @@ class TestStructureReport:
                 rep.regular and corpus.is_union_of_groups_subset(s, closure))
             assert rep.rectangular_band == all(
                 t[t[x][y]][x] == x for x in every for y in every)
+            idems = core.idempotents(s)
+            assert rep.orthodox == (rep.regular and all(
+                t[t[e][f]][t[e][f]] == t[e][f] for e in idems for f in idems))
+            assert rep.x_equals_x_cubed == all(
+                t[t[x][x]][x] == x for x in every)
             seen.add((rep.e_solid, rep.rectangular_band, rep.regular))
+            seen_inverse.add((rep.orthodox, rep.x_equals_x_cubed, rep.regular))
         # each value of each predicate occurs, and E-solidity fails both
         # on regular and on non-regular inputs
         assert {(True, True, True), (True, False, True), (False, False, True),
                 (False, False, False)} <= seen
+        # every combination of orthodox and x = x^3 on regular inputs; a
+        # non-regular one has neither
+        assert seen_inverse == {(True, True, True), (True, False, True),
+                                (False, True, True), (False, False, True),
+                                (False, False, False)}
 
 
 class TestCayleyFormat:

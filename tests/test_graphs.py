@@ -1,13 +1,14 @@
 """Matching algorithms against brute-force oracles."""
 
 import random
+from collections import Counter
 
 import pytest
 
 import blossom_oracle
 import corpus
 import hk_oracle
-from invmatch import core, graphs, matching, transformations
+from invmatch import bands, core, graphs, matching, transformations
 
 
 def brute_bipartite_max(n_left, n_right, adj):
@@ -62,7 +63,7 @@ def test_hopcroft_karp_against_oracle():
         nl = rng.randint(1, 7)
         nr = rng.randint(1, 7)
         adj = random_bipartite(rng, nl, nr, rng.choice([0.2, 0.4, 0.7]))
-        size, match_l, match_r = graphs.hopcroft_karp(nl, nr, adj)
+        size, match_l, match_r, _reached = graphs.hopcroft_karp(nl, nr, adj)
         assert size == brute_bipartite_max(nl, nr, adj)
         # matching is consistent and uses real edges
         for u, v in enumerate(match_l):
@@ -80,13 +81,13 @@ def test_hopcroft_karp_deterministic():
     assert first == second
 
 
-def shared_list_graphs(rng, count):
+def shared_list_graphs(rng, count, nl_max=12, nr_max=8):
     """Random graphs whose lists are drawn from a small pool of list
     objects, so one object recurs back to back and with other lists in
     between; the pool holds an empty list and may repeat a neighbour."""
     out = []
     for _ in range(count):
-        nl, nr = rng.randint(0, 12), rng.randint(0, 8)
+        nl, nr = rng.randint(0, nl_max), rng.randint(0, nr_max)
         pool = [[]] + [
             [rng.randrange(nr) for _ in range(rng.randint(1, 6))]
             for _ in range(rng.randint(1, 3) if nr else 0)
@@ -136,7 +137,7 @@ def test_hopcroft_karp_matches_the_plain_first_phase():
     for g in inverse_graphs:
         graphs_in.append((g.n, g.n, g.inverses))
     for nl, nr, adj in graphs_in:
-        assert graphs.hopcroft_karp(nl, nr, adj) == (
+        assert graphs.hopcroft_karp(nl, nr, adj)[:3] == (
             hk_oracle.hopcroft_karp(nl, nr, adj))
     assert any(nl != nr for nl, nr, _ in graphs_in)
     assert any(nl == 0 for nl, _, _ in graphs_in)
@@ -181,7 +182,7 @@ def test_hopcroft_karp_matches_the_oracle_over_many_phases(monkeypatch):
         inverse_graphs += [f.semigroup.inverse_graph for f in s.factors]
     for g in inverse_graphs:
         searches.append(0)
-        assert graphs.hopcroft_karp(g.n, g.n, g.inverses) == (
+        assert graphs.hopcroft_karp(g.n, g.n, g.inverses)[:3] == (
             hk_oracle.hopcroft_karp(g.n, g.n, g.inverses))
     assert len(inverse_graphs) == 14
     # breadth-first searches of the oracle, each phase's and the last
@@ -195,8 +196,8 @@ def test_deficiency_certificate_is_a_hall_violator():
         nl = rng.randint(2, 7)
         nr = rng.randint(1, 7)
         adj = random_bipartite(rng, nl, nr, 0.3)
-        size, match_l, match_r = graphs.hopcroft_karp(nl, nr, adj)
-        cert = graphs.deficiency_certificate(nl, nr, adj, match_l, match_r)
+        size, _match_l, _match_r, reached = graphs.hopcroft_karp(nl, nr, adj)
+        cert = graphs.deficiency_certificate(adj, reached)
         if size == nl:
             assert cert is None
             continue
@@ -206,6 +207,52 @@ def test_deficiency_certificate_is_a_hall_violator():
         assert neighbourhood == image
         assert len(violator) > len(image)
     assert found > 20
+
+
+def test_reached_list_gives_the_oracle_certificate(monkeypatch):
+    """Hopcroft-Karp's size and match arrays, and the certificate read off
+    its last breadth-first search, equal the oracle's plain search and its
+    second alternating search, on random graphs up to 14 x 14 (a third
+    of them runs of shared list objects, unsorted and repeated neighbours
+    in all) and on the band graph and the clone graph of every regular
+    pattern of at most 12 cells."""
+    rng = random.Random(17)
+    graphs_in = []
+    for _ in range(14_000):
+        nl, nr = rng.randint(0, 14), rng.randint(0, 14)
+        degree = rng.choice([2, 4, 8])
+        adj = [[rng.randrange(nr) for _ in range(rng.randint(0, degree))]
+               if nr else [] for _ in range(nl)]
+        graphs_in.append(("random", nl, nr, adj))
+    graphs_in += [("shared", *g) for g in shared_list_graphs(rng, 7_000, 14, 14)]
+    real = graphs.hopcroft_karp
+
+    def recording(n_left, n_right, adj):
+        graphs_in.append(("clone", n_left, n_right, adj))
+        return real(n_left, n_right, adj)
+
+    monkeypatch.setattr(graphs, "hopcroft_karp", recording)
+    for band in corpus.small_regular_patterns():
+        g = band.inverse_graph
+        graphs_in.append(("band", g.n, g.n, g.inverses))
+        bands.check_harem_condition(band)
+    monkeypatch.undo()
+    kinds = Counter()
+    for kind, nl, nr, adj in graphs_in:
+        size, match_l, match_r, reached = graphs.hopcroft_karp(nl, nr, adj)
+        assert (size, match_l, match_r) == hk_oracle.hopcroft_karp(nl, nr, adj)
+        cert = graphs.deficiency_certificate(adj, reached)
+        assert cert == hk_oracle.deficiency_certificate(
+            nl, nr, adj, match_l, match_r)
+        kinds[kind, cert is None] += 1
+    assert Counter(kind for kind, *_ in graphs_in) == {
+        "random": 14_000, "shared": 7_000, "band": 6_761, "clone": 6_761}
+    # every kind has deficient and perfect graphs
+    assert min(kinds.values()) > 100 and len(kinds) == 8
+    shared_runs = sum(adj[u] is adj[u - 1] and len(adj[u]) > 0
+                      for kind, _, _, adj in graphs_in if kind == "shared"
+                      for u in range(1, len(adj)))
+    assert shared_runs > 1_000
 
 
 def test_blossom_against_oracle():
@@ -262,9 +309,9 @@ def test_hopcroft_karp_and_certificate_agree_with_networkx():
         )
         top = [("l", u) for u in range(nl)]
         expected = len(nx.bipartite.hopcroft_karp_matching(g, top)) // 2
-        size, match_l, match_r = graphs.hopcroft_karp(nl, nr, adj)
+        size, _match_l, _match_r, reached = graphs.hopcroft_karp(nl, nr, adj)
         assert size == expected
-        cert = graphs.deficiency_certificate(nl, nr, adj, match_l, match_r)
+        cert = graphs.deficiency_certificate(adj, reached)
         if size == nl:
             assert cert is None
             continue

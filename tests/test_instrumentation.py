@@ -262,7 +262,7 @@ def test_hall_on_graph_hands_over_the_graph_itself(monkeypatch):
         matching.hall_on_graph(g)
         assert hk.pop()[2] is g.inverses
         # a perfect matching needs no certificate
-        assert [args[2] is g.inverses for args in cert] == [True] * (not perfect)
+        assert [args[0] is g.inverses for args in cert] == [True] * (not perfect)
         cert.clear()
 
 
