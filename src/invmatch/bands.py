@@ -381,24 +381,29 @@ def orbit_members(band: ZeroRectBand) -> list[ZeroRectBand]:
     return [ZeroRectBand(band.m, band.n, pat) for pat in seen]
 
 
-def parse_band(text: str) -> ZeroRectBand:
+def read_headed(text: str, what: str) -> tuple[int, int, list[str]]:
+    """The ``m n`` header of a ``what`` file (band or instance) and its
+    body lines, stripped, with blank and ``#`` lines dropped."""
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise ParseError("empty input")
     head = lines[0].split()
-    if len(head) != 2:
-        raise ParseError(f"bad band header: {lines[0]!r}")
     try:
-        m, n = int(head[0]), int(head[1])
+        m, n = map(int, head)  # a wrong token count fails the unpacking
     except ValueError as exc:
-        raise ParseError(f"bad band header: {lines[0]!r}") from exc
+        raise ParseError(f"bad {what} header: {lines[0]!r}") from exc
+    return m, n, lines[1:]
+
+
+def parse_band(text: str) -> ZeroRectBand:
+    m, n, lines = read_headed(text, "band")
     if m < 1 or n < 1:
         raise ParseError("band dimensions must be positive")
-    if len(lines) != m + 1:
-        raise ParseError(f"expected {m} pattern rows, found {len(lines) - 1}")
+    if len(lines) != m:
+        raise ParseError(f"expected {m} pattern rows, found {len(lines)}")
     rows = []
-    for ln in lines[1:]:
+    for ln in lines:
         if len(ln) != n or any(ch not in "01" for ch in ln):
             raise ParseError(f"bad pattern row: {ln!r}")
         rows.append(tuple(map("1".__eq__, ln)))

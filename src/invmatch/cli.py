@@ -63,7 +63,7 @@ def _read(path: str) -> str:
 
 def _load_algebra(path: str):
     """Band or Cayley file, auto-detected by the header token count: its
-    semigroup and the report's ``input`` block."""
+    semigroup and the report's ``input`` and ``order`` entries."""
     text = _read(path)
     first = next(
         (ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")),
@@ -77,7 +77,8 @@ def _load_algebra(path: str):
         sg = core.parse_cayley(text)
         core.validate(sg)
         kind = "cayley"
-    return sg, {"kind": kind, "digest": _digest(text)}
+    return sg, {"input": {"kind": kind, "digest": _digest(text)},
+                "order": sg.order}
 
 
 def _require_positive(args, *names) -> None:
@@ -86,13 +87,6 @@ def _require_positive(args, *names) -> None:
         value = getattr(args, name.lstrip("-").replace("-", "_"))
         if value < 1:
             raise ParseError(f"{name} must be positive, got {value}")
-
-
-def _report(args, command: str, payload: dict) -> dict:
-    report = {"schema": SCHEMA, "command": command, **payload, "seed": args.seed}
-    if args.timing:
-        report["timing_ms"] = round((time.perf_counter() - args._t0) * 1000, 3)
-    return report
 
 
 def _dumps(obj) -> str:
@@ -141,12 +135,19 @@ def _dumps(obj) -> str:
     return "".join(out)
 
 
-def _emit(args, report: dict, human_lines) -> None:
+def _emit(args, payload: dict, human_lines, code: int = EXIT_OK) -> int:
+    """Print the report of the command ``args`` names, as JSON under
+    --json and as ``human_lines`` otherwise; return ``code``."""
+    command = " ".join(filter(None, (args.cmd, getattr(args, "mode", None))))
+    report = {"schema": SCHEMA, "command": command, **payload, "seed": args.seed}
+    if args.timing:
+        report["timing_ms"] = round((time.perf_counter() - args._t0) * 1000, 3)
     if args.json:
         print(_dumps(report))
     else:
         for line in human_lines:
             print(line)
+    return code
 
 
 def _disagreement(verdicts: dict) -> str:
@@ -176,7 +177,7 @@ def _violator_line(sg, viol) -> str:
 
 
 def cmd_analyze(args) -> int:
-    sg, source = _load_algebra(args.path)
+    sg, header = _load_algebra(args.path)
     struct = core.structure_report(sg)
     rep = matching.equivalence_report(sg)
     # an involution matching is a permutation matching: without one there
@@ -188,8 +189,7 @@ def cmd_analyze(args) -> int:
         is not None
     )
     payload = {
-        "input": source,
-        "order": sg.order,
+        **header,
         "structure": vars(struct),
         "d_class_sizes": sorted(len(b.elements) for b in sg.egg_box.d_classes),
         "verdicts": {
@@ -214,16 +214,14 @@ def cmd_analyze(args) -> int:
     ]
     if rep.violator is not None:
         human.append("hall violator: " + _violator_line(sg, rep.violator))
-    _emit(args, _report(args, "analyze", payload), human)
-    return EXIT_OK
+    return _emit(args, payload, human)
 
 
 def cmd_match(args) -> int:
-    sg, source = _load_algebra(args.path)
+    sg, header = _load_algebra(args.path)
     p, viol = matching.hall_on_graph(matching.build_inverse_graph(sg))
     payload = {
-        "input": source,
-        "order": sg.order,
+        **header,
         "verdicts": {"has_matching": p is not None},
         "witnesses": {
             "matching": list(p) if p else None,
@@ -234,16 +232,14 @@ def cmd_match(args) -> int:
         human = ["present", matching.format_matching(p).rstrip()]
     else:
         human = ["absent", "violator: " + _violator_line(sg, viol)]
-    _emit(args, _report(args, "match", payload), human)
-    return EXIT_OK
+    return _emit(args, payload, human)
 
 
 def cmd_involution(args) -> int:
-    sg, source = _load_algebra(args.path)
+    sg, header = _load_algebra(args.path)
     p = matching.find_involution_matching(sg)
     payload = {
-        "input": source,
-        "order": sg.order,
+        **header,
         "verdicts": {"has_involution_matching": p is not None},
         "witnesses": {"involution": list(p) if p else None},
     }
@@ -255,12 +251,11 @@ def cmd_involution(args) -> int:
     human = [("present" if p else "absent") + _disagreement(payload["verdicts"])]
     if p:
         human.append(matching.format_matching(p).rstrip())
-    _emit(args, _report(args, "involution", payload), human)
-    return EXIT_OK
+    return _emit(args, payload, human)
 
 
 def cmd_factors(args) -> int:
-    sg, source = _load_algebra(args.path)
+    sg, header = _load_algebra(args.path)
     rows = []
     for f in sg.factors:
         band = bands.h_quotient(f)
@@ -274,19 +269,14 @@ def cmd_factors(args) -> int:
                 is not None,
             }
         )
-    payload = {
-        "input": source,
-        "order": sg.order,
-        "factors": rows,
-    }
+    payload = {**header, "factors": rows}
     human = [
         f"factor {r['d_class']}: size {r['size']}"
         f"{' +0' if r['zero_adjoined'] else ''}, quotient {r['quotient']}, "
         f"matching {'present' if r['has_matching'] else 'absent'}"
         for r in rows
     ]
-    _emit(args, _report(args, "factors", payload), human)
-    return EXIT_OK
+    return _emit(args, payload, human)
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +330,7 @@ def cmd_band(args) -> int:
             if result
             else ["absent"]
         )
-    _emit(args, _report(args, f"band {args.mode}", payload), human)
-    return EXIT_OK
+    return _emit(args, payload, human)
 
 
 # ---------------------------------------------------------------------------
@@ -370,8 +359,8 @@ def cmd_colour(args) -> int:
         human = [result.status]
         if result.plan is not None:
             human.append(colours.format_plan(result.plan).rstrip() or "(all vacuous)")
-        _emit(args, _report(args, "colour solve", payload), human)
-        return EXIT_BUDGET if result.status == "budget_exhausted" else EXIT_OK
+        return _emit(args, payload, human,
+                     EXIT_BUDGET if result.status == "budget_exhausted" else EXIT_OK)
 
     # reduce: derive the instance from a band matching and build the
     # induced involution
@@ -405,8 +394,8 @@ def cmd_colour(args) -> int:
         payload["verdicts"]["involution_verified"] = True
         if not args.json:
             human.append(matching.format_matching(inv).rstrip())
-    _emit(args, _report(args, "colour reduce", payload), human)
-    return EXIT_BUDGET if result.status == "budget_exhausted" else EXIT_OK
+    return _emit(args, payload, human,
+                 EXIT_BUDGET if result.status == "budget_exhausted" else EXIT_OK)
 
 
 # ---------------------------------------------------------------------------
@@ -533,8 +522,7 @@ def cmd_search_q4(args) -> int:
         for r in per_shape
     ]
     human.append(f"separators: {len(separators)}")
-    _emit(args, _report(args, "search-q4", payload), human)
-    return EXIT_OK
+    return _emit(args, payload, human)
 
 
 # ---------------------------------------------------------------------------
@@ -595,8 +583,7 @@ def cmd_search_on(args) -> int:
         + _disagreement(r)
         for r in results
     ]
-    _emit(args, _report(args, "search-on", payload), human)
-    return EXIT_OK
+    return _emit(args, payload, human)
 
 
 # ---------------------------------------------------------------------------
@@ -693,19 +680,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parsers = _parsers()
-    # the longest prefix of argv that names a parser: the tree is two deep
+    # the longest prefix of argv that names a parser (the tree is two deep)
+    # parses the rest, as the parsers above it would hand it on
     words = next(w for w in (tuple(argv[:2]), tuple(argv[:1]), ()) if w in parsers)
     parser = parsers[words]
-    if parser.get_default("cmd"):
-        # a command or mode: the parsers above it would hand it the rest
-        # of argv as it stands, so it parses that alone
-        args, extras = parser.parse_known_args(argv[len(words):])
-    else:  # argv does not start with a command or mode: the whole tree
-        args, extras = build_parser().parse_known_args(argv)
-    if extras:
-        # argparse reports them with the root's usage, but each was left
-        # over by this parser or one below it
-        parser.error("unrecognized arguments: " + " ".join(extras))
+    rest = argv[len(words):]
+    if rest[:1] == ["--"] and not parser.get_default("cmd"):
+        # some argparse releases drop this "--" and others refuse it
+        parser.error("a command or mode word must come before '--'")
+    args = parser.parse_args(rest)
     args._t0 = time.perf_counter()
     try:
         # looked up per call: the parser is shared, its handlers rebindable

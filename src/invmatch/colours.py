@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import matching
-from .bands import ZeroRectBand, verify_band_involution, verify_band_matching
+from .bands import (ZeroRectBand, read_headed, verify_band_involution,
+                    verify_band_matching)
 from .errors import (
     BudgetExhausted,
     IndexOutOfRange,
@@ -256,19 +257,9 @@ def involution_from_plan(
 
 
 def parse_instance(text: str) -> ColourInstance:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
-        raise ParseError("empty input")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise ParseError(f"bad instance header: {lines[0]!r}")
-    try:
-        m, n = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise ParseError(f"bad instance header: {lines[0]!r}") from exc
+    m, n, lines = read_headed(text, "instance")
     balls = []
-    for ln in lines[1:]:
+    for ln in lines:
         try:
             # a wrong field count fails the unpacking with ValueError too
             g, c = map(int, ln.split())

@@ -542,10 +542,8 @@ def structure_report(s: FiniteSemigroup) -> StructureReport:
     degrees = [len(vs) for vs in inverses]
     regular = all(degrees)
     inverse = all(d == 1 for d in degrees)
-    union_of_groups = all(
-        egg.d_classes[egg.d_of[a]].group_h[egg.r_of[a]][egg.l_of[a]]
-        for a in range(n)
-    )
+    # every H-cell of every D-class is a group (no egg-box cell is empty)
+    union_of_groups = all(all(map(all, box.group_h)) for box in egg.d_classes)
     idems = idempotents(s)
     idem_set = set(idems)
     orthodox = regular and all(

@@ -418,6 +418,50 @@ class TestColour:
         assert err == "precondition failed: row 1 has no idempotent\n"
 
 
+class TestHeadedInputErrors:
+    """Band and instance files both start with an ``m n`` header: every
+    message their reading can raise, through ``main``."""
+
+    BAND_COMMANDS = [["band", "check"], ["colour", "reduce", "--band"]]
+
+    @pytest.mark.parametrize("command", BAND_COMMANDS, ids=" ".join)
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty input"),
+        ("# a comment only\n\n", "empty input"),
+        ("3\n111\n", "bad band header: '3'"),
+        ("1 2 3\n11\n", "bad band header: '1 2 3'"),
+        ("2 x\n11\n11\n", "bad band header: '2 x'"),
+        ("2 2\n11\n", "expected 2 pattern rows, found 1"),
+    ])
+    def test_band(self, tmp_path, capsys, command, text, message):
+        path = tmp_path / "in.band"
+        path.write_text(text)
+        assert run(capsys, [*command, str(path)]) == (
+            2, "", f"parse error: {message}\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty input"),
+        ("# a comment only\n\n", "empty input"),
+        ("3\n0 0\n", "bad instance header: '3'"),
+        ("1 2 3\n0 0\n", "bad instance header: '1 2 3'"),
+        ("2 x\n0 0\n", "bad instance header: '2 x'"),
+        ("2 2\n0 0\n", "1 balls for an 2 x 2 instance"),
+    ])
+    def test_instance(self, tmp_path, capsys, text, message):
+        path = tmp_path / "in.inst"
+        path.write_text(text)
+        assert run(capsys, ["colour", "solve", str(path)]) == (
+            2, "", f"parse error: {message}\n")
+
+    def test_a_matching_with_a_non_integer_image(self, tmp_path, capsys):
+        path = tmp_path / "phi"
+        path.write_text("0 1 x 5 4 3 7 8 6\n")
+        argv = ["colour", "reduce", "--band", str(GOLDEN / "band2x4.band"),
+                "--matching", str(path)]
+        assert run(capsys, argv) == (
+            2, "", "parse error: bad matching line: '0 1 x 5 4 3 7 8 6\\n'\n")
+
+
 class TestSearches:
     def test_q4_zero_separators_and_determinism(self, capsys):
         argv = [
@@ -1362,14 +1406,16 @@ class TestDispatch:
         (["analyze", "T", "--json"], ("invmatch analyze", ["T", "--json"])),
         (["band", "check", "-h"], ("invmatch band check", ["-h"])),
         (["band", "--json", "harem", "B"],
-         ("invmatch", ["band", "--json", "harem", "B"])),
-        (["colour"], ("invmatch", ["colour"])),
+         ("invmatch band", ["--json", "harem", "B"])),
+        (["colour"], ("invmatch colour", [])),
         (["bogus", "analyze"], ("invmatch", ["bogus", "analyze"])),
     ])
     def test_a_command_or_mode_parses_its_arguments_alone(
             self, monkeypatch, argv, parsed):
-        """The parser of the command words argv starts with parses the rest
-        alone; any other argv goes to the whole tree."""
+        """The parser of the command words argv starts with parses the rest:
+        a command or mode alone, a command with modes or the root through
+        the parsers below it; argv that starts with no command word goes to
+        the root."""
         calls = []
         parse = argparse.ArgumentParser.parse_known_args
 
@@ -1381,7 +1427,28 @@ class TestDispatch:
         record_handlers(monkeypatch)
         call_in_process(argv)
         assert calls[0] == parsed
-        assert len(calls) == 1 or parsed[0] == "invmatch"
+        assert len(calls) == 1 or parsed[0] in {
+            "invmatch", "invmatch band", "invmatch colour"}
+
+    @pytest.mark.parametrize("argv, usage", [
+        (["--", "match", "F"], "invmatch"),
+        (["--", "--", "match", "F"], "invmatch"),
+        (["--", "band", "check", "B"], "invmatch"),
+        (["band", "--", "check", "B"], "invmatch band"),
+        (["colour", "--", "reduce", "--band", "B"], "invmatch colour"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_a_dash_dash_for_a_command_or_mode_is_a_usage_error(
+            self, monkeypatch, argv, usage):
+        """Some argparse releases drop a ``--`` before a subcommand and
+        dispatch, others refuse it: ``main`` and the oracle refuse it on
+        every release."""
+        seen = record_handlers(monkeypatch)
+        for parse in (main, dispatch_oracle.main):
+            code, out, err = call_in_process(argv, parse)
+            assert (code, out, seen) == (2, "", [])
+            assert err.startswith(f"usage: {usage} [-h]")
+            assert err.endswith(f"\n{usage}: error: a command or mode word "
+                                "must come before '--'\n")
 
     def test_seeded_random_argv(self, monkeypatch):
         seen = record_handlers(monkeypatch)

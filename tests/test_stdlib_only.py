@@ -73,6 +73,9 @@ def test_every_parameter_is_read():
 
 # Read by no package code, kept for a reader the scan cannot see.
 UNREAD_BUT_KEPT = {
+    # the root parser, which bench/run.py builds before its first call and
+    # the tests read
+    "cli.py: build_parser",
     # the signature-class route that the acceptance tests read
     "transformations.py: signature_class_degree",
     "transformations.py: tn_matching_via_classes",
