@@ -46,28 +46,23 @@ class ZeroRectBand:
     n: int
     pattern: tuple[tuple[bool, ...], ...]
 
+    def __post_init__(self) -> None:
+        """A band is built regular: NotRegularPattern names its first row
+        without an idempotent, else its first such column."""
+        for i, row in enumerate(self.pattern):
+            if not any(row):
+                raise NotRegularPattern(f"row {i} has no idempotent")
+        for j, column in enumerate(zip(*self.pattern)):
+            if not any(column):
+                raise NotRegularPattern(f"column {j} has no idempotent")
+
     @property
     def order(self) -> int:
         return self.m * self.n + 1
 
     @cached_property
-    def empty_line(self) -> str | None:
-        """The first row or column without an idempotent ("row i" or
-        "column j"), or None when the band is regular; scanned once, as
-        every band path checks it."""
-        for i, row in enumerate(self.pattern):
-            if not any(row):
-                return f"row {i}"
-        for j, column in enumerate(zip(*self.pattern)):
-            if not any(column):
-                return f"column {j}"
-        return None
-
-    @cached_property
     def inverse_graph(self) -> InverseGraph:
-        """Read off the pattern; raises NotRegularPattern first, as
-        :func:`to_semigroup` does."""
-        require_regular_pattern(self)
+        """Read off the pattern."""
         return pattern_inverse_graph(self.pattern)
 
     @property
@@ -103,19 +98,12 @@ def no_matching_band() -> ZeroRectBand:
     return band_from_rows([[0, 1, 1], [1, 0, 0]])
 
 
-def require_regular_pattern(band: ZeroRectBand) -> None:
-    line = band.empty_line
-    if line is not None:
-        raise NotRegularPattern(f"{line} has no idempotent")
-
-
 def to_semigroup(band: ZeroRectBand) -> FiniteSemigroup:
     """Cayley table of the band, for the commands that read a table;
     cell (i, j) sits at index 1 + i*n + j and is labelled "(i+1,j+1)"
     (grids are conventionally displayed 1-based).  Past FAMILY_CAP
     elements, the bound on a ``gen`` table, it raises TooLarge before
     allocating."""
-    require_regular_pattern(band)
     m, n, pat = band.m, band.n, band.pattern
     size = band.order
     if size > FAMILY_CAP:
@@ -134,12 +122,11 @@ def to_semigroup(band: ZeroRectBand) -> FiniteSemigroup:
 
 def verify_band_matching(band: ZeroRectBand, p) -> bool:
     """``verify_permutation_matching(to_semigroup(band), p)`` read off the
-    pattern, except that a p moving 0 is rejected before the permutation
-    check: 0 is the only inverse of 0, and cells (i, j) and (k, l) are
-    mutual inverses iff pattern[k][j] and pattern[i][l] (both sandwich
-    products are then idempotent)."""
-    require_regular_pattern(band)
-    if p[0] != 0:
+    pattern, except that a full-length p moving 0 is rejected before the
+    permutation check: 0 is the only inverse of 0, and cells (i, j) and
+    (k, l) are mutual inverses iff pattern[k][j] and pattern[i][l] (both
+    sandwich products are then idempotent)."""
+    if len(p) == band.order and p[0] != 0:
         return False
     check_permutation(band.order, p)
     # cell (i, j) sits at 1 + i*n + j: with u = x - 1 and v = p[x] - 1,
@@ -193,7 +180,6 @@ def _clone_matching(band: ZeroRectBand) -> tuple[list[int], tuple | None]:
     neighbours, so alternating reachability takes every clone of a row or
     column it reaches, and the rows of the deficient set break the bound.
     """
-    require_regular_pattern(band)
     m, n, size = band.m, band.n, lcm(band.m, band.n)
     if m * size > CLONE_CAP:
         raise TooLarge(f"clone matching of {m * size} entries exceeds cap "
@@ -253,7 +239,6 @@ def harem_family(band: ZeroRectBand) -> HaremFamily | None:
     order, which makes the output deterministic.  Raises NotDivisible
     before any matching when m does not divide n.
     """
-    require_regular_pattern(band)
     a = band.aspect_ratio
     match_l, cert = _clone_matching(band)
     if cert is not None:
@@ -381,11 +366,17 @@ def orbit_members(band: ZeroRectBand) -> list[ZeroRectBand]:
     return [ZeroRectBand(band.m, band.n, pat) for pat in seen]
 
 
+def content_lines(text: str):
+    """The lines of ``text``, stripped, without the blank and ``#`` ones,
+    one at a time."""
+    return (ln for ln in map(str.strip, text.splitlines())
+            if ln and not ln.startswith("#"))
+
+
 def read_headed(text: str, what: str) -> tuple[int, int, list[str]]:
     """The ``m n`` header of a ``what`` file (band or instance) and its
-    body lines, stripped, with blank and ``#`` lines dropped."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    :func:`content_lines` after it."""
+    lines = list(content_lines(text))
     if not lines:
         raise ParseError("empty input")
     head = lines[0].split()

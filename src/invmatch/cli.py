@@ -65,11 +65,7 @@ def _load_algebra(path: str):
     """Band or Cayley file, auto-detected by the header token count: its
     semigroup and the report's ``input`` and ``order`` entries."""
     text = _read(path)
-    first = next(
-        (ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")),
-        "",
-    )
-    if len(first.split()) == 2:
+    if len(next(bands.content_lines(text), "").split()) == 2:
         # associative and in range by construction
         sg = bands.to_semigroup(bands.parse_band(text))
         kind = "band"
@@ -365,7 +361,6 @@ def cmd_colour(args) -> int:
     # reduce: derive the instance from a band matching and build the
     # induced involution
     band = bands.parse_band(_read(args.band))
-    bands.require_regular_pattern(band)
     if args.matching:
         phi = matching.parse_matching(_read(args.matching), band.order)
     else:

@@ -13,7 +13,6 @@ the instances derived from a permutation matching of the band do.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from . import matching
 from .bands import (ZeroRectBand, read_headed, verify_band_involution,
@@ -37,30 +36,24 @@ class ColourInstance:
     n: int  # colours
     balls: tuple[Ball, ...]
 
-    @cached_property
-    def _defect(self) -> str | None:
-        """What makes the instance malformed, None when nothing does:
-        :meth:`validate` scans the balls once, though every reader calls it."""
+    def __post_init__(self) -> None:
+        """An instance is built well formed, or MalformedInstance says why."""
         if self.m < 1 or self.n < 1:
-            return "instance dimensions must be positive"
+            raise MalformedInstance("instance dimensions must be positive")
         if len(self.balls) != self.m * self.n:
-            return f"{len(self.balls)} balls for an {self.m} x {self.n} instance"
+            raise MalformedInstance(
+                f"{len(self.balls)} balls for an {self.m} x {self.n} instance")
         per_girl = [0] * self.m
         per_colour = [0] * self.n
         for girl, colour in self.balls:
             if not (0 <= girl < self.m and 0 <= colour < self.n):
-                return f"ball ({girl}, {colour}) out of range"
+                raise MalformedInstance(f"ball ({girl}, {colour}) out of range")
             per_girl[girl] += 1
             per_colour[colour] += 1
         if any(c != self.n for c in per_girl):
-            return "some girl does not hold exactly n balls"
+            raise MalformedInstance("some girl does not hold exactly n balls")
         if any(c != self.m for c in per_colour):
-            return "some colour does not have exactly m balls"
-        return None
-
-    def validate(self) -> None:
-        if self._defect is not None:
-            raise MalformedInstance(self._defect)
+            raise MalformedInstance("some colour does not have exactly m balls")
 
 
 @dataclass(frozen=True)
@@ -95,9 +88,7 @@ def instance_from_matching(band: ZeroRectBand, phi) -> ColourInstance:
     balls = tuple(
         (a, (phi[1 + a * n + x] - 1) % n) for a in range(band.m) for x in range(n)
     )
-    inst = ColourInstance(band.m, n, balls)
-    inst.validate()
-    return inst
+    return ColourInstance(band.m, n, balls)
 
 
 @dataclass
@@ -144,7 +135,6 @@ def solve(instance: ColourInstance, budget: int | None = None) -> SolveResult:
     free ball, and handing a girl the colour of her own ball twice would
     leave her short.
     """
-    instance.validate()
     if budget is None:
         budget = matching.BACKTRACKING_BUDGET
     m, n = instance.m, instance.n
@@ -212,7 +202,6 @@ def solve(instance: ColourInstance, budget: int | None = None) -> SolveResult:
 def verify_plan(instance: ColourInstance, plan: ExchangePlan) -> bool:
     """Apply the exchanges; true iff every girl ends with exactly one ball
     of each colour."""
-    instance.validate()
     plan.validate(len(instance.balls))
     counts = [[0] * instance.n for _ in range(instance.m)]
     for i, j in enumerate(plan.pairing):
@@ -266,12 +255,10 @@ def parse_instance(text: str) -> ColourInstance:
         except ValueError as exc:
             raise ParseError(f"bad instance line: {ln!r}") from exc
         balls.append((g, c))
-    inst = ColourInstance(m, n, tuple(balls))
     try:
-        inst.validate()
+        return ColourInstance(m, n, tuple(balls))
     except MalformedInstance as exc:
         raise ParseError(str(exc)) from exc
-    return inst
 
 
 def format_instance(instance: ColourInstance) -> str:

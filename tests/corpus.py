@@ -498,11 +498,9 @@ def regular_patterns(m, n):
     """Every m x n band with an idempotent in each row and column, in the
     order of the pattern's bits: bit i*n + j is cell (i, j)."""
     for bits in range(2 ** (m * n)):
-        band = bands.band_from_rows(
-            [[bits >> (i * n + j) & 1 for j in range(n)] for i in range(m)]
-        )
-        if band.empty_line is None:
-            yield band
+        rows = [[bits >> (i * n + j) & 1 for j in range(n)] for i in range(m)]
+        if all(map(any, rows)) and all(map(any, zip(*rows))):
+            yield bands.band_from_rows(rows)
 
 
 @functools.cache

@@ -38,7 +38,6 @@ def solve(instance: ColourInstance, budget: int | None = None) -> SolveResult:
     ``matching.BACKTRACKING_BUDGET``; exceeding it yields the explicit
     "budget_exhausted" status, which is not a solvability verdict.
     """
-    instance.validate()
     if budget is None:
         budget = matching.BACKTRACKING_BUDGET
     total = instance.m * instance.n

@@ -126,8 +126,11 @@ class TestMutualInverses:
                 expected = p[0] == 0 and matching.verify_permutation_matching(sg, p)
                 assert bands.verify_band_matching(band, p) == expected
                 verdicts.add(expected)
-            with pytest.raises(NotAPermutation):
-                bands.verify_band_matching(band, [0] * band.order)
+            # a short p is refused whether or not it moves 0
+            short = tuple(range(band.order - 1))
+            for p in ([0] * band.order, (), short, short[::-1]):
+                with pytest.raises(NotAPermutation):
+                    bands.verify_band_matching(band, p)
         assert verdicts == {True, False}
         with pytest.raises(NotRegularPattern):
             bands.verify_band_matching(bands.band_from_rows([[1, 0]]), (0, 1, 2))
@@ -198,9 +201,8 @@ class TestPatternInverseGraph:
         assert seen == {True, False}
 
     def test_irregular_pattern_raises_before_any_graph(self):
-        band = bands.band_from_rows([[1, 1], [0, 0]])
         with pytest.raises(NotRegularPattern, match="row 1 has no idempotent"):
-            band.inverse_graph
+            bands.band_from_rows([[1, 1], [0, 0]]).inverse_graph
 
     def test_band_stands_in_for_its_table(self):
         for band in [bands.no_matching_band(), *corpus.all_regular_patterns(2, 3)]:
@@ -252,9 +254,9 @@ class TestHaremCondition:
         assert calls == []
 
     def test_irregular_pattern_rejected_upstream(self):
-        band = bands.band_from_rows([[1, 1, 1, 1], [0, 0, 0, 0]])
         with pytest.raises(NotRegularPattern):
-            bands.check_harem_condition(band)
+            bands.check_harem_condition(
+                bands.band_from_rows([[1, 1, 1, 1], [0, 0, 0, 0]]))
 
     def test_flow_agrees_with_subset_oracle(self):
         for seed in range(60):
@@ -504,7 +506,8 @@ class TestPatternOrbits:
     def test_orbit_sizes_sum_to_the_regular_count(self, m, n):
         orbits = list(bands.pattern_orbits(m, n))
         assert sum(size for _, size in orbits) == regular_count(m, n)
-        assert all(band.empty_line is None for band, _ in orbits)
+        assert all(all(map(any, band.pattern))
+                   and all(map(any, zip(*band.pattern))) for band, _ in orbits)
         assert {(band.m, band.n) for band, _ in orbits} == {(m, n)}
 
     @pytest.mark.parametrize("m, n", SMALL_SHAPES)

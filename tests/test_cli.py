@@ -439,6 +439,20 @@ class TestHeadedInputErrors:
         assert run(capsys, [*command, str(path)]) == (
             2, "", f"parse error: {message}\n")
 
+    # the table commands read a file as a band only when its first line
+    # that is not blank or a comment has two tokens
+    @pytest.mark.parametrize("command", [["match"], ["analyze"]], ids=" ".join)
+    @pytest.mark.parametrize("text, message", [
+        ("3\n111\n", "expected 3 rows, found 1"),
+        ("1 2 3\n11\n", "bad order line: '1 2 3'"),
+        ("# c\n1\n0\n", "bad order line: '# c'"),
+    ])
+    def test_table(self, tmp_path, capsys, command, text, message):
+        path = tmp_path / "in.cayley"
+        path.write_text(text)
+        assert run(capsys, [*command, str(path)]) == (
+            2, "", f"parse error: {message}\n")
+
     @pytest.mark.parametrize("text, message", [
         ("", "empty input"),
         ("# a comment only\n\n", "empty input"),
@@ -446,6 +460,11 @@ class TestHeadedInputErrors:
         ("1 2 3\n0 0\n", "bad instance header: '1 2 3'"),
         ("2 x\n0 0\n", "bad instance header: '2 x'"),
         ("2 2\n0 0\n", "1 balls for an 2 x 2 instance"),
+        # one instance per way the balls can be malformed
+        ("0 2\n", "instance dimensions must be positive"),
+        ("1 2\n0 0\n0 2\n", "ball (0, 2) out of range"),
+        ("2 1\n0 0\n0 0\n", "some girl does not hold exactly n balls"),
+        ("1 2\n0 0\n0 0\n", "some colour does not have exactly m balls"),
     ])
     def test_instance(self, tmp_path, capsys, text, message):
         path = tmp_path / "in.inst"
@@ -1107,10 +1126,16 @@ class TestCommandsOnRandomInputs:
     """The table commands and the ``band`` modes on random magma texts,
     corpus semigroups and random band texts, irregular ones included: every
     run ends with a documented exit code, a failure with one stderr line
-    and no stdout, and every emitted witness re-verifies."""
+    and no stdout, and every emitted witness re-verifies.  Every command
+    that reads a band refuses each irregular pattern up to 3 x 3 alike."""
 
     TABLE_COMMANDS = [["analyze"], ["match"], ["involution"], ["factors"]]
     BAND_MODES = [["band", "check"], ["band", "harem"], ["band", "involution"]]
+    BAND_READERS = [["match", "-"], ["analyze", "-"], ["involution", "-"],
+                    ["factors", "-"], ["band", "check", "-"],
+                    ["band", "check", "-", "--oracle"], ["band", "harem", "-"],
+                    ["band", "involution", "-"],
+                    ["colour", "reduce", "--band", "-"]]
 
     def test_random_texts(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -1131,7 +1156,8 @@ class TestCommandsOnRandomInputs:
         band_texts = st.integers(1, 4).flatmap(lambda m: st.integers(1, 6).flatmap(
             lambda n: st.lists(st.lists(cells, min_size=n, max_size=n),
                                min_size=m, max_size=m))).map(
-            lambda rows: bands.format_band(bands.band_from_rows(rows)))
+            lambda rows: f"{len(rows)} {len(rows[0])}\n" + "".join(
+                "".join(map("01".__getitem__, row)) + "\n" for row in rows))
         runs = (st.tuples(st.sampled_from(self.TABLE_COMMANDS),
                           corpus_texts | band_texts | magma_texts())
                 | st.tuples(st.sampled_from(self.BAND_MODES), band_texts))
@@ -1164,6 +1190,30 @@ class TestCommandsOnRandomInputs:
                 reverify_table_witnesses(sg, command[0], rep)
 
         check()
+
+    def test_every_band_reader_refuses_an_irregular_band(self):
+        # every irregular pattern up to 3 x 3, each named by its first row
+        # without an idempotent, else its first such column
+        refused = 0
+        for m, n in itertools.product(range(1, 4), repeat=2):
+            for rows in itertools.product(
+                    itertools.product((0, 1), repeat=n), repeat=m):
+                empty = ([f"row {i}" for i, row in enumerate(rows) if not any(row)]
+                         + [f"column {j}" for j, col in enumerate(zip(*rows))
+                            if not any(col)])
+                if not empty:
+                    continue
+                text = f"{m} {n}\n" + "".join(
+                    "".join(map(str, row)) + "\n" for row in rows)
+                expected = (4, "", f"precondition failed: {empty[0]} has no "
+                                   "idempotent\n")
+                for argv in self.BAND_READERS:
+                    for fmt in ([], ["--json"]):
+                        with mock.patch.object(sys, "stdin", io.StringIO(text)):
+                            assert call_in_process(argv + fmt) == expected, (
+                                argv + fmt, text)
+                refused += 1
+        assert refused == 355
 
 
 class TestRandomArgv:

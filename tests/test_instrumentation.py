@@ -229,14 +229,14 @@ def runs_of(module, name, argv) -> int:
 
 
 def test_colour_reduce_scans_the_pattern_once():
-    # the command, the inverse graph and four verifications all ask
-    assert runs_of(bands, "empty_line", [
+    # the pattern is checked where the band is built, by no later reader
+    assert runs_of(bands, "__post_init__", [
         "colour", "reduce", "--band", str(GOLDEN / "band2x4.band")]) == 1
 
 
 def test_colour_reduce_checks_its_instance_once():
-    # instance_from_matching, solve and verify_plan all validate it
-    assert runs_of(colours, "_defect", [
+    # the balls are checked where the instance is built, by no later reader
+    assert runs_of(colours, "__post_init__", [
         "colour", "reduce", "--band", str(GOLDEN / "band2x4.band")]) == 1
 
 

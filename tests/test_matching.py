@@ -475,13 +475,7 @@ class TestSeededInvolution:
         checked = 0
         for m in range(1, 4):
             for n in range(1, 5):
-                for bits in range(2 ** (m * n)):
-                    band = bands.band_from_rows(
-                        [[bits >> (i * n + j) & 1 for j in range(n)]
-                         for i in range(m)]
-                    )
-                    if band.empty_line is not None:
-                        continue
+                for band in corpus.regular_patterns(m, n):
                     g = matching.build_inverse_graph(band)
                     p = matching.matching_on_graph(g)
                     if p is None:
