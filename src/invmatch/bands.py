@@ -28,11 +28,7 @@ from .errors import (
     ParseError,
     TooLarge,
 )
-from .matching import (
-    Matching,
-    check_permutation,
-    quotient_pattern,
-)
+from .matching import Matching, check_permutation
 from .transformations import FAMILY_CAP
 
 
@@ -47,8 +43,12 @@ class ZeroRectBand:
     pattern: tuple[tuple[bool, ...], ...]
 
     def __post_init__(self) -> None:
-        """A band is built regular: NotRegularPattern names its first row
-        without an idempotent, else its first such column."""
+        """A band is built m x n and regular: ParameterOutOfRange for a
+        pattern of another shape, else NotRegularPattern names its first
+        row without an idempotent, else its first such column."""
+        if len(self.pattern) != self.m or any(
+                len(row) != self.n for row in self.pattern):
+            raise ParameterOutOfRange(f"pattern is not {self.m} x {self.n}")
         for i, row in enumerate(self.pattern):
             if not any(row):
                 raise NotRegularPattern(f"row {i} has no idempotent")
@@ -82,10 +82,7 @@ class ZeroRectBand:
 def band_from_rows(rows) -> ZeroRectBand:
     pattern = tuple(tuple(bool(v) for v in row) for row in rows)
     m = len(pattern)
-    n = len(pattern[0]) if m else 0
-    if any(len(row) != n for row in pattern):
-        raise ParameterOutOfRange("ragged idempotent pattern")
-    return ZeroRectBand(m, n, pattern)
+    return ZeroRectBand(m, len(pattern[0]) if m else 0, pattern)
 
 
 def no_matching_band() -> ZeroRectBand:
@@ -149,8 +146,9 @@ def verify_band_involution(band: ZeroRectBand, p) -> bool:
 
 
 def h_quotient(factor: PrincipalFactor) -> ZeroRectBand:
-    """H-class quotient of a completely 0-simple principal factor."""
-    return ZeroRectBand(*quotient_pattern(factor))
+    """H-class quotient of a principal factor, read off its ``box``."""
+    box = factor.box
+    return ZeroRectBand(len(box.r_classes), len(box.l_classes), box.group_h)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from .errors import (
     EntryOutOfRange,
     NotAssociative,
     NotRegular,
-    NotZeroSimple,
+    ParameterOutOfRange,
     ParseError,
 )
 
@@ -33,6 +33,11 @@ class FiniteSemigroup:
 
     table: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...] | None = None
+
+    def __post_init__(self) -> None:
+        if self.labels is not None and len(self.labels) != len(self.table):
+            raise ParameterOutOfRange(
+                f"expected {len(self.table)} labels, found {len(self.labels)}")
 
     @property
     def order(self) -> int:
@@ -401,13 +406,15 @@ class PrincipalFactor:
 
     Every class but the minimal ideal gets the zero; the minimal ideal is
     closed under the product and is emitted zero-free.  Factor indices:
-    zero at 0 when adjoined, then the class members ascending.
+    zero at 0 when adjoined, then the class members ascending.  ``box`` is
+    the class in factor indices: the factor's one D-class besides the zero.
     """
 
     semigroup: FiniteSemigroup
     source_d_class: int
     zero_adjoined: bool
     members: tuple[int, ...]
+    box: DClassBox
     _pos: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
@@ -460,6 +467,7 @@ def principal_factors(s: FiniteSemigroup) -> tuple[PrincipalFactor, ...]:
                 source_d_class=d_idx,
                 zero_adjoined=zero_adjoined,
                 members=members,
+                box=egg.d_classes[-1],
             )
         )
     return tuple(factors)
@@ -482,20 +490,6 @@ def _factor_egg_box(egg: EggBox, box: DClassBox, pos, zero) -> EggBox:
     return EggBox(boxes, zero + (len(zero),) * len(members),
                   zero + tuple(egg.r_of[x] for x in members),
                   zero + tuple(egg.l_of[x] for x in members))
-
-
-def require_zero_simple(f: PrincipalFactor) -> DClassBox:
-    """The factor's one D-class besides the adjoined zero (if any)."""
-    nonzero = [
-        box
-        for box in f.semigroup.egg_box.d_classes
-        if not (f.zero_adjoined and box.elements == (0,))
-    ]
-    if len(nonzero) != 1:
-        raise NotZeroSimple(
-            f"factor has {len(nonzero)} nonzero D-classes, expected 1"
-        )
-    return nonzero[0]
 
 
 # ---------------------------------------------------------------------------
@@ -610,11 +604,12 @@ def parse_cayley(text: str) -> FiniteSemigroup:
         if len(row) != n:
             raise ParseError(f"row has {len(row)} entries, expected {n}")
         rows.append(row)
-    if labels is not None and len(labels) != n:
-        raise ParseError(f"expected {n} labels, found {len(labels)}")
-    return FiniteSemigroup(
-        tuple(rows), tuple(labels) if labels is not None else None
-    )
+    try:
+        return FiniteSemigroup(
+            tuple(rows), tuple(labels) if labels is not None else None
+        )
+    except ParameterOutOfRange as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def format_cayley(s: FiniteSemigroup) -> str:

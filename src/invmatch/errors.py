@@ -38,10 +38,6 @@ class NotRegular(InvmatchError):
         super().__init__(f"element {witness} has no inverse")
 
 
-class NotZeroSimple(InvmatchError):
-    """Principal factor has more than one nonzero D-class."""
-
-
 class NotRegularPattern(InvmatchError):
     """Idempotent pattern with an empty row or column."""
 

@@ -23,7 +23,6 @@ from .core import (  # noqa: F401  (green_relations stays matching.green_relatio
     green_relations,
     pattern_inverse_graph,
     require_regular,
-    require_zero_simple,
 )
 from .errors import (
     BudgetExhausted,
@@ -204,20 +203,6 @@ def is_h_preserving(s: FiniteSemigroup, p) -> bool:
 # H-quotient patterns, lifting, assembly
 
 
-def quotient_pattern(
-    f: PrincipalFactor,
-) -> tuple[int, int, tuple[tuple[bool, ...], ...]]:
-    """Idempotent pattern of the H-class quotient of a 0-simple factor.
-
-    Rows are the factor's R-classes, columns its L-classes, and a cell is
-    set when the H-cell there is a group.  Cell (r, l) corresponds to
-    index ``1 + r * n_cols + l`` in the quotient band semigroup, with the
-    zero at index 0.
-    """
-    box = require_zero_simple(f)
-    return len(box.r_classes), len(box.l_classes), box.group_h
-
-
 def pattern_matching(pattern) -> Matching | None:
     """Permutation matching of the 0-rectangular band with the given
     idempotent pattern, indexed as :func:`lift_h_matching` takes it; None
@@ -366,13 +351,15 @@ def band_matching(pattern) -> Matching | None:
 def lift_h_matching(f: PrincipalFactor, q) -> Matching:
     """Lift a matching of the H-quotient band to the factor itself.
 
-    ``q`` is a permutation of the quotient band semigroup (zero at index
-    0, cell (r, l) at ``1 + r * n_cols + l``).  Each factor element maps
-    to its unique inverse inside the H-cell designated by ``q``; the
-    result is an H-preserving matching, and an involution whenever ``q``
-    is one.
+    The quotient band's pattern is ``f.box.group_h``: rows are the
+    factor's R-classes, columns its L-classes, and a cell is set when the
+    H-cell there is a group.  ``q`` is a permutation of the quotient band
+    semigroup (zero at index 0, cell (r, l) at ``1 + r * n_cols + l``).
+    Each factor element maps to its unique inverse inside the H-cell
+    designated by ``q``; the result is an H-preserving matching, and an
+    involution whenever ``q`` is one.
     """
-    box = require_zero_simple(f)
+    box = f.box
     egg = f.semigroup.egg_box
     g = f.semigroup.inverse_graph
     n_cols = len(box.l_classes)
@@ -539,9 +526,7 @@ def equivalence_report(s: FiniteSemigroup) -> EquivalenceReport:
     factor_verdicts = [
         find_permutation_matching(f.semigroup) is not None for f in factors
     ]
-    quotient_witnesses = [
-        pattern_matching(quotient_pattern(f)[2]) for f in factors
-    ]
+    quotient_witnesses = [pattern_matching(f.box.group_h) for f in factors]
     quotient_verdicts = [q is not None for q in quotient_witnesses]
     h_preserving = None
     if all(quotient_verdicts):

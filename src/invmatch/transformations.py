@@ -17,7 +17,11 @@ from operator import itemgetter
 
 from .core import FiniteSemigroup
 from .errors import NotPerfect, NotTn, TooLarge
-from .matching import InverseGraph, matching_on_graph
+from .matching import (
+    InverseGraph,
+    matching_on_graph,
+    verify_permutation_matching,
+)
 
 FAMILIES = ("Tn", "PTn", "On", "OPn", "Pn")
 # the default cap on a family's maps: a Cayley table of at most 16 M entries
@@ -307,48 +311,24 @@ def signature_class_degree(data: FamilyData, cls: SignatureClass) -> int | None:
     return degrees.pop()
 
 
-def class_perfect_matching(
-    data: FamilyData, cls: SignatureClass
-) -> dict[int, int] | None:
-    """Perfect matching of the class's two-copy graph, lowest-index first."""
-    p = matching_on_graph(_class_graph(data, cls))
-    if p is None:
-        return None
-    return {cls.elements[i]: cls.elements[j] for i, j in enumerate(p)}
-
-
-def permutation_from_perfect_matching(
-    data: FamilyData, cls: SignatureClass, pm: dict[int, int]
-) -> dict[int, int]:
-    """The permutation matching of a class given by a perfect matching of
-    its two-copy graph: ``pm`` maps each member to a distinct mutual
-    inverse, so it already is one.  Raises NotPerfect when it is not."""
-    members = set(cls.elements)
-    if set(pm) != members or set(pm.values()) - members:
-        raise NotPerfect("matching does not cover the class")
-    if len(set(pm.values())) != len(cls.elements):
-        raise NotPerfect("matched partners are not distinct")
-    for a, b in pm.items():
-        if not maps_mutually_inverse(data.maps[a], data.maps[b], data.n):
-            raise NotPerfect(f"pair ({a}, {b}) is not mutually inverse")
-    return dict(pm)
-
-
 def tn_matching_via_classes(n: int) -> tuple[FamilyData, tuple[int, ...]]:
     """Permutation matching of the full transformation monoid assembled
-    from one matching per signature class; T_n past ``FAMILY_CAP`` maps
-    is refused."""
+    from one perfect matching of each signature class's two-copy graph,
+    written into p through the class's members and verified once, whole,
+    on the Cayley table; T_n past ``FAMILY_CAP`` maps is refused.  Raises
+    NotPerfect when a class has no perfect matching or p is no matching."""
     data = enumerate_family("Tn", n)
     p = [-1] * data.semigroup.order
     for rank in range(1, n + 1):
         for cls in signature_class_partition(data, rank):
-            pm = class_perfect_matching(data, cls)
-            if pm is None:
+            q = matching_on_graph(_class_graph(data, cls))
+            if q is None:
                 raise NotPerfect(
                     f"signature class {cls.signature} of rank {rank} has no "
                     "perfect matching"
                 )
-            phi = permutation_from_perfect_matching(data, cls, pm)
-            for a, b in phi.items():
-                p[a] = b
+            for a, j in zip(cls.elements, q):
+                p[a] = cls.elements[j]
+    if not verify_permutation_matching(data.semigroup, p):
+        raise NotPerfect("assembled map is not a permutation matching")
     return data, tuple(p)

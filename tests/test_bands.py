@@ -76,6 +76,13 @@ class TestToSemigroup:
             bands.to_semigroup(bands.band_from_rows([[1, 1], [0, 0]]))
         with pytest.raises(NotRegularPattern):
             bands.to_semigroup(bands.band_from_rows([[1, 0], [1, 0]]))
+        # a pattern of another shape than m x n, or a ragged one
+        with pytest.raises(ParameterOutOfRange, match="pattern is not 1 x 1"):
+            bands.ZeroRectBand(1, 1, ((True, True),))
+        with pytest.raises(ParameterOutOfRange, match="pattern is not 2 x 1"):
+            bands.ZeroRectBand(2, 1, ((True,),))
+        with pytest.raises(ParameterOutOfRange, match="pattern is not 2 x 2"):
+            bands.band_from_rows([[1, 1], [1]])
 
     def test_corpus_band_semigroups_validate(self):
         for seed in range(15):

@@ -14,6 +14,7 @@ from invmatch.errors import (
     EntryOutOfRange,
     NotAssociative,
     NotRegular,
+    ParameterOutOfRange,
     ParseError,
 )
 from invmatch.transformations import enumerate_family
@@ -568,7 +569,7 @@ class TestHQuotient:
         assert (band.m, band.n) == (3, 3)
         # oracle: cell (kernel, image) holds an idempotent iff the image is
         # a transversal of the kernel
-        box = core.require_zero_simple(f)
+        box = f.box
         for r, row in enumerate(box.grid):
             for l, _cell in enumerate(row):
                 rep_l = f.from_factor(box.l_classes[l][0])
@@ -583,19 +584,19 @@ class TestHQuotient:
                 assert band.pattern[r][l] == transversal
 
 
-class TestZeroSimpleGuard:
-    def test_multi_class_factor_rejected(self):
-        from invmatch.core import PrincipalFactor, require_zero_simple
-        from invmatch.errors import NotZeroSimple
-
-        fake = PrincipalFactor(
-            semigroup=corpus.chain_semilattice(3),
-            source_d_class=0,
-            zero_adjoined=False,
-            members=(0, 1, 2),
-        )
-        with pytest.raises(NotZeroSimple):
-            require_zero_simple(fake)
+class TestFactorBox:
+    def test_box_is_the_one_nonzero_class_of_a_fresh_egg_box(self):
+        for seed in range(20):
+            s = corpus.corpus_semigroup(seed)
+            for f in s.factors:
+                # Green's relations on the factor's table alone, with no
+                # egg-box seeded from S
+                fresh = core.FiniteSemigroup(f.semigroup.table)
+                nonzero = [
+                    box for box in core.green_relations(fresh).d_classes
+                    if not (f.zero_adjoined and box.elements == (0,))
+                ]
+                assert nonzero == [f.box], seed
 
 
 class TestStructureReport:
@@ -688,6 +689,11 @@ class TestCayleyFormat:
         back = core.parse_cayley(text)
         assert back.table == sg.table
         assert back.labels == sg.labels
+        # a semigroup built in code takes one label per element too
+        for labels in (["z"], ["a", "b", "c"]):
+            with pytest.raises(ParameterOutOfRange,
+                               match=f"expected 2 labels, found {len(labels)}"):
+                core.semigroup_from_rows([[0, 0], [0, 1]], labels=labels)
 
     def test_round_trip_without_labels(self):
         s = corpus.rectangular_band(2, 2)

@@ -294,8 +294,8 @@ class TestLift:
         s = corpus.brandt_b2()
         factors = core.principal_factors(s)
         f = next(g for g in factors if len(g.members) > 1)
-        _m, _n_cols, pattern = matching.quotient_pattern(f)
-        lifted = matching.lift_h_matching(f, matching.pattern_matching(pattern))
+        lifted = matching.lift_h_matching(
+            f, matching.pattern_matching(f.box.group_h))
         for x in range(f.semigroup.order):
             assert corpus.inverses_of(f.semigroup, x) == [lifted[x]]
 

@@ -220,36 +220,22 @@ class TestClassDegrees:
 
 
 class TestCycleChase:
-    def test_symmetric_matching_gives_two_cycles(self):
-        data = tr.enumerate_family("Tn", 3)
-        (cls,) = tr.signature_class_partition(data, 1)
-        c0, c1, c2 = cls.elements
-        pm = {c0: c1, c1: c0, c2: c2}
-        phi = tr.permutation_from_perfect_matching(data, cls, pm)
-        assert phi == pm
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_each_signature_class_maps_onto_itself(self, n):
+        data, p = tr.tn_matching_via_classes(n)
+        for rank in range(1, n + 1):
+            for cls in tr.signature_class_partition(data, rank):
+                assert sorted(p[a] for a in cls.elements) == list(cls.elements)
 
-    def test_lexicographic_matching_on_constants(self):
-        data = tr.enumerate_family("Tn", 3)
-        (cls,) = tr.signature_class_partition(data, 1)
-        pm = tr.class_perfect_matching(data, cls)
-        phi = tr.permutation_from_perfect_matching(data, cls, pm)
-        t = data.semigroup.table
-        for a, b in phi.items():
-            assert t[t[a][b]][a] == a and t[t[b][a]][b] == b
-
-    def test_rejects_non_perfect_matching(self):
-        data = tr.enumerate_family("Tn", 3)
-        (cls,) = tr.signature_class_partition(data, 1)
-        c0, c1, c2 = cls.elements
+    @pytest.mark.parametrize("found", [lambda g: tuple(range(g.n)),
+                                       lambda g: None],
+                             ids=["identity", "none"])
+    def test_a_class_matching_that_fails_is_refused(self, monkeypatch, found):
+        # the identity fills p with no class left out, but T_3 has maps
+        # that are not their own inverse; None says a class has no match
+        monkeypatch.setattr(tr, "matching_on_graph", found)
         with pytest.raises(NotPerfect):
-            tr.permutation_from_perfect_matching(
-                data, cls, {c0: c1, c1: c1, c2: c2}
-            )
-        ident = data.maps.index((0, 1, 2))
-        with pytest.raises(NotPerfect):
-            tr.permutation_from_perfect_matching(
-                data, cls, {c0: ident, c1: c0, c2: c2}
-            )
+            tr.tn_matching_via_classes(3)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_assembled_tn_matching_verifies(self, n):
