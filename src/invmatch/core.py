@@ -161,6 +161,15 @@ def _first_bad_triple(t, middles) -> tuple[int, int, int] | None:
     return None
 
 
+def _gather(keys):
+    """``itemgetter(*keys)``, which reads all of ``keys`` in one C call, but
+    returning a tuple for any number of keys: itemgetter of one key returns
+    the bare item."""
+    if len(keys) > 1:
+        return itemgetter(*keys)
+    return lambda xs: tuple(xs[k] for k in keys)
+
+
 def idempotents(s: FiniteSemigroup) -> list[int]:
     return [e for e in range(s.order) if s.table[e][e] == e]
 
@@ -208,9 +217,7 @@ def inverse_graph_of(s: FiniteSemigroup) -> InverseGraph:
             e = es[0]
             for fs, cell in zip(col_idems, row):
                 h = box.grid[egg.r_of[fs[0]]][egg.l_of[e]]
-                # a·x for x in h
-                times = (itemgetter(*h) if len(h) > 1
-                         else lambda row: (row[h[0]],))
+                times = _gather(h)  # a·x for x in h
                 for a in cell:
                     a0 = h[times(t[a]).index(e)]
                     inverses[a] = tuple(sorted(
@@ -449,9 +456,8 @@ def principal_factors(s: FiniteSemigroup) -> tuple[PrincipalFactor, ...]:
         for i, x in enumerate(members, len(zero)):
             pos[x] = i
         # row x of the factor: the members' columns of t[x], then their pos
-        cols = (itemgetter(*members) if len(members) > 1
-                else lambda row: (row[members[0]],))
-        rows = [(*zero, *map(pos.__getitem__, cols(t[x]))) for x in members]
+        cols = _gather(members)
+        rows = [(*zero, *_gather(cols(t[x]))(pos)) for x in members]
         egg = _factor_egg_box(s.egg_box, box, pos, zero)
         for x in members:
             pos[x] = 0
@@ -480,7 +486,7 @@ def _factor_egg_box(egg: EggBox, box: DClassBox, pos, zero) -> EggBox:
     in S and in its factor, and ``pos`` keeps the members' order, by which
     both number classes; an adjoined zero is a D-class of its own, first."""
     def moved(classes):
-        return tuple(tuple(map(pos.__getitem__, c)) for c in classes)
+        return tuple(_gather(c)(pos) for c in classes)
 
     members = box.elements
     zero_box = DClassBox((0,), ((0,),), ((0,),), (((0,),),), ((True,),))
@@ -572,15 +578,15 @@ def structure_report(s: FiniteSemigroup) -> StructureReport:
 def parse_cayley(text: str) -> FiniteSemigroup:
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
-    if not lines:
-        raise ParseError("empty input")
     labels = None
-    if lines[-1].startswith("#"):
+    if lines and lines[-1].startswith("#"):
         tail = lines.pop()
         body = tail.lstrip("#").strip()
         if not body.startswith("labels:"):
             raise ParseError(f"unrecognized trailer: {tail!r}")
         labels = body[len("labels:"):].split()
+    if not lines:
+        raise ParseError("empty input")
     try:
         n = int(lines[0])
     except ValueError as exc:
@@ -591,11 +597,11 @@ def parse_cayley(text: str) -> FiniteSemigroup:
         raise ParseError(f"expected {n} rows, found {len(lines) - 1}")
     # built only once the text is known to hold n rows; a row with a token
     # other than "0".."n-1", such as "01" or "999", is read by int() instead
-    token = {str(v): v for v in range(n)}.__getitem__
+    token = {str(v): v for v in range(n)}
     rows = []
     for ln in lines[1:]:
         try:
-            row = tuple(map(token, ln.split()))
+            row = _gather(ln.split())(token)
         except KeyError:
             try:
                 row = tuple(map(int, ln.split()))
@@ -613,11 +619,12 @@ def parse_cayley(text: str) -> FiniteSemigroup:
 
 
 def format_cayley(s: FiniteSemigroup) -> str:
-    digits = {v: str(v) for v in range(s.order)}.__getitem__
+    # a dict, not a tuple, so that an entry of -1 misses instead of wrapping
+    digits = {v: str(v) for v in range(s.order)}
     out = [str(s.order)]
     for row in s.table:
         try:
-            out.append(" ".join(map(digits, row)))
+            out.append(" ".join(_gather(row)(digits)))
         except KeyError:  # an entry outside [0, n), as validate would report
             out.append(" ".join(map(str, row)))
     if s.labels is not None:

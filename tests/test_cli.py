@@ -446,6 +446,7 @@ class TestHeadedInputErrors:
         ("3\n111\n", "expected 3 rows, found 1"),
         ("1 2 3\n11\n", "bad order line: '1 2 3'"),
         ("# c\n1\n0\n", "bad order line: '# c'"),
+        ("# labels: a b\n", "empty input"),
     ])
     def test_table(self, tmp_path, capsys, command, text, message):
         path = tmp_path / "in.cayley"

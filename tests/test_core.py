@@ -689,6 +689,9 @@ class TestCayleyFormat:
         back = core.parse_cayley(text)
         assert back.table == sg.table
         assert back.labels == sg.labels
+        # order 1: each row is one entry
+        text = "1\n0\n# labels: e\n"
+        assert core.format_cayley(core.parse_cayley(text)) == text
         # a semigroup built in code takes one label per element too
         for labels in (["z"], ["a", "b", "c"]):
             with pytest.raises(ParameterOutOfRange,
@@ -698,6 +701,7 @@ class TestCayleyFormat:
     def test_round_trip_without_labels(self):
         s = corpus.rectangular_band(2, 2)
         assert core.parse_cayley(core.format_cayley(s)).table == s.table
+        assert core.format_cayley(core.parse_cayley("1\n0\n")) == "1\n0\n"
 
     @pytest.mark.parametrize(
         "text",
@@ -716,6 +720,7 @@ class TestCayleyFormat:
 
     @pytest.mark.parametrize("text, message", [
         ("", "empty input"),
+        ("# labels: a b\n", "empty input"),
         ("2\n0 1\n", "expected 2 rows, found 1"),
         ("0\n", "order must be positive"),
         ("x\n0\n", "bad order line: 'x'"),
@@ -724,6 +729,7 @@ class TestCayleyFormat:
         # counted, and the labels are counted last
         ("2\n0 x 1\n0\n# labels: a\n", "bad row: '0 x 1'"),
         ("2\n0 1 1\n0 x\n", "row has 3 entries, expected 2"),
+        ("2\n0\n1 1\n", "row has 1 entries, expected 2"),
         ("2\n0 1\n1 0\n# labels: a\n", "expected 2 labels, found 1"),
         ("2\n0 x\n1 1\n", "bad row: '0 x'"),
         # the row count is checked before anything of order n is built

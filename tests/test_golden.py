@@ -150,6 +150,12 @@ PINNED_SHA256 = {
     ("Tn", 4): "0a1ae90c9fdd10d91f6fa514dbdd8c276b4e6f3195eeb6960554d9ba77e61d96",
     ("On", 6): "b95577d8d8dda09279f1a31a77d17a937582fa08a600ecdb12b60daf8d524c07",
 }
+# and the Cayley text itself: stdout of ``gen``, which the benchmark checks
+# against its own tables
+GEN_SHA256 = {
+    ("Tn", 4): "918d93efc9ca2b5e52242f02b5848db414c7be63933029eba8b9d54f4b06cbf4",
+    ("On", 6): "c0ea89cf19d21c6c3a6fe9f37480daae09dbc84da3b5bb8eb8f8e0a5251f33b2",
+}
 
 
 def analyze_text(text, monkeypatch):
@@ -166,6 +172,12 @@ def test_benchmark_table_report_is_pinned(family, n, monkeypatch):
     code, out, err = analyze_text(text, monkeypatch)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SHA256[family, n]
+
+
+@pytest.mark.parametrize("family,n", sorted(GEN_SHA256))
+def test_benchmark_table_text_is_pinned(family, n):
+    out = printed(["gen", family, str(n)])
+    assert hashlib.sha256(out.encode()).hexdigest() == GEN_SHA256[family, n]
 
 
 def test_seeded_corrupted_o6_report_is_pinned(monkeypatch):
