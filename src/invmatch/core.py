@@ -75,11 +75,11 @@ def semigroup_from_rows(rows, labels=None) -> FiniteSemigroup:
 
 
 def validate(s: FiniteSemigroup) -> None:
-    """Entry-range and associativity check.
+    """Square, entry-range and associativity check.
 
-    The range check is one set inclusion; a row scan names the first bad
-    entry.  Associativity is decided by Light's test: (xg)y = x(gy) for
-    all x, y and each g of the generating set ``s.generators``, O(n^2)
+    The range check is :func:`generating_set`'s, run by reading
+    ``s.generators``.  Associativity is decided by Light's test: (xg)y =
+    x(gy) for all x, y and each g of that generating set, O(n^2)
     products per generator, skipped for a two-sided identity g (found in
     O(n)), as (xg)y = xy = x(gy).  The g for which the law holds form a
     submagma, and the generating set's one-sided closure (see
@@ -96,10 +96,6 @@ def validate(s: FiniteSemigroup) -> None:
     if any(len(row) != n for row in t):
         raise ParseError("table is not square")
     every = tuple(range(n))
-    if not set().union(*t) <= set(every):
-        a, b = next((a, b) for a, row in enumerate(t)
-                    for b, v in enumerate(row) if not 0 <= v < n)
-        raise EntryOutOfRange(a, b, t[a][b], n)
     # the one in-range table of order 1 is its identity, so it scans none
     middles = [g for g in s.generators
                if t[g] != every or tuple(row[g] for row in t) != every]
@@ -111,11 +107,19 @@ def generating_set(s: FiniteSemigroup) -> tuple[int, ...]:
     """A generating set of the magma ``s``, picked greedily: the elements
     with the most distinct products in their row first (idempotents first
     among equals), each only if the closure of those before it misses it.
-    The order reads every row once, at C speed; the closures read at most
+    The order reads every row's image set once, at C speed; their union
+    is the range check, which names the first bad entry in row-major
+    order.  The closures read at most
     |S|·|X| products for the X picked.  Use the cached ``s.generators``."""
     t = s.table
-    return _closure(t, sorted(range(len(t)), reverse=True,
-                              key=lambda a: (len(set(t[a])), t[a][a] == a)))[1]
+    n = len(t)
+    images = [set(row) for row in t]
+    if not set().union(*images) <= set(range(n)):
+        a, b = next((a, b) for a, row in enumerate(t)
+                    for b, v in enumerate(row) if not 0 <= v < n)
+        raise EntryOutOfRange(a, b, t[a][b], n)
+    return _closure(t, sorted(range(n), reverse=True,
+                              key=lambda a: (len(images[a]), t[a][a] == a)))[1]
 
 
 def _closure(t, candidates) -> tuple[set[int], tuple[int, ...]]:
@@ -148,12 +152,23 @@ def _closure(t, candidates) -> tuple[set[int], tuple[int, ...]]:
     return inside, tuple(gens)
 
 
+_BYTE_ORDER = 256  # the size of a bytes.translate table
+
+
 def _first_bad_triple(t, middles) -> tuple[int, int, int] | None:
     """First (a, b, c) with b in ``middles`` and (ab)c != a(bc), scanning
     a, then b in the order of ``middles``, then c; or None.  Row (ab)· is
-    compared with a(b·), read off row a, at once."""
-    times = [(b, itemgetter(*t[b])) for b in middles]
-    for a, ta in enumerate(t):
+    compared with a(b·), read off row a, at once.  Up to order
+    ``_BYTE_ORDER`` the rows are bytes and a(b·) is row b translated by
+    row a, padded to a full table with bytes no in-range entry reads;
+    above it a(b·) is one ``itemgetter`` gather of row a."""
+    if len(t) > _BYTE_ORDER:
+        keys, times = t, [(b, itemgetter(*t[b])) for b in middles]
+    else:
+        t = [bytes(row) for row in t]
+        keys = [row + bytes(_BYTE_ORDER - len(t)) for row in t]
+        times = [(b, t[b].translate) for b in middles]
+    for a, ta in enumerate(keys):
         for b, times_b in times:
             left, right = t[ta[b]], times_b(ta)
             if left != right:

@@ -41,6 +41,19 @@ class TestValidate:
             core.validate(s)
         assert (err.value.a, err.value.b, err.value.value) == (1, 1, 2)
 
+    @pytest.mark.parametrize("table, bad", [
+        (((0, 2), (1, 1)), (0, 1, 2)),
+        # -3 would index row 0 from the end
+        (((0, 1, -3), (1, 1, 1), (2, 2, 2)), (0, 2, -3)),
+    ])
+    def test_structure_of_an_unvalidated_table_checks_the_range(
+            self, table, bad):
+        # the generating set checks the range before its closures read
+        # an entry as a row index
+        with pytest.raises(EntryOutOfRange) as err:
+            core.FiniteSemigroup(table).egg_box
+        assert (err.value.a, err.value.b, err.value.value) == bad
+
     def test_non_associative_triple_reported(self):
         table = [[0, 2, 2], [1, 0, 0], [2, 1, 0]]
         expected = first_violating_triple(table)
@@ -95,10 +108,11 @@ def oracle_tables():
     return tables
 
 
-def corrupted(table, rng):
-    """``table`` with one entry changed to another value in [-1, n]."""
+def corrupted(table, rng, first_rows=None):
+    """``table`` with one entry changed to another value in [-1, n], in
+    one of its first ``first_rows`` rows (any row by default)."""
     n = len(table)
-    a, b = rng.randrange(n), rng.randrange(n)
+    a, b = rng.randrange(first_rows or n), rng.randrange(n)
     rows = [list(row) for row in table]
     rows[a][b] = rng.choice([v for v in range(-1, n + 1) if v != rows[a][b]])
     return rows
@@ -132,6 +146,25 @@ class TestLightTest:
         assert scan_verdict(table) == (NotAssociative, (1, 104, 31))
         assert 104 not in s.generators
         assert validate_verdict(table) == (NotAssociative, (1, 104, 31))
+
+    @pytest.mark.parametrize("k", [255, 256, 257])
+    def test_same_verdict_around_the_byte_order(self, k):
+        # Light's test holds the rows as bytes up to order 256 and gathers
+        # tuples above it; corrupting the first rows keeps the n^3 scan short
+        table = corpus.cyclic_group(k).table
+        rng = random.Random(k)
+        for _ in range(4):
+            rows = corrupted(table, rng, first_rows=3)
+            assert validate_verdict(rows) == scan_verdict(rows)
+
+    def test_a_first_bad_triple_in_the_last_byte_column(self):
+        # Z_256 with 255 + 255 changed from 254 to 0: the scan must compare
+        # the byte rows up to their last entry
+        rows = [list(row) for row in corpus.cyclic_group(256).table]
+        rows[255][255] = 0
+        expected = (NotAssociative, (1, 254, 255))
+        assert scan_verdict(rows) == expected
+        assert validate_verdict(rows) == expected
 
     @pytest.mark.parametrize("k", [1, 2, 7, 30])
     def test_every_element_a_generator(self, k):
