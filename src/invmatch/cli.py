@@ -524,16 +524,6 @@ def cmd_search_q4(args) -> int:
 # search-on: matching existence for order-preserving maps on a chain
 
 
-def _class_witness_holds(cells, p, n: int) -> bool:
-    """Whether p, a matching of a D-class's pattern graph (cell i at
-    vertex 1 + i), fixes the zero, permutes the cells and pairs each cell's
-    map with a mutual inverse."""
-    return sorted(p) == list(range(len(cells) + 1)) and p[0] == 0 and all(
-        transformations.maps_mutually_inverse(f, cells[b - 1], n)
-        for f, b in zip(cells, p[1:])
-    )
-
-
 def cmd_search_on(args) -> int:
     _require_positive(args, "--n-max")
     transformations.check_family_cap("On", args.n_max, ON_MAX_MAPS)
@@ -548,15 +538,18 @@ def cmd_search_on(args) -> int:
             if p is None:
                 found = False
                 break
-            verified = verified and _class_witness_holds(cells, p, n)
+            verified = verified and transformations.class_witness_holds(
+                cells, p)
             listed += cells
         row = {
             "n": n,
             "size": len(maps),
             "size_formula": transformations.family_size("On", n),
             "has_matching": found,
-            # the classes' cells must be the maps of O_n, each once
-            "matching_verified": found and verified and sorted(listed) == maps,
+            # the classes' cells must be the maps of O_n, each once; bytes
+            # of one length sort as their tuples do
+            "matching_verified": (found and verified
+                                  and sorted(listed) == list(map(bytes, maps))),
         }
         if args.oracle and n <= ON_ORACLE_MAX_N:
             data = transformations.enumerate_family("On", n)

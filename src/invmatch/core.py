@@ -77,9 +77,9 @@ def semigroup_from_rows(rows, labels=None) -> FiniteSemigroup:
 def validate(s: FiniteSemigroup) -> None:
     """Square, entry-range and associativity check.
 
-    The range check is :func:`generating_set`'s, run by reading
-    ``s.generators``.  Associativity is decided by Light's test: (xg)y =
-    x(gy) for all x, y and each g of that generating set, O(n^2)
+    The square and range checks are :func:`generating_set`'s, run by
+    reading ``s.generators``.  Associativity is decided by Light's test:
+    (xg)y = x(gy) for all x, y and each g of that generating set, O(n^2)
     products per generator, skipped for a two-sided identity g (found in
     O(n)), as (xg)y = xy = x(gy).  The g for which the law holds form a
     submagma, and the generating set's one-sided closure (see
@@ -88,13 +88,12 @@ def validate(s: FiniteSemigroup) -> None:
     triples names the first bad one; it stops at or before the triple the
     test found.
 
-    Raises EntryOutOfRange or NotAssociative with the first failure in
+    Raises ParseError for a table that is not square, else
+    EntryOutOfRange or NotAssociative with the first failure in
     lexicographic scan order.
     """
     n = s.order
     t = s.table
-    if any(len(row) != n for row in t):
-        raise ParseError("table is not square")
     every = tuple(range(n))
     # the one in-range table of order 1 is its identity, so it scans none
     middles = [g for g in s.generators
@@ -107,12 +106,15 @@ def generating_set(s: FiniteSemigroup) -> tuple[int, ...]:
     """A generating set of the magma ``s``, picked greedily: the elements
     with the most distinct products in their row first (idempotents first
     among equals), each only if the closure of those before it misses it.
-    The order reads every row's image set once, at C speed; their union
-    is the range check, which names the first bad entry in row-major
-    order.  The closures read at most
-    |S|·|X| products for the X picked.  Use the cached ``s.generators``."""
+    A table that is not square is refused first.  The order reads every
+    row's image set once, at C speed; their union is the range check,
+    which names the first bad entry in row-major order.  The closures read
+    at most |S|·|X| products for the X picked.  Use the cached
+    ``s.generators``."""
     t = s.table
     n = len(t)
+    if any(len(row) != n for row in t):
+        raise ParseError("table is not square")
     images = [set(row) for row in t]
     if not set().union(*images) <= set(range(n)):
         a, b = next((a, b) for a, row in enumerate(t)

@@ -173,15 +173,6 @@ def enumerate_family(family: str, n: int, cap: int = FAMILY_CAP) -> FamilyData:
 # Mutual inverses without a Cayley table
 
 
-def maps_mutually_inverse(a: Map, b: Map, n: int) -> bool:
-    """b in V(a), i.e. aba = a and bab = b under left-to-right products,
-    with both maps extended by the sentinel n as a fixed point.  Extended,
-    ab is ``itemgetter(*a)(b)``: a tuple, as a has n + 1 >= 2 entries."""
-    a, b = a + (n,), b + (n,)
-    ab, ba = itemgetter(*a)(b), itemgetter(*b)(a)
-    return itemgetter(*ab)(a) == a and itemgetter(*ba)(b) == b
-
-
 def family_inverse_graph(maps, n: int) -> InverseGraph:
     """Mutual-inverse graph over ``maps``, as one join on sections.
 
@@ -243,27 +234,52 @@ def on_d_classes(n: int):
     Its rows are the convex kernels with k blocks, cut at k - 1 of the
     points 1..n-1, and its columns the k-subsets c of 0..n-1, the images;
     the map in cell (r, c) sends the i-th block onto the i-th point of c.
-    ``cells`` lists the maps row by row, and ``pattern[r][c]`` says whether
-    that map is idempotent: whether each point of c lies in its own block,
-    i.e. c is a transversal of the kernel.  Mutual inverses share a D-class
+    ``cells`` lists the maps row by row, each as ``bytes`` whose byte x is
+    the image of x (so n < 256), one ``translate`` of the kernel's block
+    bytes through the image's table.  ``pattern[r][c]`` says whether that
+    map is idempotent: whether each point of c lies in its own block, i.e.
+    c is a transversal of the kernel, read as one ``translate`` of c
+    through the block bytes.  Mutual inverses share a D-class
     and, in one, a in (r, c) and b in (r', c') are mutual inverses iff the
     cells (r, c') and (r', c) hold idempotents (Miller-Clifford; Howie
     1995, §2.3), so ``core.pattern_inverse_graph(pattern)`` less its zero
     is the class's inverse graph, cell i at vertex 1 + i.
     """
+    pad = bytes(256 - n)
     for k in range(1, n + 1):
-        images = list(itertools.combinations(range(n), k))
-        # a one-index itemgetter returns the item, not a 1-tuple: at rank 1
-        # each image reads block 0; at rank n the one cell is the identity
-        getters = [itemgetter(*c) for c in images]
-        own = tuple(range(k)) if k > 1 else 0
+        images = [bytes(c) for c in itertools.combinations(range(n), k)]
+        tables = [c + bytes(256 - k) for c in images]
+        own = bytes(range(k))
         pattern, cells = [], []
         for cuts in itertools.combinations(range(1, n), k - 1):
             bounds = (0, *cuts, n)
-            block = [i for i in range(k) for _ in range(bounds[i], bounds[i + 1])]
-            cells += images if k == n else map(itemgetter(*block), images)
-            pattern.append([g(block) == own for g in getters])
+            block = bytes(i for i in range(k)
+                          for _ in range(bounds[i], bounds[i + 1]))
+            cells += map(block.translate, tables)
+            # c is a transversal iff its i-th point lies in block i
+            blocks = block + pad
+            pattern.append([c.translate(blocks) == own for c in images])
         yield pattern, cells
+
+
+def mutually_inverse(a: bytes, b: bytes, pad: bytes) -> bool:
+    """b in V(a), i.e. aba = a and bab = b, for total maps of n points as
+    bytes, with ``pad`` the 256 - n bytes that make each a ``translate``
+    table.  Products run left to right, so ab is a translated through b."""
+    ta, tb = a + pad, b + pad
+    return (a.translate(tb).translate(ta) == a
+            and b.translate(ta).translate(tb) == b)
+
+
+def class_witness_holds(cells, p) -> bool:
+    """Whether p, a matching of an ``on_d_classes`` pattern graph (cell i
+    at vertex 1 + i), fixes the zero, permutes the cells and pairs each
+    cell's map with a mutual inverse."""
+    if sorted(p) != list(range(len(cells) + 1)) or p[0] != 0:
+        return False
+    partners = map(cells.__getitem__, [b - 1 for b in p[1:]])
+    pad = bytes(256 - len(cells[0]))
+    return all(map(mutually_inverse, cells, partners, itertools.repeat(pad)))
 
 
 # ---------------------------------------------------------------------------

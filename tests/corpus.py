@@ -55,7 +55,7 @@ def maps_mutually_inverse(a, b, n: int) -> bool:
     """b in V(a) for maps as image tuples, the sentinel n marking
     "undefined": b sections a on im(a) and a sections b on im(b), with both
     maps extended by n as a fixed point.  The oracle for
-    transformations.maps_mutually_inverse."""
+    transformations.mutually_inverse and the tests' pair scan."""
     a, b = a + (n,), b + (n,)
     return all(a[b[y]] == y for y in set(a)) and all(
         b[a[z]] == z for z in set(b)

@@ -685,6 +685,20 @@ class TestSearches:
                             lambda pat: (0,) + (1,) * (len(pat) * len(pat[0])))
         assert self.search_on_rows(capsys, 2) == [(True, True), (True, False)]
 
+    def test_search_on_reports_a_matching_that_moves_the_zero_unverified(
+            self, capsys, monkeypatch):
+        # 0 and 1 swapped, every other cell fixed: it permutes the
+        # vertices, and read past the zero it would pair the first cell
+        # with the last, which in O_1 and O_2 are all mutual inverses
+        def swapped(pat):
+            return (1, 0, *range(2, len(pat) * len(pat[0]) + 1))
+
+        monkeypatch.setattr(matching, "band_matching", swapped)
+        assert self.search_on_rows(capsys, 2) == [(True, False)] * 2
+        code, out, _ = run(capsys, ["search-on", "--n-max", "2"])
+        assert (code, out) == (0, "O_1: size 1, matching present (UNVERIFIED)\n"
+                               "O_2: size 3, matching present (UNVERIFIED)\n")
+
     @pytest.mark.parametrize("listed", [
         lambda real, n: itertools.chain(real(n), itertools.islice(real(n), 1)),
         lambda real, n: itertools.islice(real(n), n - 1),

@@ -54,6 +54,20 @@ class TestValidate:
             core.FiniteSemigroup(table).egg_box
         assert (err.value.a, err.value.b, err.value.value) == bad
 
+    @pytest.mark.parametrize("table", [
+        ((0,), (0, 1)),
+        ((0, 1, 1), (1, 1), (1, 1, 1)),
+        # the shape is checked before the range
+        ((0, 5), (0,)),
+    ])
+    @pytest.mark.parametrize("read", ["generators", "egg_box", "validate"])
+    def test_an_unvalidated_ragged_table_is_refused(self, table, read):
+        # the generating set checks the shape before its closures read a
+        # short row
+        s = core.FiniteSemigroup(table)
+        with pytest.raises(ParseError, match="^table is not square$"):
+            core.validate(s) if read == "validate" else getattr(s, read)
+
     def test_non_associative_triple_reported(self):
         table = [[0, 2, 2], [1, 0, 0], [2, 1, 0]]
         expected = first_violating_triple(table)

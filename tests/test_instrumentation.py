@@ -146,11 +146,13 @@ def test_only_parsed_tables_are_validated(monkeypatch):
 
 
 def test_search_on_tests_pairs_only_to_verify(monkeypatch):
-    seen = count_calls(monkeypatch, ["transformations.maps_mutually_inverse"])
+    seen = count_calls(monkeypatch, ["transformations.class_witness_holds",
+                                     "transformations.mutually_inverse"])
     run_quietly(["search-on", "--n-max", "3"])
-    # one check per map of O_1, O_2 and O_3; the inverse graph is built
-    # without testing pairs
-    assert len(seen["transformations.maps_mutually_inverse"]) == 1 + 3 + 10
+    # one witness check per D-class of O_1, O_2 and O_3, and in it one pair
+    # test per map; the inverse graph is built without testing pairs
+    assert len(seen["transformations.class_witness_holds"]) == 1 + 2 + 3
+    assert len(seen["transformations.mutually_inverse"]) == 1 + 3 + 10
 
 
 def test_search_on_matches_each_d_class_on_its_pattern(monkeypatch):

@@ -6,7 +6,7 @@ import random
 import pytest
 
 import corpus
-from invmatch import bands, cli, core, matching, transformations
+from invmatch import bands, core, matching, transformations
 from invmatch.errors import (
     BudgetExhausted,
     DomainMismatch,
@@ -265,7 +265,8 @@ class TestBandMatching:
         for n in range(1, 9):
             for pattern, cells in transformations.on_d_classes(n):
                 p = matching.band_matching(pattern)
-                assert p is not None and cli._class_witness_holds(cells, p, n)
+                assert p is not None
+                assert transformations.class_witness_holds(cells, p)
 
 
 class TestLift:

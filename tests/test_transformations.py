@@ -291,7 +291,7 @@ def pair_scan(maps, n):
         for members in by_rank.values()
         for pos, ia in enumerate(members)
         for ib in members[pos:]
-        if tr.maps_mutually_inverse(maps[ia], maps[ib], n)
+        if corpus.maps_mutually_inverse(maps[ia], maps[ib], n)
     ))
 
 
@@ -380,13 +380,14 @@ class TestFamilyInverseGraph:
 
     @pytest.mark.parametrize("family, n", [("Tn", 3), ("PTn", 2), ("PTn", 3)])
     def test_pair_test_agrees_with_the_table(self, family, n):
-        # anchors the oracle: maps_mutually_inverse against aba = a, bab = b
+        # anchors the oracle: corpus.maps_mutually_inverse against aba = a,
+        # bab = b on the table
         data = tr.enumerate_family(family, n)
         graph = core.inverse_graph_of(data.semigroup)
         for a, f in enumerate(data.maps):
             assert list(graph.inverses[a]) == [
                 b for b, g in enumerate(data.maps)
-                if tr.maps_mutually_inverse(f, g, n)
+                if corpus.maps_mutually_inverse(f, g, n)
             ]
 
     def test_matches_table_based_graph(self):
@@ -406,26 +407,15 @@ class TestFamilyInverseGraph:
         assert tr.family_inverse_graph(maps, n) == core.inverse_graph_of(table)
 
 
-class TestMapsMutuallyInverse:
-    @pytest.mark.parametrize("family, n", [
-        ("Tn", 3), ("PTn", 3), ("On", 4), ("OPn", 4), ("Pn", 4),
-    ])
-    def test_agrees_with_the_set_based_oracle_on_every_ordered_pair(
-            self, family, n):
-        maps = tr.family_maps(family, n)
-        for f in maps:
-            assert [tr.maps_mutually_inverse(f, g, n) for g in maps] == [
-                corpus.maps_mutually_inverse(f, g, n) for g in maps]
-
-
 class TestOnDClasses:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_cells_list_the_maps_of_on_once(self, n):
         classes = list(tr.on_d_classes(n))
         assert len(classes) == n
         listed = [f for _, cells in classes for f in cells]
+        assert {(type(f), len(f)) for f in listed} == {(bytes, n)}
         assert len(listed) == len(set(listed))
-        assert sorted(listed) == tr.family_maps("On", n)
+        assert sorted(listed) == [bytes(f) for f in tr.family_maps("On", n)]
         for k, (pattern, cells) in enumerate(classes, 1):
             rows, cols = comb(n - 1, k - 1), comb(n, k)
             assert [len(row) for row in pattern] == [cols] * rows
@@ -443,12 +433,13 @@ class TestOnDClasses:
         for pattern, cells in tr.on_d_classes(n):
             entries = [e for row in pattern for e in row]
             assert all(type(e) is bool for e in entries)
-            assert entries == [corpus.compose(f, f, n) == f for f in cells]
+            assert entries == [corpus.compose(tuple(f), tuple(f), n) == tuple(f)
+                               for f in cells]
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_pattern_graph_is_the_family_graph_on_each_class(self, n):
         maps = tr.family_maps("On", n)
-        pos = {f: i for i, f in enumerate(maps)}
+        pos = {bytes(f): i for i, f in enumerate(maps)}
         whole = tr.family_inverse_graph(maps, n)
         edges = 0
         for pattern, cells in tr.on_d_classes(n):
@@ -462,6 +453,25 @@ class TestOnDClasses:
                 edges += len(vs)
         # mutual inverses share a D-class: no edge leaves one
         assert edges == sum(map(len, whole.inverses))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_mutually_inverse_agrees_with_the_oracle_in_each_class(self, n):
+        pad = bytes(256 - n)
+        for _, cells in tr.on_d_classes(n):
+            for f in cells:
+                assert [tr.mutually_inverse(f, g, pad) for g in cells] == [
+                    corpus.maps_mutually_inverse(tuple(f), tuple(g), n)
+                    for g in cells]
+
+    def test_mutually_inverse_agrees_with_the_oracle_across_classes(self):
+        # inside a D-class aba = a gives bab = b; across two it does not,
+        # e.g. a = 00000 and b the identity
+        maps = tr.family_maps("On", 5)
+        pad = bytes(256 - 5)
+        for f in maps:
+            assert [tr.mutually_inverse(bytes(f), bytes(g), pad)
+                    for g in maps] == [
+                corpus.maps_mutually_inverse(f, g, 5) for g in maps]
 
 
 class TestSignatureProperties:
