@@ -337,58 +337,36 @@ def cmd_colour(args) -> int:
     _require_positive(args, "--budget")
     if args.mode == "solve":
         inst = colours.parse_instance(_read(args.path))
-        digest = _digest(colours.format_instance(inst))
-        result = colours.solve(inst, budget=args.budget)
-        payload = {
-            "input": {"kind": "instance", "digest": digest},
-            "m": inst.m,
-            "n": inst.n,
-            "verdicts": {"status": result.status, "nodes": result.nodes},
-            "witnesses": {
-                "plan": list(result.plan.pairing) if result.plan else None
-            },
-        }
-        if result.plan is not None:
-            payload["verdicts"]["plan_verified"] = colours.verify_plan(
-                inst, result.plan
-            )
-        human = [result.status]
-        if result.plan is not None:
-            human.append(colours.format_plan(result.plan).rstrip() or "(all vacuous)")
-        return _emit(args, payload, human,
-                     EXIT_BUDGET if result.status == "budget_exhausted" else EXIT_OK)
-
-    # reduce: derive the instance from a band matching and build the
-    # induced involution
-    band = bands.parse_band(_read(args.band))
-    if args.matching:
-        phi = matching.parse_matching(_read(args.matching), band.order)
-    else:
-        phi = matching.find_permutation_matching(band)
-        if phi is None:
-            print("band has no permutation matching", file=sys.stderr)
-            return EXIT_PRECONDITION
-    inst = colours.instance_from_matching(band, phi)
+        kind, text, witnesses = "instance", colours.format_instance(inst), {}
+    else:  # reduce: the instance of a band matching, found when not given
+        band = bands.parse_band(_read(args.band))
+        if args.matching:
+            phi = matching.parse_matching(_read(args.matching), band.order)
+        else:
+            phi = matching.find_permutation_matching(band)
+            if phi is None:
+                print("band has no permutation matching", file=sys.stderr)
+                return EXIT_PRECONDITION
+        inst = colours.instance_from_matching(band, phi)
+        kind, text = "band", bands.format_band(band)
+        witnesses = {"matching": list(phi), "involution": None}
     result = colours.solve(inst, budget=args.budget)
-    payload = {
-        "input": {"kind": "band", "digest": _digest(bands.format_band(band))},
-        "m": band.m,
-        "n": band.n,
-        "verdicts": {"status": result.status, "nodes": result.nodes},
-        "witnesses": {
-            "matching": list(phi),
-            "plan": list(result.plan.pairing) if result.plan else None,
-            "involution": None,
-        },
-    }
+    verdicts = {"status": result.status, "nodes": result.nodes}
+    witnesses["plan"] = list(result.plan.pairing) if result.plan else None
     human = [result.status]
-    if result.status == "solved":
+    if result.plan is not None and args.mode == "solve":
+        verdicts["plan_verified"] = colours.verify_plan(inst, result.plan)
+        human.append(colours.format_plan(result.plan).rstrip() or "(all vacuous)")
+    elif result.plan is not None:  # the plan's induced involution
         inv = colours.involution_from_plan(band, inst, result.plan)
-        payload["witnesses"]["involution"] = list(inv)
+        witnesses["involution"] = list(inv)
         # involution_from_plan raised unless the band verifier passed it
-        payload["verdicts"]["involution_verified"] = True
+        verdicts["involution_verified"] = True
         if not args.json:
             human.append(matching.format_matching(inv).rstrip())
+    payload = {"input": {"kind": kind, "digest": _digest(text)},
+               "m": inst.m, "n": inst.n,
+               "verdicts": verdicts, "witnesses": witnesses}
     return _emit(args, payload, human,
                  EXIT_BUDGET if result.status == "budget_exhausted" else EXIT_OK)
 
@@ -529,27 +507,13 @@ def cmd_search_on(args) -> int:
     transformations.check_family_cap("On", args.n_max, ON_MAX_MAPS)
     results = []
     for n in range(1, args.n_max + 1):
-        maps = transformations.family_maps("On", n)
-        # mutual inverses share a D-class, so O_n has a matching iff each
-        # class has one; each is matched on its pattern's row masks
-        found, verified, listed = True, True, []
-        for pattern, cells in transformations.on_d_classes(n):
-            p = matching.band_matching(pattern)
-            if p is None:
-                found = False
-                break
-            verified = verified and transformations.class_witness_holds(
-                cells, p)
-            listed += cells
+        size, found, verified = transformations.on_verdict(n)
         row = {
             "n": n,
-            "size": len(maps),
+            "size": size,
             "size_formula": transformations.family_size("On", n),
             "has_matching": found,
-            # the classes' cells must be the maps of O_n, each once; bytes
-            # of one length sort as their tuples do
-            "matching_verified": (found and verified
-                                  and sorted(listed) == list(map(bytes, maps))),
+            "matching_verified": verified,
         }
         if args.oracle and n <= ON_ORACLE_MAX_N:
             data = transformations.enumerate_family("On", n)

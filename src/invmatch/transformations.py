@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from math import comb
 from operator import itemgetter
 
+from . import matching
 from .core import FiniteSemigroup
 from .errors import NotPerfect, NotTn, TooLarge
 from .matching import (
@@ -96,14 +97,15 @@ def check_family_cap(family: str, n: int, cap: int) -> None:
 
 
 def family_maps(family: str, n: int) -> list[Map]:
-    """All members of the family, sorted; no Cayley table is built."""
+    """All members of the family in lexicographic order; no Cayley table
+    is built.  ``itertools.product`` and ``combinations_with_replacement``
+    yield maps in that order, so only the rotation families are sorted."""
     if family == "Tn":
-        maps = itertools.product(range(n), repeat=n)
-        return sorted(maps)
+        return list(itertools.product(range(n), repeat=n))
     if family == "PTn":
-        return sorted(itertools.product(range(n + 1), repeat=n))
+        return list(itertools.product(range(n + 1), repeat=n))
     if family == "On":
-        return sorted(_monotone_maps(n))
+        return list(_monotone_maps(n))
     if family == "OPn":
         out = {rot for mono in _monotone_maps(n) for rot in _rotations(mono)}
         return sorted(out)
@@ -280,6 +282,26 @@ def class_witness_holds(cells, p) -> bool:
     partners = map(cells.__getitem__, [b - 1 for b in p[1:]])
     pad = bytes(256 - len(cells[0]))
     return all(map(mutually_inverse, cells, partners, itertools.repeat(pad)))
+
+
+def on_verdict(n: int) -> tuple[int, bool, bool]:
+    """(size, has_matching, verified) for O_n, from one walk over
+    ``on_d_classes(n)``.  Mutual inverses share a D-class, so O_n has a
+    matching iff each class has one, matched on its pattern.  ``size``
+    counts the cells the classes list; ``verified`` needs each class's
+    matching to pass ``class_witness_holds`` and the cells, sorted, to be
+    the maps of O_n once each, which ``_monotone_maps`` yields in order
+    (bytes of one length sort as their tuples)."""
+    found, verified, listed = True, True, []
+    for pattern, cells in on_d_classes(n):
+        listed += cells
+        if found:
+            p = matching.band_matching(pattern)
+            found = p is not None
+            verified = found and verified and class_witness_holds(cells, p)
+    listed.sort()
+    verified = verified and listed == list(map(bytes, _monotone_maps(n)))
+    return len(listed), found, verified
 
 
 # ---------------------------------------------------------------------------

@@ -118,6 +118,20 @@ class TestExitCodes:
         )
         assert code == 5
 
+    @pytest.mark.parametrize("mode", ["solve", "reduce"])
+    def test_budget_exhausted_reports_no_plan(self, capsys, mode):
+        source = ([mode, str(GOLDEN / "instance2x2.colour")] if mode == "solve"
+                  else [mode, "--band", str(GOLDEN / "band2x4.band")])
+        code, out, err = run(capsys, ["colour", *source, "--budget", "1"])
+        assert (code, out, err) == (5, "budget_exhausted\n", "")
+        code, out, err = run(capsys, ["colour", *source, "--budget", "1",
+                                      "--json"])
+        assert (code, err) == (5, "")
+        report = json.loads(out)
+        assert report["verdicts"] == {"status": "budget_exhausted", "nodes": 2}
+        assert report["witnesses"]["plan"] is None
+        assert report["witnesses"].get("involution") is None
+
     def test_colour_budget_defaults_to_the_backtracking_budget(self):
         args = build_parser().parse_args(["colour", "solve", "instance"])
         assert args.budget == matching.BACKTRACKING_BUDGET
@@ -709,6 +723,14 @@ class TestSearches:
         monkeypatch.setattr(transformations, "on_d_classes",
                             lambda n: listed(real, n))
         assert self.search_on_rows(capsys, 3) == [(True, False)] * 3
+        # size counts the cells the classes listed, not the maps of O_n
+        code, out, _ = run(capsys, ["search-on", "--n-max", "3", "--json"])
+        sizes = [(r["size"], r["size_formula"])
+                 for r in json.loads(out)["verdicts"]["families"]]
+        if len(list(listed(real, 1))) == 2:  # a class twice
+            assert all(size > formula for size, formula in sizes)
+        else:  # a class missing
+            assert all(size < formula for size, formula in sizes)
 
 
 def q4_report(capsys, argv):

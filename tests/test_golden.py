@@ -35,6 +35,8 @@ CASES = {
     "analyze_rees.json": ["analyze", "{}/rees.cayley"],
     "involution_oracle_o3.json": ["involution", "{}/o3.cayley", "--oracle"],
     "search_q4_oracle.json": ["search-q4", "--oracle"],
+    # a plan that exchanges: each girl starts with two balls of one colour
+    "colour_solve_2x2.json": ["colour", "solve", "{}/instance2x2.colour"],
     "colour_reduce_2x4.json": ["colour", "reduce", "--band", "{}/band2x4.band"],
     "colour_reduce_2x4_matching.json": [
         "colour", "reduce", "--band", "{}/band2x4.band",

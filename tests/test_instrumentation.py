@@ -8,11 +8,12 @@ per semigroup and Green's relations only for its input, that ``match``
 runs Hopcroft-Karp once, that the band commands build no Cayley table,
 that no band path reads its inverse graph off a stream of pairs, that
 only parsed Cayley tables are validated, that ``search-on`` matches each
-D-class of O_n on its pattern and tests maps pairwise only to verify its
-matchings, and that ``colour reduce`` verifies its involution once.  Two
-more check what the matching layer hands the graph
-algorithms: Hopcroft-Karp gets the inverse graph's own ``inverses``, and
-the involution gadget is built in ascending order, needing no sort.
+D-class of O_n on its pattern, tests maps pairwise only to verify its
+matchings and lists the maps of O_n only for its oracle, and that
+``colour reduce`` verifies its involution once.  Two more check what the
+matching layer hands the graph algorithms: Hopcroft-Karp gets the
+inverse graph's own ``inverses``, and the involution gadget is built in
+ascending order, needing no sort.
 """
 
 import argparse
@@ -170,6 +171,18 @@ def test_search_on_matches_each_d_class_on_its_pattern(monkeypatch):
     assert [(len(p), len(p[0])) for p in seen["matching.band_matching"]] == [
         (comb(n - 1, k - 1), comb(n, k))
         for n in range(1, 6) for k in range(1, n + 1)]
+
+
+def test_search_on_lists_the_maps_of_o_n_only_for_its_oracle(monkeypatch):
+    seen = count_calls(monkeypatch, ["transformations.family_maps",
+                                     "transformations.enumerate_family"])
+    run_quietly(["search-on", "--n-max", "5"])
+    # size and the cover check come from the classes' cells
+    assert seen["transformations.family_maps"] == []
+    run_quietly(["search-on", "--n-max", "5", "--oracle"])
+    # the oracle's tables, for n <= 3, are the only maps of O_n listed
+    assert seen["transformations.enumerate_family"] == ["On"] * 3
+    assert seen["transformations.family_maps"] == ["On"] * 3
 
 
 def test_dispatch_reaches_a_handler_rebound_after_the_first_call(monkeypatch):
