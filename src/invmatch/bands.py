@@ -18,7 +18,7 @@ from math import factorial, lcm, prod
 from operator import or_
 
 from . import graphs
-from .core import FiniteSemigroup, InverseGraph, PrincipalFactor
+from .core import FAMILY_CAP, FiniteSemigroup, InverseGraph, PrincipalFactor
 from .core import pattern_inverse_graph
 from .errors import (
     BudgetExhausted,
@@ -29,7 +29,6 @@ from .errors import (
     TooLarge,
 )
 from .matching import Matching, check_permutation
-from .transformations import FAMILY_CAP
 
 
 @dataclass(frozen=True)
@@ -225,10 +224,6 @@ class HaremFamily:
 
     functions: tuple[tuple[int, ...], ...]
 
-    @property
-    def count(self) -> int:
-        return len(self.functions)
-
 
 def harem_family(band: ZeroRectBand) -> HaremFamily | None:
     """Constructs the family whenever the scaled Hall condition holds.
@@ -277,9 +272,7 @@ def involution_from_harem(band: ZeroRectBand) -> HaremInvolution | None:
     if fam is None:
         return None
     m = band.m
-    column_order = tuple(
-        fam.functions[t][i] for t in range(fam.count) for i in range(m)
-    )
+    column_order = tuple(c for f in fam.functions for c in f)
     new_of = {orig: new for new, orig in enumerate(column_order)}
     p = [0] * band.order
     for i, c in band.cells():

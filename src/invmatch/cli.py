@@ -254,13 +254,12 @@ def cmd_factors(args) -> int:
     sg, header = _load_algebra(args.path)
     rows = []
     for f in sg.factors:
-        band = bands.h_quotient(f)
         rows.append(
             {
                 "d_class": f.source_d_class,
                 "size": len(f.members),
                 "zero_adjoined": f.zero_adjoined,
-                "quotient": f"{band.m}x{band.n}",
+                "quotient": f"{len(f.box.r_classes)}x{len(f.box.l_classes)}",
                 "has_matching": matching.find_permutation_matching(f.semigroup)
                 is not None,
             }
@@ -431,11 +430,9 @@ def cmd_search_q4(args) -> int:
         raise ParseError(
             f"--densities is empty, but shape {args.m_max}x{args.n_max} is sampled"
         )
-    shapes = sorted(
-        (m, n)
-        for m in range(1, args.m_max + 1)
-        for n in range(1, args.n_max + 1)
-    )
+    # in lexicographic order
+    shapes = [(m, n) for m in range(1, args.m_max + 1)
+              for n in range(1, args.n_max + 1)]
     per_shape = []
     separators = []
     for shape_index, (m, n) in enumerate(shapes):

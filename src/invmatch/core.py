@@ -20,6 +20,9 @@ from .errors import (
     ParseError,
 )
 
+# the default cap on the elements of a generated table: at most 16 M entries
+FAMILY_CAP = 4_000
+
 
 @dataclass(frozen=True)
 class FiniteSemigroup:
@@ -315,10 +318,11 @@ class EggBox:
 
 
 def _partition_by(n: int, key) -> list[list[int]]:
+    """Classes of [0, n) by ``key``, each ascending, in order of least member."""
     groups: dict = {}
     for a in range(n):
         groups.setdefault(key(a), []).append(a)
-    return sorted(groups.values(), key=lambda g: g[0])
+    return list(groups.values())
 
 
 def _components(n: int, succ) -> list[int]:
@@ -602,6 +606,7 @@ def parse_cayley(text: str) -> FiniteSemigroup:
         if not body.startswith("labels:"):
             raise ParseError(f"unrecognized trailer: {tail!r}")
         labels = body[len("labels:"):].split()
+    lines = [ln for ln in lines if not ln.startswith("#")]
     if not lines:
         raise ParseError("empty input")
     try:

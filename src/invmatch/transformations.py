@@ -16,7 +16,7 @@ from math import comb
 from operator import itemgetter
 
 from . import matching
-from .core import FiniteSemigroup
+from .core import FAMILY_CAP, FiniteSemigroup
 from .errors import NotPerfect, NotTn, TooLarge
 from .matching import (
     InverseGraph,
@@ -25,8 +25,6 @@ from .matching import (
 )
 
 FAMILIES = ("Tn", "PTn", "On", "OPn", "Pn")
-# the default cap on a family's maps: a Cayley table of at most 16 M entries
-FAMILY_CAP = 4_000
 
 Map = tuple[int, ...]
 
@@ -36,14 +34,12 @@ def rank_of(f: Map, n: int) -> int:
 
 
 def kernel_of(f: Map) -> tuple[tuple[int, ...], ...]:
-    """Partition of the (defined) domain by equal image, ordered by first
-    occurrence."""
+    """Partition of the domain by equal image, the undefined points one
+    class, ordered by first occurrence."""
     groups: dict[int, list[int]] = {}
     for x, v in enumerate(f):
         groups.setdefault(v, []).append(x)
-    return tuple(
-        tuple(cls) for _, cls in sorted(groups.items(), key=lambda kv: kv[1][0])
-    )
+    return tuple(map(tuple, groups.values()))
 
 
 def kernel_signature(f: Map, n: int) -> tuple[int, ...]:
@@ -106,17 +102,11 @@ def family_maps(family: str, n: int) -> list[Map]:
         return list(itertools.product(range(n + 1), repeat=n))
     if family == "On":
         return list(_monotone_maps(n))
-    if family == "OPn":
-        out = {rot for mono in _monotone_maps(n) for rot in _rotations(mono)}
-        return sorted(out)
-    if family == "Pn":
-        out = {rot for mono in _monotone_maps(n) for rot in _rotations(mono)}
-        out.update(
-            rot
-            for mono in _monotone_maps(n)
-            for rot in _rotations(tuple(reversed(mono)))
-        )
-        return sorted(out)
+    if family in ("OPn", "Pn"):
+        monos = list(_monotone_maps(n))
+        if family == "Pn":
+            monos += [mono[::-1] for mono in monos]
+        return sorted({rot for mono in monos for rot in _rotations(mono)})
     raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
 
@@ -328,7 +318,7 @@ def signature_class_partition(
             continue
         groups.setdefault(kernel_signature(f, data.n), []).append(idx)
     return [
-        SignatureClass(rank, sig, tuple(sorted(members)))
+        SignatureClass(rank, sig, tuple(members))
         for sig, members in sorted(groups.items())
     ]
 

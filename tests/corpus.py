@@ -629,3 +629,51 @@ def corpus(count: int, base_seed: int = 0, max_order: int = 12):
     return [
         corpus_semigroup(base_seed + k, max_order) for k in range(count)
     ]
+
+
+# ---------------------------------------------------------------------------
+# Random transformation semigroups: the corpus's non-regular inputs, and
+# regular ones with nontrivial H-classes
+
+
+def transformation_semigroup(rng: random.Random, max_order: int = 400):
+    """The semigroup generated by 1 to 3 random maps on n = 3 to 5 points,
+    each drawn from the partial maps (image n for "undefined") with
+    probability 0.3, else from the total ones; its elements indexed in
+    lexicographic order.  None when it has more than ``max_order``
+    elements."""
+    n = rng.randint(3, 5)
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        top = n + 1 if rng.random() < 0.3 else n
+        gens.append(tuple(rng.randrange(top) for _ in range(n)))
+    # x(fg) = (xf)g; closing under right products by the generators gives
+    # every product of them
+    elements, frontier = set(gens), list(gens)
+    while frontier:
+        f = frontier.pop()
+        for g in gens:
+            h = compose(f, g, n)
+            if h not in elements:
+                if len(elements) == max_order:
+                    return None
+                elements.add(h)
+                frontier.append(h)
+    maps = sorted(elements)
+    index = {f: i for i, f in enumerate(maps)}
+    extended = [g + (n,) for g in maps]
+    return FiniteSemigroup(tuple(
+        tuple(index[tuple(map(g.__getitem__, f))] for g in extended)
+        for f in maps))
+
+
+def transformation_semigroups(seed: int, count: int):
+    """The first ``count`` distinct tables :func:`transformation_semigroup`
+    draws from ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    seen: dict = {}
+    while len(seen) < count:
+        s = transformation_semigroup(rng)
+        if s is not None:
+            seen.setdefault(s.table, s)
+    return list(seen.values())

@@ -459,7 +459,6 @@ class TestHeadedInputErrors:
     @pytest.mark.parametrize("text, message", [
         ("3\n111\n", "expected 3 rows, found 1"),
         ("1 2 3\n11\n", "bad order line: '1 2 3'"),
-        ("# c\n1\n0\n", "bad order line: '# c'"),
         ("# labels: a b\n", "empty input"),
     ])
     def test_table(self, tmp_path, capsys, command, text, message):
@@ -467,6 +466,20 @@ class TestHeadedInputErrors:
         path.write_text(text)
         assert run(capsys, [*command, str(path)]) == (
             2, "", f"parse error: {message}\n")
+
+    # a table file skips its comment lines as the detection does
+    @pytest.mark.parametrize("command", [["match"], ["analyze"]], ids=" ".join)
+    def test_table_with_a_comment_line(self, tmp_path, capsys, command):
+        reports = []
+        for text in ("# c\n1\n0\n", "1\n0\n"):
+            path = tmp_path / "in.cayley"
+            path.write_text(text)
+            code, out, err = run(capsys, [*command, str(path), "--json"])
+            assert (code, err) == (0, "")
+            report = json.loads(out)
+            del report["input"]["digest"]
+            reports.append(report)
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("text, message", [
         ("", "empty input"),

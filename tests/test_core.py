@@ -806,6 +806,10 @@ class TestCayleyFormat:
             core.validate(s)
         assert str(err.value) == message
 
+    def test_comment_lines_before_the_trailer(self):
+        s = core.parse_cayley("2\n0 1\n# c\n1 1\n# labels: a b\n")
+        assert (s.table, s.labels) == (((0, 1), (1, 1)), ("a", "b"))
+
     def test_tab_separated_rows(self):
         s = core.parse_cayley("2\n0\t1\n1 \t 1\n")
         assert s.table == ((0, 1), (1, 1))

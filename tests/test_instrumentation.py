@@ -5,7 +5,8 @@ by rebinding their names in the ``invmatch`` modules.  These tests load it
 by path to check that every listed name still resolves, and count calls
 the same way to check that one ``analyze`` computes each structure once
 per semigroup and Green's relations only for its input, that ``match``
-runs Hopcroft-Karp once, that the band commands build no Cayley table,
+runs Hopcroft-Karp once, that the band commands build no Cayley table
+and ``factors`` no quotient band,
 that no band path reads its inverse graph off a stream of pairs, that
 only parsed Cayley tables are validated, that ``search-on`` matches each
 D-class of O_n on its pattern, tests maps pairwise only to verify its
@@ -134,6 +135,13 @@ def test_band_paths_build_no_cayley_table(monkeypatch):
     # the table commands still read a band file through its table, once
     run_quietly(["analyze", str(GOLDEN / "counterexample.band")])
     assert len(seen["bands.to_semigroup"]) == 1
+
+
+def test_factors_builds_no_quotient_band(monkeypatch):
+    seen = count_calls(monkeypatch, ["bands.h_quotient"])
+    run_quietly(["factors", str(GOLDEN / "t3.cayley")])
+    # each factor's quotient shape is read off its box
+    assert seen["bands.h_quotient"] == []
 
 
 def test_only_parsed_tables_are_validated(monkeypatch):

@@ -1,12 +1,14 @@
 """Matching engine: decisions, certificates, lifts, cycle splitting,
 the involution gadget, and the cross-checking report."""
 
+import contextlib
+import io
 import random
 
 import pytest
 
 import corpus
-from invmatch import bands, core, matching, transformations
+from invmatch import bands, cli, core, matching, transformations
 from invmatch.errors import (
     BudgetExhausted,
     DomainMismatch,
@@ -557,6 +559,52 @@ class TestEquivalenceReport:
                     is not None
                 )
                 assert verdict == via_band
+
+
+class TestRandomTransformationSemigroups:
+    """200 distinct seeded subsemigroups of PT_3 to PT_5: 74 regular, 10
+    of them without a matching, and 64 with a nontrivial H-class."""
+
+    @staticmethod
+    def ascending_by_least_member(classes):
+        return (all(list(c) == sorted(c) for c in classes)
+                and [c[0] for c in classes] == sorted(c[0] for c in classes))
+
+    def test_verdicts_agree_with_the_oracles(self, tmp_path):
+        nx = pytest.importorskip("networkx")
+        path = tmp_path / "s.cayley"
+        regular = 0
+        for k, s in enumerate(corpus.transformation_semigroups(7, 200)):
+            core.validate(s)
+            path.write_text(core.format_cayley(s))
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(["analyze", str(path)])
+            if not core.regularity_check(s)[0]:
+                assert code == 4, k
+                continue
+            regular += 1
+            assert code == 0, k
+            rep = matching.equivalence_report(s)
+            g = nx.Graph()
+            left = [("l", a) for a in range(s.order)]
+            g.add_nodes_from(left)
+            g.add_edges_from((("l", a), ("r", b)) for a in range(s.order)
+                             for b in corpus.inverses_of(s, a))
+            size = len(nx.bipartite.hopcroft_karp_matching(g, left)) // 2
+            assert rep.has_matching == (size == s.order), k
+            # the reference search ends within its budget at these orders
+            if s.order <= 40:
+                assert ((matching.find_involution_matching(s) is None)
+                        == (matching.involution_backtracking(s) is None)), k
+            egg = s.egg_box
+            assert self.ascending_by_least_member(
+                [box.elements for box in egg.d_classes]), k
+            for box in egg.d_classes:
+                assert self.ascending_by_least_member(box.r_classes), k
+                assert self.ascending_by_least_member(box.l_classes), k
+        # both kinds are drawn
+        assert 40 < regular < 160
 
 
 class TestDeterminism:
