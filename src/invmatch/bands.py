@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import combinations_with_replacement, permutations
+from itertools import permutations
 from math import factorial, lcm, prod
 from operator import or_
 
@@ -321,24 +321,39 @@ def random_band(m: int, n: int, density: float, seed: int) -> ZeroRectBand:
 
 def pattern_orbits(m: int, n: int):
     """Yield (band, orbit_size) once per orbit of the regular m x n patterns
-    under permuting rows and columns, whose bands are isomorphic.  A pattern
-    is the multiset of its L longer-side lines, each a mask over the shorter
-    side, kept when least among its images under the shorter side's
-    permutations; its orbit holds (distinct images) x L!/prod(mult!)
-    patterns (isomorph-free generation, McKay, J. Algorithms 1998)."""
+    under permuting rows and columns (isomorphic bands), in the order of its
+    least t: the nondecreasing tuple of the L longer-side lines, masks over
+    the shorter side, least among its sorted images under the shorter
+    side's permutations.  The orbit holds L!/prod(mult!) x (permutations /
+    those fixing t) patterns.  Orderly generation (Read 1978; McKay, J.
+    Algorithms 1998) extends a prefix only while it is least among its
+    images, and loses no least t: if sorted(s(p)) < p for a permutation s
+    and the prefix p of t's k least masks, s(p) lies inside s(t), so
+    sorted(s(t))[:k] <= sorted(s(p)) entrywise, and sorted(s(t)) < t."""
     short, long = sorted((m, n))
     full = (1 << short) - 1
     tables = [[sum((x >> k & 1) << p[k] for k in range(short))
                for x in range(full + 1)] for p in permutations(range(short))]
-    for masks in combinations_with_replacement(range(1, full + 1), long):
-        if reduce(or_, masks) != full:
-            continue
-        images = {tuple(sorted(t[x] for x in masks)) for t in tables}
-        if min(images) < masks:
-            continue
-        lines = [[x >> k & 1 for k in range(short)] for x in masks]
-        size = factorial(long) // prod(factorial(masks.count(x)) for x in set(masks))
-        yield band_from_rows(lines if m > n else zip(*lines)), len(images) * size
+    lines = [tuple(x >> k & 1 == 1 for k in range(short)) for x in range(full + 1)]
+    masks, x = [], 1  # the walk's prefix and the next mask to try after it
+    while masks or x <= full:
+        if x <= full:
+            masks.append(x)
+            if len(masks) < long or reduce(or_, masks) == full:
+                fixed = 0
+                for t in tables:
+                    image = sorted(map(t.__getitem__, masks))
+                    if image < masks:
+                        break
+                    fixed += image == masks
+                else:
+                    if len(masks) < long:
+                        continue  # extend masks by a mask of x or more
+                    size = len(tables) // fixed * factorial(long)
+                    size //= prod(map(factorial, map(masks.count, set(masks))))
+                    pat = tuple(map(lines.__getitem__, masks))
+                    yield ZeroRectBand(m, n, pat if m > n else tuple(zip(*pat))), size
+        x = masks.pop() + 1  # the last mask is done with: try the next one
 
 
 def orbit_members(band: ZeroRectBand) -> list[ZeroRectBand]:

@@ -7,17 +7,23 @@ groups, products and adjunctions, all regular by construction.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import io
 import itertools
+import json
+import math
+import operator
 import random
 
-from invmatch import bands
+from invmatch import bands, cli
 from invmatch.core import (
     DClassBox,
     EggBox,
     FiniteSemigroup,
     InverseGraph,
     _closure,
+    format_cayley,
     semigroup_from_rows,
 )
 from invmatch.matching import build_inverse_graph
@@ -323,6 +329,34 @@ def factor_table(s: FiniteSemigroup, members, zero_adjoined: bool):
     return tuple(rows)
 
 
+def relabel(s: FiniteSemigroup, perm) -> FiniteSemigroup:
+    """The table of s with element a renamed perm[a]."""
+    t = [[0] * s.order for _ in range(s.order)]
+    for a, row in enumerate(s.table):
+        for b, ab in enumerate(row):
+            t[perm[a]][perm[b]] = perm[ab]
+    return FiniteSemigroup(tuple(map(tuple, t)))
+
+
+def analyze_verdicts(path, s: FiniteSemigroup):
+    """``analyze --json`` on s, written to ``path``: its exit code and, on
+    exit 0, its structure, D-class sizes and verdicts.  The per-factor
+    lists follow the D-class numbering, which follows the element labels,
+    so each factor's pair of verdicts is kept and the pairs sorted."""
+    path.write_text(format_cayley(s))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["analyze", str(path), "--json"])
+    if code:
+        return code, None
+    report = json.loads(out.getvalue())
+    verdicts = report["verdicts"]
+    verdicts["factor_verdicts"] = sorted(zip(verdicts.pop("factor_verdicts"),
+                                             verdicts.pop("quotient_verdicts")))
+    return code, (report["structure"], report["d_class_sizes"], verdicts)
+
+
 def cyclic_group(k: int) -> FiniteSemigroup:
     rows = [[(i + j) % k for j in range(k)] for i in range(k)]
     return semigroup_from_rows(rows, [f"g{i}" for i in range(k)])
@@ -516,6 +550,31 @@ def small_regular_patterns():
 # cross-check) every pattern, in pattern order, as it once did.
 def pattern_by_pattern(m, n):
     return ((band, 1) for band in regular_patterns(m, n))
+
+
+# The multiset scan that orderly generation replaced in
+# bands.pattern_orbits, kept as its oracle: every nondecreasing tuple of
+# longer-side masks, in lexicographic order, tested whole against every
+# permutation of the shorter side.
+def orbits_by_multiset_scan(m, n):
+    """(band, orbit_size) per orbit of the regular m x n patterns, in the
+    order and with the representatives of bands.pattern_orbits."""
+    short, long = sorted((m, n))
+    full = (1 << short) - 1
+    tables = [[sum((x >> k & 1) << p[k] for k in range(short))
+               for x in range(full + 1)]
+              for p in itertools.permutations(range(short))]
+    for masks in itertools.combinations_with_replacement(range(1, full + 1), long):
+        if functools.reduce(operator.or_, masks) != full:
+            continue
+        images = {tuple(sorted(t[x] for x in masks)) for t in tables}
+        if min(images) < masks:
+            continue
+        lines = [[x >> k & 1 for k in range(short)] for x in masks]
+        size = math.factorial(long) // math.prod(
+            math.factorial(masks.count(x)) for x in set(masks))
+        yield (bands.band_from_rows(lines if m > n else zip(*lines)),
+               len(images) * size)
 
 
 # The two-sided subset scan that bands.check_harem_condition_exhaustive

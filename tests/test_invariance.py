@@ -21,14 +21,10 @@ instance leaves the same problem.  So every verdict below must survive
 these moves, and every witness found on an image must re-verify on it.
 """
 
-import contextlib
-import io
-import json
 import random
 
 import corpus
 from invmatch import bands, colours, core, matching
-from invmatch.cli import main
 from invmatch.core import FiniteSemigroup
 from invmatch.transformations import enumerate_family
 
@@ -82,15 +78,6 @@ def test_band_check_verdict_survives_the_transpose():
     assert patterns == 2_568 and 0 < failing < patterns
 
 
-def relabel(s, perm):
-    """The table of s with element a renamed perm[a]."""
-    t = [[0] * s.order for _ in range(s.order)]
-    for a, row in enumerate(s.table):
-        for b, ab in enumerate(row):
-            t[perm[a]][perm[b]] = perm[ab]
-    return FiniteSemigroup(tuple(map(tuple, t)))
-
-
 def table_verdicts(s):
     rep = matching.equivalence_report(s)
     inv = None
@@ -126,25 +113,10 @@ def test_table_verdicts_survive_relabelling_and_the_transpose():
         unmatched += not expected[2]
         perm = list(range(s.order))
         rng.shuffle(perm)
-        for image in relabel(s, perm), FiniteSemigroup(tuple(zip(*s.table))):
+        for image in corpus.relabel(s, perm), FiniteSemigroup(tuple(zip(*s.table))):
             assert table_verdicts(image) == expected, s.table
     # both answers to has_matching are exercised
     assert len(inputs) == 627 and 0 < unmatched < len(inputs)
-
-
-def analyze(tmp_path, s):
-    path = tmp_path / "s.cayley"
-    path.write_text(core.format_cayley(s))
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert main(["analyze", str(path), "--json"]) == 0
-    report = json.loads(out.getvalue())
-    verdicts = report["verdicts"]
-    # the per-factor lists follow the D-class numbering, which follows the
-    # element labels; each factor keeps its pair of verdicts
-    verdicts["factor_verdicts"] = sorted(zip(verdicts.pop("factor_verdicts"),
-                                             verdicts.pop("quotient_verdicts")))
-    return report["structure"], verdicts
 
 
 def test_analyze_reports_survive_relabelling(tmp_path):
@@ -152,10 +124,13 @@ def test_analyze_reports_survive_relabelling(tmp_path):
     inputs = [enumerate_family("Tn", 3).semigroup,
               bands.to_semigroup(bands.no_matching_band())]
     inputs += [corpus.corpus_semigroup(seed) for seed in range(40)]
+    path = tmp_path / "s.cayley"
     for s in inputs:
         perm = list(range(s.order))
         rng.shuffle(perm)
-        assert analyze(tmp_path, relabel(s, perm)) == analyze(tmp_path, s)
+        expected = corpus.analyze_verdicts(path, s)
+        assert expected[0] == 0
+        assert corpus.analyze_verdicts(path, corpus.relabel(s, perm)) == expected
 
 
 def colour_instances():

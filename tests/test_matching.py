@@ -1,14 +1,12 @@
 """Matching engine: decisions, certificates, lifts, cycle splitting,
 the involution gadget, and the cross-checking report."""
 
-import contextlib
-import io
 import random
 
 import pytest
 
 import corpus
-from invmatch import bands, cli, core, matching, transformations
+from invmatch import bands, core, matching, transformations
 from invmatch.errors import (
     BudgetExhausted,
     DomainMismatch,
@@ -573,13 +571,16 @@ class TestRandomTransformationSemigroups:
     def test_verdicts_agree_with_the_oracles(self, tmp_path):
         nx = pytest.importorskip("networkx")
         path = tmp_path / "s.cayley"
-        regular = 0
+        rng = random.Random(7)
+        regular = unmatched_searched = 0
         for k, s in enumerate(corpus.transformation_semigroups(7, 200)):
             core.validate(s)
-            path.write_text(core.format_cayley(s))
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                code = cli.main(["analyze", str(path)])
+            code, report = corpus.analyze_verdicts(path, s)
+            # one seeded relabelling leaves every verdict in place
+            perm = list(range(s.order))
+            rng.shuffle(perm)
+            image = corpus.relabel(s, perm)
+            assert corpus.analyze_verdicts(path, image) == (code, report), k
             if not core.regularity_check(s)[0]:
                 assert code == 4, k
                 continue
@@ -593,7 +594,11 @@ class TestRandomTransformationSemigroups:
                              for b in corpus.inverses_of(s, a))
             size = len(nx.bipartite.hopcroft_karp_matching(g, left)) // 2
             assert rep.has_matching == (size == s.order), k
-            # the reference search ends within its budget at these orders
+            # the reference searches end within their budget at these orders
+            if s.order <= 32:
+                assert (matching.matching_backtracking(s) is not None
+                        ) == rep.has_matching, k
+                unmatched_searched += not rep.has_matching
             if s.order <= 40:
                 assert ((matching.find_involution_matching(s) is None)
                         == (matching.involution_backtracking(s) is None)), k
@@ -603,8 +608,9 @@ class TestRandomTransformationSemigroups:
             for box in egg.d_classes:
                 assert self.ascending_by_least_member(box.r_classes), k
                 assert self.ascending_by_least_member(box.l_classes), k
-        # both kinds are drawn
+        # both kinds are drawn, and the matching search meets both answers
         assert 40 < regular < 160
+        assert unmatched_searched > 0
 
 
 class TestDeterminism:
