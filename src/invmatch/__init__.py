@@ -25,7 +25,6 @@ from .matching import (
     hall_violator,
     is_h_preserving,
     lift_h_matching,
-    assemble_global_matching,
     verify_involution_matching,
     verify_permutation_matching,
 )

@@ -232,18 +232,15 @@ def harem_family(band: ZeroRectBand) -> HaremFamily | None:
     order, which makes the output deterministic.  Raises NotDivisible
     before any matching when m does not divide n.
     """
-    a = band.aspect_ratio
+    band.aspect_ratio  # raises NotDivisible before any matching
     match_l, cert = _clone_matching(band)
     if cert is not None:
         return None
     per_row: list[list[int]] = [[] for _ in range(band.m)]
     for u, col in enumerate(match_l):
         per_row[u % band.m].append(col)
-    functions = tuple(
-        tuple(sorted(cols)[t] for cols in per_row)
-        for t in range(a)
-    )
-    return HaremFamily(functions)
+    # injection t takes column t of every row's sorted matched columns
+    return HaremFamily(tuple(zip(*map(sorted, per_row))))
 
 
 @dataclass

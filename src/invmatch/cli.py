@@ -253,10 +253,10 @@ def cmd_involution(args) -> int:
 def cmd_factors(args) -> int:
     sg, header = _load_algebra(args.path)
     rows = []
-    for f in sg.factors:
+    for d_class, f in enumerate(sg.factors):
         rows.append(
             {
-                "d_class": f.source_d_class,
+                "d_class": d_class,
                 "size": len(f.members),
                 "zero_adjoined": f.zero_adjoined,
                 "quotient": f"{len(f.box.r_classes)}x{len(f.box.l_classes)}",

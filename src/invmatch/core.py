@@ -8,7 +8,7 @@ structures here are treated as immutable once built.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 
@@ -439,23 +439,9 @@ class PrincipalFactor:
     """
 
     semigroup: FiniteSemigroup
-    source_d_class: int
     zero_adjoined: bool
     members: tuple[int, ...]
     box: DClassBox
-    _pos: dict = field(init=False, repr=False, default_factory=dict)
-
-    def __post_init__(self):
-        off = 1 if self.zero_adjoined else 0
-        self._pos = {x: i + off for i, x in enumerate(self.members)}
-
-    def to_factor(self, x: int) -> int:
-        return self._pos[x]
-
-    def from_factor(self, i: int) -> int | None:
-        if self.zero_adjoined:
-            return None if i == 0 else self.members[i - 1]
-        return self.members[i]
 
 
 def principal_factors(s: FiniteSemigroup) -> tuple[PrincipalFactor, ...]:
@@ -467,7 +453,7 @@ def principal_factors(s: FiniteSemigroup) -> tuple[PrincipalFactor, ...]:
     # pos[z]: z's index in the current factor, or 0 (the zero) for z
     # outside the class; reset to all zeros after each class
     pos = [0] * len(t)
-    for d_idx, box in enumerate(s.egg_box.d_classes):
+    for box in s.egg_box.d_classes:
         members = box.elements
         member_set = set(members)
         # xS meets the minimal ideal K for any x, so xS lies in the class
@@ -491,7 +477,6 @@ def principal_factors(s: FiniteSemigroup) -> tuple[PrincipalFactor, ...]:
         factors.append(
             PrincipalFactor(
                 semigroup=semigroup,
-                source_d_class=d_idx,
                 zero_adjoined=zero_adjoined,
                 members=members,
                 box=egg.d_classes[-1],

@@ -66,10 +66,6 @@ class NoInverseInTargetCell(InvmatchError):
         super().__init__(f"element {element} has no inverse in H-cell {cell}")
 
 
-class DomainMismatch(InvmatchError):
-    """Per-factor matchings do not tile the semigroup."""
-
-
 class NotPerfect(InvmatchError):
     """Edge set is not a perfect matching of the given graph."""
 

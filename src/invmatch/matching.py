@@ -19,18 +19,17 @@ from . import graphs
 from .core import (  # noqa: F401  (green_relations stays matching.green_relations)
     FiniteSemigroup,
     InverseGraph,
-    PrincipalFactor,
     green_relations,
     pattern_inverse_graph,
     require_regular,
 )
 from .errors import (
     BudgetExhausted,
-    DomainMismatch,
     EquivalenceViolation,
     NoInverseInTargetCell,
     NotAMatching,
     NotAPermutation,
+    ParameterOutOfRange,
     ParseError,
 )
 
@@ -200,7 +199,7 @@ def is_h_preserving(s: FiniteSemigroup, p) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# H-quotient patterns, lifting, assembly
+# H-quotient patterns and lifting
 
 
 def pattern_matching(pattern) -> Matching | None:
@@ -348,72 +347,49 @@ def band_matching(pattern) -> Matching | None:
                                          cols_at[u], n))
 
 
-def lift_h_matching(f: PrincipalFactor, q) -> Matching:
-    """Lift a matching of the H-quotient band to the factor itself.
+def lift_h_matching(s: FiniteSemigroup, quotients) -> Matching:
+    """Lift matchings of the H-quotient bands of ``s`` to ``s`` itself.
 
-    The quotient band's pattern is ``f.box.group_h``: rows are the
-    factor's R-classes, columns its L-classes, and a cell is set when the
-    H-cell there is a group.  ``q`` is a permutation of the quotient band
-    semigroup (zero at index 0, cell (r, l) at ``1 + r * n_cols + l``).
-    Each factor element maps to its unique inverse inside the H-cell
-    designated by ``q``; the result is an H-preserving matching, and an
-    involution whenever ``q`` is one.
+    ``quotients`` is a list aligned with the D-classes of ``s.egg_box``.
+    A class's quotient band has the pattern ``box.group_h``: rows are its
+    R-classes, columns its L-classes, and a cell is set when the H-cell
+    there is a group.  Its matching q is a permutation of the band
+    semigroup (zero at index 0, cell (r, l) at ``1 + r * n_cols + l``)
+    that fixes the zero.
+    Each element of the class maps to its inverse inside the H-cell
+    designated by q: an element of a regular D-class has exactly one
+    inverse in each H-cell whose row and column meet its own in group
+    H-cells (Miller-Clifford; Howie 1995, §2.3), and R, L, H and inverses
+    are the same in S as in the class's principal factor, so no factor is
+    read.  The result, checked on the table of ``s``, is an H-preserving
+    matching, and an involution whenever every q is one.
     """
-    box = f.box
-    egg = f.semigroup.egg_box
-    g = f.semigroup.inverse_graph
-    n_cols = len(box.l_classes)
-    band_n = len(box.r_classes) * n_cols + 1
-    check_permutation(band_n, q)
-    if q[0] != 0:
-        raise NotAMatching("quotient matching must fix the zero")
-    out = [-1] * f.semigroup.order
-    if f.zero_adjoined:
-        out[0] = 0
-    for x in box.elements:
-        cell_index = 1 + egg.r_of[x] * n_cols + egg.l_of[x]
-        target = q[cell_index]
-        tr, tl = divmod(target - 1, n_cols)
-        inverses = g.inverses[x]
-        candidates = [y for y in box.grid[tr][tl] if y in inverses]
-        if not candidates:
-            raise NoInverseInTargetCell(x, (tr, tl))
-        if len(candidates) > 1:
-            raise EquivalenceViolation(
-                f"multiple inverses of {x} in one H-cell of a 0-simple factor"
-            )
-        out[x] = candidates[0]
-    return tuple(out)
-
-
-def assemble_global_matching(s: FiniteSemigroup, parts) -> Matching:
-    """Union of per-principal-factor matchings into a matching of s.
-
-    ``parts`` aligns with ``s.factors``; each part permutes its factor and
-    fixes the adjoined zero.  The union is an involution whenever all
-    parts are.
-    """
-    factors = s.factors
-    parts = list(parts)
-    if len(parts) != len(factors):
-        raise DomainMismatch(
-            f"{len(parts)} parts for {len(factors)} principal factors"
+    egg = s.egg_box
+    inverses = s.inverse_graph.inverses
+    if len(quotients) != len(egg.d_classes):
+        raise ParameterOutOfRange(
+            f"{len(quotients)} quotient matchings for "
+            f"{len(egg.d_classes)} D-classes"
         )
     out = [-1] * s.order
-    for f, part in zip(factors, parts):
-        try:
-            check_permutation(f.semigroup.order, part)
-        except NotAPermutation as exc:
-            raise DomainMismatch(str(exc)) from exc
-        if f.zero_adjoined and part[0] != 0:
-            raise DomainMismatch("part does not fix the adjoined zero")
-        for x in f.members:
-            img = f.from_factor(part[f.to_factor(x)])
-            if img is None:
-                raise DomainMismatch("part maps a class element to zero")
-            out[x] = img
+    for box, q in zip(egg.d_classes, quotients):
+        n_cols = len(box.l_classes)
+        check_permutation(len(box.r_classes) * n_cols + 1, q)
+        if q[0] != 0:
+            raise NotAMatching("quotient matching must fix the zero")
+        for x in box.elements:
+            target = q[1 + egg.r_of[x] * n_cols + egg.l_of[x]]
+            tr, tl = divmod(target - 1, n_cols)
+            candidates = [y for y in box.grid[tr][tl] if y in inverses[x]]
+            if not candidates:
+                raise NoInverseInTargetCell(x, (tr, tl))
+            if len(candidates) > 1:
+                raise EquivalenceViolation(
+                    f"multiple inverses of {x} in one H-cell of a D-class"
+                )
+            out[x] = candidates[0]
     if not verify_permutation_matching(s, out):
-        raise NotAMatching("assembled map is not a matching")
+        raise NotAMatching("lifted map is not a matching")
     return tuple(out)
 
 
@@ -530,9 +506,7 @@ def equivalence_report(s: FiniteSemigroup) -> EquivalenceReport:
     quotient_verdicts = [q is not None for q in quotient_witnesses]
     h_preserving = None
     if all(quotient_verdicts):
-        h_preserving = assemble_global_matching(
-            s, map(lift_h_matching, factors, quotient_witnesses)
-        )
+        h_preserving = lift_h_matching(s, quotient_witnesses)
 
     direct = matching is not None
     verdicts = {
@@ -544,7 +518,7 @@ def equivalence_report(s: FiniteSemigroup) -> EquivalenceReport:
     }
     if len(set(verdicts.values())) != 1:
         raise EquivalenceViolation(f"verdicts disagree: {verdicts}")
-    # assemble_global_matching has verified the lift as a matching
+    # lift_h_matching has verified the lift as a matching
     if h_preserving is not None and not is_h_preserving(s, h_preserving):
         raise EquivalenceViolation("lifted matching is not H-preserving")
     return EquivalenceReport(

@@ -329,6 +329,28 @@ def factor_table(s: FiniteSemigroup, members, zero_adjoined: bool):
     return tuple(rows)
 
 
+def lift_by_factors(s: FiniteSemigroup, quotients) -> tuple[int, ...]:
+    """The lift of the H-quotient matchings ``quotients``, one per D-class
+    of ``s.egg_box``, made in each principal factor's own indices (the
+    zero at 0 when adjoined, then ``f.members``) and mapped back into S.
+    Each q must fix the zero, and each element must have exactly one
+    inverse in its target H-cell of the factor.  The oracle for
+    matching.lift_h_matching, which lifts in S's own indices."""
+    out = [-1] * s.order
+    for f, q in zip(s.factors, quotients, strict=True):
+        assert q[0] == 0
+        egg = f.semigroup.egg_box
+        inverses = f.semigroup.inverse_graph.inverses
+        box, off = f.box, f.zero_adjoined
+        n_cols = len(box.l_classes)
+        for i in box.elements:
+            target = q[1 + egg.r_of[i] * n_cols + egg.l_of[i]]
+            tr, tl = divmod(target - 1, n_cols)
+            (y,) = [y for y in box.grid[tr][tl] if y in inverses[i]]
+            out[f.members[i - off]] = f.members[y - off]
+    return tuple(out)
+
+
 def relabel(s: FiniteSemigroup, perm) -> FiniteSemigroup:
     """The table of s with element a renamed perm[a]."""
     t = [[0] * s.order for _ in range(s.order)]
@@ -736,3 +758,71 @@ def transformation_semigroups(seed: int, count: int):
         if s is not None:
             seen.setdefault(s.table, s)
     return list(seen.values())
+
+
+# ---------------------------------------------------------------------------
+# Every semigroup of a small order
+
+
+@functools.cache
+def small_semigroups(n: int) -> tuple[FiniteSemigroup, ...]:
+    """Every semigroup of order ``n`` up to isomorphism, each as the table
+    that is least, read row-major, among its n! relabellings, in ascending
+    order of that reading: 1, 5, 24 and 188 of orders 1 to 4 (OEIS
+    A027851).
+
+    A depth-first search, with an explicit cursor for recursion, fills the
+    cells row-major with the values 0 to n - 1 in turn.  A triple (x, y, z)
+    is checked for (xy)z = x(yz) once all four of its products are set,
+    that is, when the last of its cells is filled; a failure prunes the
+    subtree.  A complete table is kept when no relabelling reads less.
+    Cached: the tests share one listing per order.
+    """
+    cells = n * n
+    t = [-1] * cells  # cell a * n + b holds ab, or -1 while unset
+    perms = list(itertools.permutations(range(n)))
+    out = []
+
+    def associative_at(k: int) -> bool:
+        # every set cell is at an index <= k, so a triple whose cells are
+        # all set and include k completes at k
+        for x, y in itertools.product(range(n), repeat=2):
+            xy = t[x * n + y]
+            if xy == -1:
+                continue
+            for z in range(n):
+                yz = t[y * n + z]
+                if yz == -1:
+                    continue
+                left, right = xy * n + z, x * n + yz
+                if (t[left] != -1 and t[right] != -1
+                        and k in (x * n + y, y * n + z, left, right)
+                        and t[left] != t[right]):
+                    return False
+        return True
+
+    def least(table) -> bool:
+        for p in perms:
+            image = [0] * cells
+            for k, v in enumerate(table):
+                a, b = divmod(k, n)
+                image[p[a] * n + p[b]] = p[v]
+            if image < table:
+                return False
+        return True
+
+    k = 0
+    while k >= 0:
+        if k == cells:
+            if least(t):
+                out.append(FiniteSemigroup(tuple(
+                    tuple(t[a * n:(a + 1) * n]) for a in range(n))))
+            k -= 1
+            continue
+        t[k] += 1
+        if t[k] == n:
+            t[k] = -1
+            k -= 1
+        elif associative_at(k):
+            k += 1
+    return tuple(out)

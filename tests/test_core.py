@@ -577,12 +577,16 @@ class TestPrincipalFactors:
             for f in core.principal_factors(s):
                 core.validate(f.semigroup)
                 members = set(f.members)
+
+                def index(x):
+                    return f.members.index(x) + f.zero_adjoined
+
                 for x in f.members:
                     for y in f.members:
                         z = s.table[x][y]
-                        fz = f.semigroup.table[f.to_factor(x)][f.to_factor(y)]
+                        fz = f.semigroup.table[index(x)][index(y)]
                         if z in members:
-                            assert fz == f.to_factor(z)
+                            assert fz == index(z)
                         else:
                             assert f.zero_adjoined and fz == 0
 
@@ -615,20 +619,19 @@ class TestHQuotient:
         band = bands.h_quotient(f)
         assert (band.m, band.n) == (3, 3)
         # oracle: cell (kernel, image) holds an idempotent iff the image is
-        # a transversal of the kernel
-        box = f.box
-        for r, row in enumerate(box.grid):
-            for l, _cell in enumerate(row):
-                rep_l = f.from_factor(box.l_classes[l][0])
-                image = set(data.maps[rep_l])
-                rep_r = f.from_factor(box.r_classes[r][0])
-                kernel = {}
-                for x, v in enumerate(data.maps[rep_r]):
-                    kernel.setdefault(v, set()).add(x)
-                transversal = all(
-                    len(image & cls) == 1 for cls in kernel.values()
-                )
-                assert band.pattern[r][l] == transversal
+        # a transversal of the kernel; a member's R-class fixes its kernel
+        # and its L-class its image
+        egg = f.semigroup.egg_box
+        for a in f.members:
+            i = f.members.index(a) + f.zero_adjoined
+            image = set(data.maps[a])
+            kernel = {}
+            for x, v in enumerate(data.maps[a]):
+                kernel.setdefault(v, set()).add(x)
+            transversal = all(
+                len(image & cls) == 1 for cls in kernel.values()
+            )
+            assert band.pattern[egg.r_of[i]][egg.l_of[i]] == transversal
 
 
 class TestFactorBox:

@@ -2,6 +2,7 @@
 the involution gadget, and the cross-checking report."""
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -9,9 +10,9 @@ import corpus
 from invmatch import bands, core, matching, transformations
 from invmatch.errors import (
     BudgetExhausted,
-    DomainMismatch,
     NoInverseInTargetCell,
     NotAPermutation,
+    ParameterOutOfRange,
 )
 from invmatch.transformations import enumerate_family
 
@@ -269,23 +270,28 @@ class TestBandMatching:
                 assert transformations.class_witness_holds(cells, p)
 
 
+def quotient_matchings(s):
+    """``pattern_matching`` of every D-class's H-quotient band of s, in
+    the order of ``s.egg_box``."""
+    return [matching.pattern_matching(box.group_h)
+            for box in s.egg_box.d_classes]
+
+
 class TestLift:
     def test_group_lifts_to_group_inverse(self):
         g = corpus.cyclic_group(4)
-        (factor,) = core.principal_factors(g)
         q = (0, 1)  # identity on the 1x1 quotient band
-        lifted = matching.lift_h_matching(factor, q)
+        lifted = matching.lift_h_matching(g, [q])
         assert lifted == (0, 3, 2, 1)  # additive inverses mod 4
 
     def test_transpose_on_trivial_groups_lifts_to_itself(self):
         s = corpus.rectangular_band(2, 2)
-        (factor,) = core.principal_factors(s)
-        # factor is zero-free; quotient cells biject with elements
+        # one D-class; quotient cells biject with elements
         q = [0] * 5
         for i in range(2):
             for j in range(2):
                 q[1 + i * 2 + j] = 1 + j * 2 + i
-        lifted = matching.lift_h_matching(factor, tuple(q))
+        lifted = matching.lift_h_matching(s, [tuple(q)])
         expected = tuple(
             (x % 2) * 2 + x // 2 for x in range(4)
         )  # transpose on (i, j) <-> index i*2+j
@@ -293,22 +299,19 @@ class TestLift:
 
     def test_brandt_lift_recovers_unique_inverse_matching(self):
         s = corpus.brandt_b2()
-        factors = core.principal_factors(s)
-        f = next(g for g in factors if len(g.members) > 1)
-        lifted = matching.lift_h_matching(
-            f, matching.pattern_matching(f.box.group_h))
-        for x in range(f.semigroup.order):
-            assert corpus.inverses_of(f.semigroup, x) == [lifted[x]]
+        lifted = matching.lift_h_matching(s, quotient_matchings(s))
+        for x in range(s.order):
+            assert corpus.inverses_of(s, x) == [lifted[x]]
 
     def test_bad_quotient_matching_raises(self):
         s = corpus.brandt_b2()
-        f = next(
-            g for g in core.principal_factors(s) if len(g.members) > 1
-        )
+        quotients = quotient_matchings(s)
+        k = next(k for k, box in enumerate(s.egg_box.d_classes)
+                 if len(box.elements) > 1)
         # send cell (0,0) to the non-group cell (0,1): no inverse lives there
-        q = [0, 2, 1, 4, 3]
+        quotients[k] = (0, 2, 1, 4, 3)
         with pytest.raises(NoInverseInTargetCell):
-            matching.lift_h_matching(f, tuple(q))
+            matching.lift_h_matching(s, quotients)
 
     def test_lift_is_h_preserving(self):
         for seed in range(30):
@@ -317,35 +320,53 @@ class TestLift:
             if rep.h_preserving is not None:
                 assert matching.is_h_preserving(s, rep.h_preserving)
 
+    def test_lift_agrees_with_the_per_factor_lift(self):
+        """The lift in S's indices equals the lift made in each principal
+        factor's indices and mapped back, for both the quotients' permutation
+        matchings and their involution matchings."""
+        golden = Path(__file__).parent / "golden"
+        inputs = [corpus.corpus_semigroup(seed) for seed in range(300)]
+        inputs += corpus.transformation_semigroups(7, 200)
+        inputs += [enumerate_family("Tn", 3).semigroup,
+                   enumerate_family("Tn", 4).semigroup,
+                   enumerate_family("On", 5).semigroup,
+                   core.parse_cayley((golden / "rees.cayley").read_text())]
+        for n in range(1, 5):
+            inputs += corpus.small_semigroups(n)
+        lifted = 0
+        for k, s in enumerate(inputs):
+            if not core.regularity_check(s)[0]:
+                continue
+            involutions = [
+                matching.involution_on_graph(core.pattern_inverse_graph(
+                    box.group_h)) for box in s.egg_box.d_classes]
+            for quotients in (quotient_matchings(s), involutions):
+                if None in quotients:
+                    continue
+                lifted += 1
+                assert (matching.lift_h_matching(s, quotients)
+                        == corpus.lift_by_factors(s, quotients)), k
+        # 450 of the 463 regular inputs have every quotient matched
+        assert lifted == 2 * 450
+
 
 class TestAssemble:
-    def test_single_class_identity(self):
-        s = corpus.rectangular_band(2, 2)
-        p = matching.find_permutation_matching(s)
-        assert matching.assemble_global_matching(s, [p]) == p
-
-    def test_t3_assembly(self):
-        data = enumerate_family("Tn", 3)
-        parts = [
-            matching.find_permutation_matching(f.semigroup)
-            for f in core.principal_factors(data.semigroup)
-        ]
-        p = matching.assemble_global_matching(data.semigroup, parts)
-        assert matching.verify_permutation_matching(data.semigroup, p)
+    """The lift of every D-class at once into one matching of S."""
 
     def test_missing_part_raises(self):
         data = enumerate_family("Tn", 3)
-        with pytest.raises(DomainMismatch):
-            matching.assemble_global_matching(data.semigroup, [])
+        with pytest.raises(ParameterOutOfRange):
+            matching.lift_h_matching(data.semigroup, [])
 
     def test_involution_parts_give_involution(self):
         sg = bands.to_semigroup(bands.band_from_rows([[1, 1], [1, 1]]))
-        factors = core.principal_factors(sg)
-        parts = [
-            matching.involution_backtracking(f.semigroup) for f in factors
+        quotients = [
+            matching.involution_backtracking(
+                bands.to_semigroup(bands.h_quotient(f)))
+            for f in sg.factors
         ]
-        assert all(part is not None for part in parts)
-        p = matching.assemble_global_matching(sg, parts)
+        assert all(q is not None for q in quotients)
+        p = matching.lift_h_matching(sg, quotients)
         assert matching.verify_involution_matching(sg, p)
 
 
@@ -611,6 +632,24 @@ class TestRandomTransformationSemigroups:
         # both kinds are drawn, and the matching search meets both answers
         assert 40 < regular < 160
         assert unmatched_searched > 0
+
+
+class TestSmallSemigroups:
+    """Every semigroup of order 1 to 4, up to isomorphism."""
+
+    def test_counts_and_verdicts(self):
+        regular = []
+        for n, count in zip(range(1, 5), (1, 5, 24, 188)):
+            found = corpus.small_semigroups(n)
+            assert len(found) == count
+            regular += [s for s in found if core.regularity_check(s)[0]]
+        assert len(regular) == 85
+        for k, s in enumerate(regular):
+            rep = matching.equivalence_report(s)
+            assert rep.has_matching == (
+                matching.matching_backtracking(s) is not None), k
+            assert ((matching.find_involution_matching(s) is None)
+                    == (matching.involution_backtracking(s) is None)), k
 
 
 class TestDeterminism:
