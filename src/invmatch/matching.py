@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import compress
 from operator import or_
 
 from . import graphs
@@ -231,9 +232,12 @@ def band_matching(pattern) -> Matching | None:
     of it is one AND of L_i with an int mask of row k's cells.  This is
     Hopcroft-Karp (SIAM J. Comput. 1973) on such masks, after a greedy
     pass that visits cells of least degree |K_j| |L_i| first (after Karp
-    and Sipser, FOCS 1981).  Hopcroft-Karp reaches a maximum matching from
-    any initial one, so the greedy's order decides only which perfect
-    matching is returned, never whether there is one.  A phase's
+    and Sipser, FOCS 1981).  v is in V(u) iff u is in V(v), so the greedy
+    pairs cells both ways: a free cell u that takes v also gives itself to
+    v, and a cell already taken is skipped, so its initial matching is an
+    involution.  Hopcroft-Karp reaches a maximum matching from any initial
+    one, so the greedy's order decides only which perfect matching is
+    returned, never whether there is one.  A phase's
     breadth-first search ORs the L_i of a layer's cells per column j and
     spreads that over K_j, and keeps per layer the masks of the matched
     right cells it reached first.  A backward pass keeps only the cells
@@ -245,26 +249,30 @@ def band_matching(pattern) -> Matching | None:
     """
     m = len(pattern)
     n = len(pattern[0]) if m else 0
-    rows_of = [[k for k in range(m) if pattern[k][j]] for j in range(n)]
-    cols_of = [sum(1 << j for j, e in enumerate(row) if e) for row in pattern]
+    powers = [1 << j for j in range(n)]
+    rows_of = [list(compress(range(m), col)) for col in zip(*pattern)]
+    cols_of = [sum(compress(powers, row)) for row in pattern]
     # cell u = i * n + j on either side: its column j, K_j and L_i
     col_at = list(range(n)) * m
     rows_at = rows_of * m
     cols_at = [cols for cols in cols_of for _ in range(n)]
     match_l = [-1] * (m * n)
     match_r = [-1] * (m * n)
-    # greedy pass: each left cell, least degree first, takes a free cell in
+    # greedy pass: each free cell, least degree first, takes a free cell in
     # the row k of K_j with least |L_k|, and there the column l with least
-    # |K_l|; bit b of the ``ranked`` and ``pool`` masks stands for column
-    # order[b], so the lowest bit is that column
+    # |K_l|, and gives itself to it; bit b of the ``ranked`` and ``pool``
+    # masks stands for column order[b], so the lowest bit is that column
     order = sorted(range(n), key=lambda l: len(rows_of[l]))
     width = [cols.bit_count() for cols in cols_of]
     rows_ranked = [sorted(rows, key=width.__getitem__) for rows in rows_of]
-    ranked = [sum(1 << b for b, l in enumerate(order) if row[l])
+    ranked = [sum(compress(powers, map(row.__getitem__, order)))
               for row in pattern]
     pool = [(1 << n) - 1] * m
+    bit_of = [1 << b for b in sorted(range(n), key=order.__getitem__)]
     degree = [len(rows) * w for w in width for rows in rows_of]
     for u in sorted(range(m * n), key=degree.__getitem__):
+        if match_l[u] != -1:
+            continue
         cols = ranked[u // n]
         for k in rows_ranked[u % n]:
             bits = pool[k] & cols
@@ -273,15 +281,16 @@ def band_matching(pattern) -> Matching | None:
                 pool[k] ^= bits
                 v = k * n + order[bits.bit_length() - 1]
                 match_l[u], match_r[v] = v, u
+                match_l[v], match_r[u] = u, v
+                pool[u // n] &= ~bit_of[u % n]
                 break
-    free = [(1 << n) - 1] * m
-    for v in match_l:
-        if v != -1:
-            free[v // n] ^= 1 << v % n
-    while True:
-        roots = [u for u in range(m * n) if match_l[u] == -1]
-        if not roots:
-            return (0, *(1 + v for v in match_l))
+    # the greedy's matching is symmetric, so the right cells it leaves free
+    # are the left cells it leaves free, the first phase's roots
+    roots = [u for u in range(m * n) if match_l[u] == -1]
+    free = [0] * m
+    for u in roots:
+        free[u // n] |= 1 << u % n
+    while roots:
         # breadth-first layers of left cells, up to the first that reaches
         # a free right cell; masks[d][k]: matched cells first reached from
         # layer d, whose mates make layer d + 1
@@ -345,6 +354,8 @@ def band_matching(pattern) -> Matching | None:
                 path.append(u)
                 stack.append(_take_cells(masks[len(stack)], rows_at[u],
                                          cols_at[u], n))
+        roots = [u for u in range(m * n) if match_l[u] == -1]
+    return (0, *(1 + v for v in match_l))
 
 
 def lift_h_matching(s: FiniteSemigroup, quotients) -> Matching:

@@ -266,12 +266,15 @@ def mutually_inverse(a: bytes, b: bytes, pad: bytes) -> bool:
 def class_witness_holds(cells, p) -> bool:
     """Whether p, a matching of an ``on_d_classes`` pattern graph (cell i
     at vertex 1 + i), fixes the zero, permutes the cells and pairs each
-    cell's map with a mutual inverse."""
+    cell's map with a mutual inverse.  aba = a and bab = b is symmetric in
+    a and b, so a pair with p[p[a]] = a is tested once, from its lesser
+    cell; each cell of a longer cycle is tested on its own."""
     if sorted(p) != list(range(len(cells) + 1)) or p[0] != 0:
         return False
-    partners = map(cells.__getitem__, [b - 1 for b in p[1:]])
+    tested = [a for a in range(1, len(p)) if p[a] >= a or p[p[a]] != a]
     pad = bytes(256 - len(cells[0]))
-    return all(map(mutually_inverse, cells, partners, itertools.repeat(pad)))
+    return all(mutually_inverse(cells[a - 1], cells[p[a] - 1], pad)
+               for a in tested)
 
 
 def on_verdict(n: int) -> tuple[int, bool, bool]:

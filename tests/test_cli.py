@@ -726,6 +726,30 @@ class TestSearches:
         assert (code, out) == (0, "O_1: size 1, matching present (UNVERIFIED)\n"
                                "O_2: size 3, matching present (UNVERIFIED)\n")
 
+    def test_search_on_reports_swapped_pair_partners_unverified(
+            self, capsys, monkeypatch):
+        # the real matching with the partners of its first and last 2-cycle
+        # swapped, (a b)(c d) -> (a d)(c b): still an involution, but in
+        # both classes of O_4 with two 2-cycles a and d are no mutual
+        # inverses, which a check that tests each pair once must still see
+        real = matching.band_matching
+
+        def swapped(pat):
+            p = list(real(pat))
+            pairs = [(a, b) for a, b in enumerate(p) if a < b and p[b] == a]
+            if len(pairs) >= 2:
+                (a, b), (c, d) = pairs[0], pairs[-1]
+                p[a], p[d], p[c], p[b] = d, a, b, c
+            assert all(p[b] == a for a, b in enumerate(p))
+            return tuple(p)
+
+        monkeypatch.setattr(matching, "band_matching", swapped)
+        assert self.search_on_rows(capsys, 4) == [(True, True)] * 3 + [
+            (True, False)]
+        code, out, _ = run(capsys, ["search-on", "--n-max", "4"])
+        assert out.splitlines()[-1] == (
+            "O_4: size 35, matching present (UNVERIFIED)")
+
     @pytest.mark.parametrize("listed", [
         lambda real, n: itertools.chain(real(n), itertools.islice(real(n), 1)),
         lambda real, n: itertools.islice(real(n), n - 1),

@@ -58,6 +58,8 @@ CASES = {
     "search_on_oracle_6.json": ["search-on", "--n-max", "6", "--oracle"],
     # every D-class of O_1 to O_8 through the row-mask matcher
     "search_on_8.json": ["search-on", "--n-max", "8"],
+    # and of O_9 and O_10, where Hopcroft-Karp's phases run longest
+    "search_on_10.json": ["search-on", "--n-max", "10"],
     # every 4x4 pattern, decided one orbit at a time; zero separators
     "search_q4_4x4.json": [
         "search-q4", "--m-max", "4", "--n-max", "4",

@@ -159,9 +159,33 @@ def test_search_on_tests_pairs_only_to_verify(monkeypatch):
                                      "transformations.mutually_inverse"])
     run_quietly(["search-on", "--n-max", "3"])
     # one witness check per D-class of O_1, O_2 and O_3, and in it one pair
-    # test per map; the inverse graph is built without testing pairs
+    # test per fixed point or 2-cycle of its matching: every map is fixed
+    # but in O_3's rank-2 class, which fixes four maps and pairs two, so
+    # its six maps take five tests; the inverse graph is built without
+    # testing pairs
     assert len(seen["transformations.class_witness_holds"]) == 1 + 2 + 3
-    assert len(seen["transformations.mutually_inverse"]) == 1 + 3 + 10
+    assert len(seen["transformations.mutually_inverse"]) == 1 + 3 + 9
+
+
+def test_search_on_tests_each_cell_of_a_longer_cycle(monkeypatch):
+    # O_3's rank-1 class, the constant maps 000, 111 and 222, matched as
+    # one 3-cycle: they are pairwise mutual inverses, so every test passes
+    # and none cuts the check short, and each cell takes its own test
+    real = matching.band_matching
+    monkeypatch.setattr(matching, "band_matching", lambda pat: (
+        (0, 2, 3, 1) if (len(pat), len(pat[0])) == (1, 3) else real(pat)))
+    tested = []
+    test = transformations.mutually_inverse
+    monkeypatch.setattr(transformations, "mutually_inverse",
+                        lambda a, b, pad: tested.append((a, b)) or test(a, b, pad))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["search-on", "--n-max", "3"]) == 0
+    assert "UNVERIFIED" not in out.getvalue()
+    # after the 1 + 3 tests of O_1 and O_2, and before O_3's other classes
+    constant = [bytes([x] * 3) for x in range(3)]
+    assert len(tested) == 1 + 3 + (3 + 5 + 1)
+    assert tested[4:7] == list(zip(constant, constant[1:] + constant[:1]))
 
 
 def test_search_on_matches_each_d_class_on_its_pattern(monkeypatch):
