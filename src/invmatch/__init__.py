@@ -33,7 +33,6 @@ from .bands import (
     ZeroRectBand,
     band_from_rows,
     check_harem_condition,
-    h_quotient,
     harem_family,
     involution_from_harem,
     no_matching_band,

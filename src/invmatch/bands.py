@@ -18,7 +18,7 @@ from math import factorial, lcm, prod
 from operator import or_
 
 from . import graphs
-from .core import FAMILY_CAP, FiniteSemigroup, InverseGraph, PrincipalFactor
+from .core import FAMILY_CAP, FiniteSemigroup, InverseGraph
 from .core import pattern_inverse_graph
 from .errors import (
     BudgetExhausted,
@@ -142,12 +142,6 @@ def verify_band_involution(band: ZeroRectBand, p) -> bool:
     return verify_band_matching(band, p) and all(
         p[p[x]] == x for x in range(band.order)
     )
-
-
-def h_quotient(factor: PrincipalFactor) -> ZeroRectBand:
-    """H-class quotient of a principal factor, read off its ``box``."""
-    box = factor.box
-    return ZeroRectBand(len(box.r_classes), len(box.l_classes), box.group_h)
 
 
 # ---------------------------------------------------------------------------

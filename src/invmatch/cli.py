@@ -253,13 +253,13 @@ def cmd_involution(args) -> int:
 def cmd_factors(args) -> int:
     sg, header = _load_algebra(args.path)
     rows = []
-    for d_class, f in enumerate(sg.factors):
+    for d_class, (f, box) in enumerate(zip(sg.factors, sg.egg_box.d_classes)):
         rows.append(
             {
                 "d_class": d_class,
                 "size": len(f.members),
                 "zero_adjoined": f.zero_adjoined,
-                "quotient": f"{len(f.box.r_classes)}x{len(f.box.l_classes)}",
+                "quotient": f"{len(box.r_classes)}x{len(box.l_classes)}",
                 "has_matching": matching.find_permutation_matching(f.semigroup)
                 is not None,
             }

@@ -434,14 +434,12 @@ class PrincipalFactor:
 
     Every class but the minimal ideal gets the zero; the minimal ideal is
     closed under the product and is emitted zero-free.  Factor indices:
-    zero at 0 when adjoined, then the class members ascending.  ``box`` is
-    the class in factor indices: the factor's one D-class besides the zero.
+    zero at 0 when adjoined, then the class members ascending.
     """
 
     semigroup: FiniteSemigroup
     zero_adjoined: bool
     members: tuple[int, ...]
-    box: DClassBox
 
 
 def principal_factors(s: FiniteSemigroup) -> tuple[PrincipalFactor, ...]:
@@ -474,14 +472,7 @@ def principal_factors(s: FiniteSemigroup) -> tuple[PrincipalFactor, ...]:
             labels = ("0",) + labels
         semigroup = FiniteSemigroup(tuple(rows), labels)
         vars(semigroup)["egg_box"] = egg  # seeds the cached property
-        factors.append(
-            PrincipalFactor(
-                semigroup=semigroup,
-                zero_adjoined=zero_adjoined,
-                members=members,
-                box=egg.d_classes[-1],
-            )
-        )
+        factors.append(PrincipalFactor(semigroup, zero_adjoined, members))
     return tuple(factors)
 
 

@@ -252,10 +252,6 @@ def band_matching(pattern) -> Matching | None:
     powers = [1 << j for j in range(n)]
     rows_of = [list(compress(range(m), col)) for col in zip(*pattern)]
     cols_of = [sum(compress(powers, row)) for row in pattern]
-    # cell u = i * n + j on either side: its column j, K_j and L_i
-    col_at = list(range(n)) * m
-    rows_at = rows_of * m
-    cols_at = [cols for cols in cols_of for _ in range(n)]
     match_l = [-1] * (m * n)
     match_r = [-1] * (m * n)
     # greedy pass: each free cell, least degree first, takes a free cell in
@@ -297,9 +293,10 @@ def band_matching(pattern) -> Matching | None:
         unseen = [(1 << n) - 1] * m
         masks, layers = [], [roots]
         while True:
+            # cell u = i * n + j: K_j is rows_of[u % n], L_i cols_of[u // n]
             span = [0] * n
             for u in layers[-1]:
-                span[col_at[u]] |= cols_at[u]
+                span[u % n] |= cols_of[u // n]
             reached = [0] * m
             for rows, cols in zip(rows_of, span):
                 if cols:
@@ -327,7 +324,7 @@ def band_matching(pattern) -> Matching | None:
         for d in range(len(layers) - 1, -1, -1):
             union = [reduce(or_, map(masks[d].__getitem__, rows), 0)
                      for rows in rows_of]
-            roots = [u for u in layers[d] if union[col_at[u]] & cols_at[u]]
+            roots = [u for u in layers[d] if union[u % n] & cols_of[u // n]]
             if d:
                 masks[d - 1] = [0] * m
                 for v in map(match_l.__getitem__, roots):
@@ -336,7 +333,8 @@ def band_matching(pattern) -> Matching | None:
         # took[d] the right cell it took
         for root in roots:
             path, took = [root], []
-            stack = [_take_cells(masks[0], rows_at[root], cols_at[root], n)]
+            stack = [_take_cells(masks[0], rows_of[root % n],
+                                 cols_of[root // n], n)]
             while stack:
                 v = next(stack[-1], -1)
                 if v == -1:
@@ -352,8 +350,8 @@ def band_matching(pattern) -> Matching | None:
                     break
                 u = match_r[v]
                 path.append(u)
-                stack.append(_take_cells(masks[len(stack)], rows_at[u],
-                                         cols_at[u], n))
+                stack.append(_take_cells(masks[len(stack)], rows_of[u % n],
+                                         cols_of[u // n], n))
         roots = [u for u in range(m * n) if match_l[u] == -1]
     return (0, *(1 + v for v in match_l))
 
@@ -513,7 +511,8 @@ def equivalence_report(s: FiniteSemigroup) -> EquivalenceReport:
     factor_verdicts = [
         find_permutation_matching(f.semigroup) is not None for f in factors
     ]
-    quotient_witnesses = [pattern_matching(f.box.group_h) for f in factors]
+    quotient_witnesses = [pattern_matching(box.group_h)
+                          for box in s.egg_box.d_classes]
     quotient_verdicts = [q is not None for q in quotient_witnesses]
     h_preserving = None
     if all(quotient_verdicts):

@@ -341,7 +341,8 @@ def lift_by_factors(s: FiniteSemigroup, quotients) -> tuple[int, ...]:
         assert q[0] == 0
         egg = f.semigroup.egg_box
         inverses = f.semigroup.inverse_graph.inverses
-        box, off = f.box, f.zero_adjoined
+        # the factor's own D-class besides the zero, in factor indices
+        box, off = egg.d_classes[-1], f.zero_adjoined
         n_cols = len(box.l_classes)
         for i in box.elements:
             target = q[1 + egg.r_of[i] * n_cols + egg.l_of[i]]
@@ -349,6 +350,13 @@ def lift_by_factors(s: FiniteSemigroup, quotients) -> tuple[int, ...]:
             (y,) = [y for y in box.grid[tr][tl] if y in inverses[i]]
             out[f.members[i - off]] = f.members[y - off]
     return tuple(out)
+
+
+def quotient_band(box: DClassBox) -> bands.ZeroRectBand:
+    """The H-quotient band of the D-class ``box``: its R-classes by its
+    L-classes, with ``group_h`` as the pattern."""
+    return bands.ZeroRectBand(len(box.r_classes), len(box.l_classes),
+                              box.group_h)
 
 
 def relabel(s: FiniteSemigroup, perm) -> FiniteSemigroup:

@@ -594,8 +594,8 @@ class TestPrincipalFactors:
 class TestHQuotient:
     def test_counterexample_quotient_pattern(self):
         sg = bands.to_semigroup(bands.no_matching_band())
-        f = [g for g in core.principal_factors(sg) if len(g.members) > 1][0]
-        band = bands.h_quotient(f)
+        box = [b for b in sg.egg_box.d_classes if len(b.elements) > 1][0]
+        band = corpus.quotient_band(box)
         assert (band.m, band.n) == (2, 3)
         truth = {
             (i, j)
@@ -607,23 +607,21 @@ class TestHQuotient:
 
     def test_group_quotient_is_full_1x1(self):
         g = corpus.cyclic_group(4)
-        (factor,) = core.principal_factors(g)
-        band = bands.h_quotient(factor)
+        (box,) = g.egg_box.d_classes
+        band = corpus.quotient_band(box)
         assert (band.m, band.n) == (1, 1)
         assert band.pattern == ((True,),)
 
     def test_t3_rank2_quotient_is_transversal_pattern(self):
         data = enumerate_family("Tn", 3)
-        factors = core.principal_factors(data.semigroup)
-        f = next(g for g in factors if len(g.members) == 18)
-        band = bands.h_quotient(f)
+        egg = data.semigroup.egg_box
+        box = next(b for b in egg.d_classes if len(b.elements) == 18)
+        band = corpus.quotient_band(box)
         assert (band.m, band.n) == (3, 3)
         # oracle: cell (kernel, image) holds an idempotent iff the image is
         # a transversal of the kernel; a member's R-class fixes its kernel
         # and its L-class its image
-        egg = f.semigroup.egg_box
-        for a in f.members:
-            i = f.members.index(a) + f.zero_adjoined
+        for a in box.elements:
             image = set(data.maps[a])
             kernel = {}
             for x, v in enumerate(data.maps[a]):
@@ -631,22 +629,7 @@ class TestHQuotient:
             transversal = all(
                 len(image & cls) == 1 for cls in kernel.values()
             )
-            assert band.pattern[egg.r_of[i]][egg.l_of[i]] == transversal
-
-
-class TestFactorBox:
-    def test_box_is_the_one_nonzero_class_of_a_fresh_egg_box(self):
-        for seed in range(20):
-            s = corpus.corpus_semigroup(seed)
-            for f in s.factors:
-                # Green's relations on the factor's table alone, with no
-                # egg-box seeded from S
-                fresh = core.FiniteSemigroup(f.semigroup.table)
-                nonzero = [
-                    box for box in core.green_relations(fresh).d_classes
-                    if not (f.zero_adjoined and box.elements == (0,))
-                ]
-                assert nonzero == [f.box], seed
+            assert band.pattern[egg.r_of[a]][egg.l_of[a]] == transversal
 
 
 class TestStructureReport:

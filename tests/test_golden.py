@@ -31,6 +31,11 @@ CASES = {
     "match_counterexample.json": ["match", "{}/counterexample.band"],
     "analyze_t3.json": ["analyze", "{}/t3.cayley"],
     "factors_t3.json": ["factors", "{}/t3.cayley"],
+    # factors on a larger table, on a 2x2 class with non-group H-cells, and
+    # on a band with an adjoined zero whose quotient has no matching
+    "factors_o5.json": ["factors", "{}/o5.cayley"],
+    "factors_rees.json": ["factors", "{}/rees.cayley"],
+    "factors_counterexample.json": ["factors", "{}/counterexample.band"],
     "analyze_o5.json": ["analyze", "{}/o5.cayley"],
     "analyze_rees.json": ["analyze", "{}/rees.cayley"],
     "involution_oracle_o3.json": ["involution", "{}/o3.cayley", "--oracle"],

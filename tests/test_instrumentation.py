@@ -138,10 +138,10 @@ def test_band_paths_build_no_cayley_table(monkeypatch):
 
 
 def test_factors_builds_no_quotient_band(monkeypatch):
-    seen = count_calls(monkeypatch, ["bands.h_quotient"])
+    seen = count_calls(monkeypatch, ["core.pattern_inverse_graph"])
     run_quietly(["factors", str(GOLDEN / "t3.cayley")])
-    # each factor's quotient shape is read off its box
-    assert seen["bands.h_quotient"] == []
+    # each quotient shape is read off the D-class's box in S's egg-box
+    assert seen["core.pattern_inverse_graph"] == []
 
 
 def test_only_parsed_tables_are_validated(monkeypatch):

@@ -372,8 +372,8 @@ class TestAssemble:
         sg = bands.to_semigroup(bands.band_from_rows([[1, 1], [1, 1]]))
         quotients = [
             matching.involution_backtracking(
-                bands.to_semigroup(bands.h_quotient(f)))
-            for f in sg.factors
+                bands.to_semigroup(corpus.quotient_band(box)))
+            for box in sg.egg_box.d_classes
         ]
         assert all(q is not None for q in quotients)
         p = matching.lift_h_matching(sg, quotients)
@@ -579,10 +579,10 @@ class TestEquivalenceReport:
     def test_quotient_verdicts_match_band_route(self):
         for seed in range(40):
             s = corpus.corpus_semigroup(seed)
-            factors = core.principal_factors(s)
             rep = matching.equivalence_report(s)
-            for f, verdict in zip(factors, rep.quotient_verdicts):
-                band = bands.h_quotient(f)
+            for box, verdict in zip(s.egg_box.d_classes,
+                                    rep.quotient_verdicts, strict=True):
+                band = corpus.quotient_band(box)
                 via_band = (
                     matching.find_permutation_matching(bands.to_semigroup(band))
                     is not None
