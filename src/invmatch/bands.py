@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import permutations
+from itertools import chain, permutations
 from math import factorial, lcm, prod
 from operator import or_
 
@@ -64,12 +64,6 @@ class ZeroRectBand:
         """Read off the pattern."""
         return pattern_inverse_graph(self.pattern)
 
-    @property
-    def aspect_ratio(self) -> int:
-        if self.n % self.m:
-            raise NotDivisible(self.m, self.n)
-        return self.n // self.m
-
     def cell_index(self, i: int, j: int) -> int:
         """Semigroup index of cell (i, j); the zero sits at index 0."""
         return 1 + i * self.n + j
@@ -100,20 +94,21 @@ def to_semigroup(band: ZeroRectBand) -> FiniteSemigroup:
     (grids are conventionally displayed 1-based).  Past FAMILY_CAP
     elements, the bound on a ``gen`` table, it raises TooLarge before
     allocating."""
-    m, n, pat = band.m, band.n, band.pattern
+    n = band.n
     size = band.order
     if size > FAMILY_CAP:
         raise TooLarge(f"band of order {size} exceeds cap {FAMILY_CAP}")
-    rows = [[0] * size for _ in range(size)]
-    for i in range(m):
-        for j in range(n):
-            x = band.cell_index(i, j)
-            for k in range(m):
-                for l in range(n):
-                    if pat[k][j]:
-                        rows[x][band.cell_index(k, l)] = band.cell_index(i, l)
+    # (i, j)(k, l) = (i, l) iff pattern[k][j]: row (i, j) is the zero, then
+    # for each k row i's strip of cells where pattern[k][j] holds, else zeros
+    zeros = (0,) * n
+    columns = tuple(zip(*band.pattern))
+    rows = [(0,) * size]
+    for i in range(band.m):
+        strip = tuple(range(1 + i * n, 1 + i * n + n))
+        rows += [(0, *chain.from_iterable(strip if b else zeros for b in col))
+                 for col in columns]
     labels = ("0",) + tuple(f"({i + 1},{j + 1})" for i, j in band.cells())
-    return FiniteSemigroup(tuple(map(tuple, rows)), labels)
+    return FiniteSemigroup(tuple(rows), labels)
 
 
 def verify_band_matching(band: ZeroRectBand, p) -> bool:
@@ -226,7 +221,8 @@ def harem_family(band: ZeroRectBand) -> HaremFamily | None:
     order, which makes the output deterministic.  Raises NotDivisible
     before any matching when m does not divide n.
     """
-    band.aspect_ratio  # raises NotDivisible before any matching
+    if band.n % band.m:
+        raise NotDivisible(band.m, band.n)
     match_l, cert = _clone_matching(band)
     if cert is not None:
         return None
@@ -247,7 +243,6 @@ class HaremInvolution:
     """
 
     matching: Matching
-    family: HaremFamily
     column_order: tuple[int, ...]
 
 
@@ -270,7 +265,7 @@ def involution_from_harem(band: ZeroRectBand) -> HaremInvolution | None:
         t, r = divmod(new_of[c], m)
         image = (r, column_order[t * m + i])
         p[band.cell_index(i, c)] = band.cell_index(*image)
-    return HaremInvolution(tuple(p), fam, column_order)
+    return HaremInvolution(tuple(p), column_order)
 
 
 # ---------------------------------------------------------------------------

@@ -259,7 +259,7 @@ def cmd_factors(args) -> int:
                 "d_class": d_class,
                 "size": len(f.members),
                 "zero_adjoined": f.zero_adjoined,
-                "quotient": f"{len(box.r_classes)}x{len(box.l_classes)}",
+                "quotient": f"{len(box.grid)}x{len(box.grid[0])}",
                 "has_matching": matching.find_permutation_matching(f.semigroup)
                 is not None,
             }

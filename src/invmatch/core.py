@@ -297,11 +297,10 @@ def require_regular(s: FiniteSemigroup) -> None:
 
 @dataclass
 class DClassBox:
-    """One D-class of the egg-box: an R x L grid of H-cells."""
+    """One D-class of the egg-box: an R x L grid of H-cells.  Its R- and
+    L-classes are the grid's rows and columns, in order of least member."""
 
     elements: tuple[int, ...]
-    r_classes: tuple[tuple[int, ...], ...]
-    l_classes: tuple[tuple[int, ...], ...]
     grid: tuple[tuple[tuple[int, ...], ...], ...]  # grid[r][l] = H-cell
     group_h: tuple[tuple[bool, ...], ...]
 
@@ -394,13 +393,9 @@ def green_relations(s: FiniteSemigroup) -> EggBox:
     l_of = [0] * n
     boxes = []
     for d_idx, members in enumerate(d_classes_raw):
-        local_r = sorted({r_id[a] for a in members})
-        local_l = sorted({l_id[a] for a in members})
-        r_pos = {g: i for i, g in enumerate(local_r)}
-        l_pos = {g: i for i, g in enumerate(local_l)}
-        cells: list[list[list[int]]] = [
-            [[] for _ in local_l] for _ in local_r
-        ]
+        r_pos = {g: i for i, g in enumerate(sorted({r_id[a] for a in members}))}
+        l_pos = {g: i for i, g in enumerate(sorted({l_id[a] for a in members}))}
+        cells: list[list[list[int]]] = [[[] for _ in l_pos] for _ in r_pos]
         for a in members:
             i, j = r_pos[r_id[a]], l_pos[l_id[a]]
             cells[i][j].append(a)
@@ -412,15 +407,7 @@ def green_relations(s: FiniteSemigroup) -> EggBox:
             tuple(any(s.table[e][e] == e for e in cell) for cell in row)
             for row in grid
         )
-        boxes.append(
-            DClassBox(
-                elements=tuple(members),
-                r_classes=tuple(tuple(r_classes[g]) for g in local_r),
-                l_classes=tuple(tuple(l_classes[g]) for g in local_l),
-                grid=grid,
-                group_h=group,
-            )
-        )
+        boxes.append(DClassBox(tuple(members), grid, group))
     return EggBox(tuple(boxes), tuple(d_of), tuple(r_of), tuple(l_of))
 
 
@@ -482,14 +469,11 @@ def _factor_egg_box(egg: EggBox, box: DClassBox, pos, zero) -> EggBox:
     zero ``(0,)`` or ``()``.  R, L and H of a regular D-class are the same
     in S and in its factor, and ``pos`` keeps the members' order, by which
     both number classes; an adjoined zero is a D-class of its own, first."""
-    def moved(classes):
-        return tuple(_gather(c)(pos) for c in classes)
-
     members = box.elements
-    zero_box = DClassBox((0,), ((0,),), ((0,),), (((0,),),), ((True,),))
-    boxes = (zero_box,) * len(zero) + (DClassBox(
-        moved([members])[0], moved(box.r_classes), moved(box.l_classes),
-        tuple(map(moved, box.grid)), box.group_h),)
+    grid = tuple(tuple(_gather(c)(pos) for c in row) for row in box.grid)
+    zero_box = DClassBox((0,), (((0,),),), ((True,),))
+    boxes = (zero_box,) * len(zero) + (
+        DClassBox(_gather(members)(pos), grid, box.group_h),)
     return EggBox(boxes, zero + (len(zero),) * len(members),
                   zero + tuple(egg.r_of[x] for x in members),
                   zero + tuple(egg.l_of[x] for x in members))

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
-from operator import or_
+from operator import contains, or_
 
 from . import graphs
 from .core import (  # noqa: F401  (green_relations stays matching.green_relations)
@@ -77,8 +77,13 @@ def split_cycles(g: InverseGraph, p) -> list[int]:
     Even cycles split into mutually inverse pairs.  An odd cycle fixes its
     least self-eligible member and pairs the rest; an odd cycle with no
     self-eligible member is left at ``-1``, a verdict about this p only.
+    A p that is not a permutation, on which the cycle walk would not end,
+    raises NotAPermutation; one with some p[a] outside V(a), NotAMatching.
     """
     n = g.n
+    check_permutation(n, p)
+    if not all(map(contains, g.inverses, p)):
+        raise NotAMatching("p maps some element to a non-inverse")
     out = [-1] * n
     seen = [False] * n
     for start in range(n):
@@ -382,8 +387,8 @@ def lift_h_matching(s: FiniteSemigroup, quotients) -> Matching:
         )
     out = [-1] * s.order
     for box, q in zip(egg.d_classes, quotients):
-        n_cols = len(box.l_classes)
-        check_permutation(len(box.r_classes) * n_cols + 1, q)
+        n_cols = len(box.grid[0])
+        check_permutation(len(box.grid) * n_cols + 1, q)
         if q[0] != 0:
             raise NotAMatching("quotient matching must fix the zero")
         for x in box.elements:

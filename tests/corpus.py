@@ -293,15 +293,8 @@ def ideal_egg_box(s: FiniteSemigroup) -> EggBox:
             tuple(any(s.table[e][e] == e for e in cell) for cell in row)
             for row in grid
         )
-        boxes.append(
-            DClassBox(
-                elements=tuple(members),
-                r_classes=tuple(tuple(r_classes[g]) for g in local_r),
-                l_classes=tuple(tuple(l_classes[g]) for g in local_l),
-                grid=grid,
-                group_h=group,
-            )
-        )
+        boxes.append(DClassBox(elements=tuple(members), grid=grid,
+                               group_h=group))
     return EggBox(tuple(boxes), tuple(d_of), tuple(r_of), tuple(l_of))
 
 
@@ -343,7 +336,7 @@ def lift_by_factors(s: FiniteSemigroup, quotients) -> tuple[int, ...]:
         inverses = f.semigroup.inverse_graph.inverses
         # the factor's own D-class besides the zero, in factor indices
         box, off = egg.d_classes[-1], f.zero_adjoined
-        n_cols = len(box.l_classes)
+        n_cols = len(box.grid[0])
         for i in box.elements:
             target = q[1 + egg.r_of[i] * n_cols + egg.l_of[i]]
             tr, tl = divmod(target - 1, n_cols)
@@ -354,9 +347,27 @@ def lift_by_factors(s: FiniteSemigroup, quotients) -> tuple[int, ...]:
 
 def quotient_band(box: DClassBox) -> bands.ZeroRectBand:
     """The H-quotient band of the D-class ``box``: its R-classes by its
-    L-classes, with ``group_h`` as the pattern."""
-    return bands.ZeroRectBand(len(box.r_classes), len(box.l_classes),
-                              box.group_h)
+    L-classes (its grid's rows by its columns), with ``group_h`` as the
+    pattern."""
+    return bands.ZeroRectBand(len(box.grid), len(box.grid[0]), box.group_h)
+
+
+def band_table_by_entries(band: bands.ZeroRectBand) -> FiniteSemigroup:
+    """The band's Cayley table written one entry at a time from the product
+    (i, j)(k, l) = (i, l) iff pattern[k][j], with the labels of
+    bands.to_semigroup: the oracle for its row strips."""
+    m, n, pat = band.m, band.n, band.pattern
+    size = band.order
+    rows = [[0] * size for _ in range(size)]
+    for i in range(m):
+        for j in range(n):
+            x = band.cell_index(i, j)
+            for k in range(m):
+                for l in range(n):
+                    if pat[k][j]:
+                        rows[x][band.cell_index(k, l)] = band.cell_index(i, l)
+    labels = ("0",) + tuple(f"({i + 1},{j + 1})" for i, j in band.cells())
+    return FiniteSemigroup(tuple(map(tuple, rows)), labels)
 
 
 def relabel(s: FiniteSemigroup, perm) -> FiniteSemigroup:

@@ -17,6 +17,7 @@ from invmatch.errors import (
     NotRegularPattern,
     ParameterOutOfRange,
     ParseError,
+    TooLarge,
 )
 
 
@@ -88,6 +89,34 @@ class TestToSemigroup:
         for seed in range(15):
             band = bands.random_band(2, 3, 0.6, seed)
             core.validate(bands.to_semigroup(band))
+
+    @staticmethod
+    def assert_equals_the_entry_oracle(band):
+        got = bands.to_semigroup(band)
+        want = corpus.band_table_by_entries(band)
+        assert (got.table, got.labels) == (want.table, want.labels), band
+
+    def test_row_strips_equal_the_entry_oracle_on_small_patterns(self):
+        for band in corpus.small_regular_patterns():
+            self.assert_equals_the_entry_oracle(band)
+
+    def test_row_strips_equal_the_entry_oracle_on_random_bands(self):
+        rng = random.Random(49)
+        for _ in range(300):
+            m, n = rng.randint(1, 8), rng.randint(1, 10)
+            self.assert_equals_the_entry_oracle(
+                corpus.covering_band(rng, m, n, rng.random()))
+
+    def test_row_strips_equal_the_entry_oracle_on_the_full_1x1500_band(self):
+        self.assert_equals_the_entry_oracle(full_band(1, 1500))
+
+    def test_refuses_past_the_cap_before_building_a_row(self, monkeypatch):
+        band = full_band(1, core.FAMILY_CAP)
+        assert band.order == core.FAMILY_CAP + 1
+        # a row is built by chaining strips; the refusal comes first
+        monkeypatch.setattr(bands, "chain", None)
+        with pytest.raises(TooLarge, match=f"band of order {band.order} exceeds"):
+            bands.to_semigroup(band)
 
 
 class TestMutualInverses:
@@ -344,7 +373,7 @@ class TestHaremFamily:
             if fam is None:
                 continue
             count += 1
-            a = band.aspect_ratio
+            a = band.n // band.m
             assert len(fam.functions) == a
             cols = [c for f in fam.functions for c in f]
             assert sorted(cols) == list(range(band.n))  # disjoint + cover
@@ -358,7 +387,7 @@ class TestInvolutionFromHarem:
     def test_square_full_pattern_gives_transpose(self):
         band = full_band(3, 3)
         result = bands.involution_from_harem(band)
-        assert result.family.functions == ((0, 1, 2),)
+        assert result.column_order == (0, 1, 2)
         for i, j in band.cells():
             assert result.matching[band.cell_index(i, j)] == band.cell_index(
                 j, i

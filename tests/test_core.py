@@ -427,8 +427,8 @@ class TestGreenRelations:
         egg = core.green_relations(s)
         assert len(egg.d_classes) == 1
         box = egg.d_classes[0]
-        assert len(box.r_classes) == 2
-        assert len(box.l_classes) == 3
+        assert len(box.grid) == 2
+        assert len(box.grid[0]) == 3
         for row in box.grid:
             for cell in row:
                 assert len(cell) == 1
@@ -446,7 +446,7 @@ class TestGreenRelations:
         by_size = sorted(egg.d_classes, key=lambda b: len(b.elements))
         assert [len(b.elements) for b in by_size] == [1, 6]
         box = by_size[1]
-        assert (len(box.r_classes), len(box.l_classes)) == (2, 3)
+        assert (len(box.grid), len(box.grid[0])) == (2, 3)
 
     def test_against_ideal_oracle(self):
         # D read off R and L must agree with J

@@ -1,7 +1,10 @@
 """Matching engine: decisions, certificates, lifts, cycle splitting,
 the involution gadget, and the cross-checking report."""
 
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +14,7 @@ from invmatch import bands, core, matching, transformations
 from invmatch.errors import (
     BudgetExhausted,
     NoInverseInTargetCell,
+    NotAMatching,
     NotAPermutation,
     ParameterOutOfRange,
 )
@@ -421,6 +425,35 @@ class TestInvolutionFromCycles:
         assert inv is not None
         assert matching.verify_involution_matching(sg, inv)
 
+    def test_refuses_a_p_that_is_not_a_permutation(self):
+        # on such a p the cycle walk never gets back to its start, so the
+        # call runs in a child process: a hang fails this test, not the suite
+        code = (
+            "from invmatch import matching\n"
+            "from invmatch.core import InverseGraph\n"
+            "from invmatch.errors import NotAPermutation\n"
+            "g = InverseGraph(3, ((0, 1), (0, 1), (2,)))\n"
+            "try:\n"
+            "    matching.split_cycles(g, [1, 1, 2])\n"
+            "except NotAPermutation:\n"
+            "    print('refused')\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, timeout=30,
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              check=False)
+        assert (proc.returncode, proc.stdout) == (0, "refused\n"), proc.stderr
+
+    def test_refuses_a_permutation_that_pairs_non_inverses(self):
+        # every V(a) = {a}: the only matching is the identity
+        g = core.InverseGraph(3, ((0,), (1,), (2,)))
+        with pytest.raises(NotAMatching, match="to a non-inverse"):
+            matching.split_cycles(g, (1, 2, 0))
+        with pytest.raises(NotAMatching):
+            matching.involution_on_graph(g, matching=(1, 2, 0))
+        assert matching.involution_on_graph(g, matching=(0, 1, 2)) == (0, 1, 2)
+
     def test_success_implies_gadget_present(self):
         for seed in range(50):
             s = corpus.corpus_semigroup(seed)
@@ -519,6 +552,23 @@ class TestSeededInvolution:
                         assert bands.verify_band_involution(band, seeded)
                     checked += 1
         assert checked > 1000
+
+    def test_open_odd_cycles_on_semigroups_fall_back_to_the_gadget(self):
+        # O_5, OP_4, P_4 and two seeded transformation semigroups (orders
+        # 180 and 145): Hopcroft-Karp's matching leaves an odd cycle with no
+        # self-eligible member, so the seeded gadget search decides them
+        inputs = [enumerate_family(family, n).semigroup
+                  for family, n in (("On", 5), ("OPn", 4), ("Pn", 4))]
+        drawn = corpus.transformation_semigroups(7, 200)
+        inputs += [drawn[94], drawn[196]]
+        for s in inputs:
+            g = matching.build_inverse_graph(s)
+            p = matching.matching_on_graph(g)
+            assert -1 in matching.split_cycles(g, p), s.order
+            seeded = matching.involution_on_graph(g, matching=p)
+            assert matching.verify_involution_matching(s, seeded), s.order
+            unseeded = matching.involution_on_graph(g)
+            assert (seeded is None) == (unseeded is None), s.order
 
     def test_split_without_open_cycles_builds_no_gadget(self, monkeypatch):
         s = corpus.rectangular_band(3, 3)
@@ -637,8 +687,10 @@ class TestRandomTransformationSemigroups:
             assert self.ascending_by_least_member(
                 [box.elements for box in egg.d_classes]), k
             for box in egg.d_classes:
-                assert self.ascending_by_least_member(box.r_classes), k
-                assert self.ascending_by_least_member(box.l_classes), k
+                # its R- and L-classes: the grid's rows and columns
+                for lines in (box.grid, list(zip(*box.grid))):
+                    assert self.ascending_by_least_member(
+                        [sorted(sum(line, ())) for line in lines]), k
         # both kinds are drawn, and the matching search meets both answers
         assert 40 < regular < 160
         assert unmatched_searched > 0

@@ -171,9 +171,10 @@ class TestSignatureClasses:
         data = tr.enumerate_family("Tn", 3)
         egg = core.green_relations(data.semigroup)
         for box in egg.d_classes:
-            for r_class in box.r_classes:
+            for row in box.grid:  # an R-class
                 sigs = {
-                    tr.kernel_signature(data.maps[x], 3) for x in r_class
+                    tr.kernel_signature(data.maps[x], 3)
+                    for cell in row for x in cell
                 }
                 assert len(sigs) == 1
 
